@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import algebra2, cohom2, deform2, ext2, fileio, rep2, xmod
+from .cochain import Inequivalence
 from .exactlin import format_rational
 from .fileio import SchemaError
 from .report import CheckReport, PreconditionError
@@ -151,13 +152,15 @@ def _checked_pair(args):
 
 
 def cmd_cohomology(args) -> int:
+    """Either theory: ``args.pair`` loads and checks the pair, ``args.h2``
+    computes its cohomology and ``args.dump2`` writes a two-cochain."""
     try:
-        g, r = _checked_pair(args)
-        res = cohom2.second_cohomology(g, r)
+        base, r = args.pair(args)
+        res = args.h2(base, r)
     except ValueError as exc:
         _emit(_report_doc("fail", numbers={"error": str(exc)}), args.format)
         return 1
-    reps = [fileio.dump_cochain2(c, g, r) for c in res.representatives]
+    reps = [args.dump2(c, base, r) for c in res.representatives]
     doc = _report_doc(
         "pass",
         numbers={"dim_z2": res.dim_z2, "dim_b2": res.dim_b2, "dim_h2": res.dim_h2},
@@ -261,18 +264,20 @@ def cmd_ext(args) -> int:
         res = ext2.check_equivalence(e1, e2)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    if isinstance(res, ext2.Inequivalence):
+    return _report_equivalence(args, res, e1, ext2.extract_representation, fileio.dump_cochain1)
+
+
+def _report_equivalence(args, res, e1, extract_rep, dump1) -> int:
+    """The ext equiv report of either theory: the rank certificate, or the
+    witness one-cochain in the representation induced by ``e1``."""
+    if isinstance(res, Inequivalence):
         doc = _report_doc(
             "inequivalent",
             numbers={"rank_d1": res.rank_d1, "rank_augmented": res.rank_augmented},
         )
         _emit(doc, args.format)
         return 1
-    r = ext2.extract_representation(e1)
-    witness = fileio.dump_cochain1(
-        cohom2.Cochain1(res.lambda0, res.lambda1, res.lambda2), e1.base, r
-    )
-    _emit(_report_doc("pass", witness=witness), args.format)
+    _emit(_report_doc("pass", witness=dump1(res.primitive, e1.base, extract_rep(e1))), args.format)
     return 0
 
 
@@ -286,23 +291,6 @@ def _checked_xpair(args):
     r = _load(fileio.load_xmod_representation, args.rep, x)
     xmod.check_xmod_representation(r).require("representation fails its checker")
     return x, r
-
-
-def cmd_xmod_cohomology(args) -> int:
-    try:
-        x, r = _checked_xpair(args)
-        res = xmod.xmod_second_cohomology(x, r)
-    except ValueError as exc:
-        _emit(_report_doc("fail", numbers={"error": str(exc)}), args.format)
-        return 1
-    reps = [fileio.dump_xmod_cochain2(c, x, r) for c in res.representatives]
-    doc = _report_doc(
-        "pass",
-        numbers={"dim_z2": res.dim_z2, "dim_b2": res.dim_b2, "dim_h2": res.dim_h2},
-        witness={"representatives": reps},
-    )
-    _emit(doc, args.format)
-    return 0
 
 
 def cmd_xmod_cocycle(args) -> int:
@@ -394,17 +382,7 @@ def cmd_xmod_ext(args) -> int:
         res = xmod.xmod_check_equivalence(e1, e2)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    if isinstance(res, xmod.XModInequivalence):
-        doc = _report_doc(
-            "inequivalent",
-            numbers={"rank_d1": res.rank_d1, "rank_augmented": res.rank_augmented},
-        )
-        _emit(doc, args.format)
-        return 1
-    r = xmod.xmod_extract_representation(e1)
-    witness = fileio.dump_xmod_cochain1(xmod.XCochain1(res.lambda0, res.lambda1), e1.base, r)
-    _emit(_report_doc("pass", witness=witness), args.format)
-    return 0
+    return _report_equivalence(args, res, e1, xmod.xmod_extract_representation, fileio.dump_xmod_cochain1)
 
 
 def cmd_endalg(args) -> int:
@@ -492,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cohomology", help="second cohomology of an algebra with coefficients")
     p.add_argument("algebra")
     p.add_argument("rep")
-    p.set_defaults(func=cmd_cohomology)
+    p.set_defaults(func=cmd_cohomology, pair=_checked_pair, h2=cohom2.second_cohomology, dump2=fileio.dump_cochain2)
 
     p = sub.add_parser("cocycle", help="cocycle membership and coboundary reduction")
     p.add_argument("action", choices=("check", "reduce"))
@@ -524,7 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = xsub.add_parser("cohomology")
     p.add_argument("xmod")
     p.add_argument("rep")
-    p.set_defaults(func=cmd_xmod_cohomology)
+    p.set_defaults(
+        func=cmd_cohomology, pair=_checked_xpair, h2=xmod.xmod_second_cohomology, dump2=fileio.dump_xmod_cochain2
+    )
 
     p = xsub.add_parser("cocycle")
     p.add_argument("action", choices=("check", "reduce"))

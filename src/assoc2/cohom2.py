@@ -11,7 +11,9 @@ implemented here are the package's frozen convention (see CONVENTIONS.md at
 the repository root); d2 . d1 = 0 is enforced, not assumed, every time the
 matrices are assembled.
 
-Flattening contract (bit-exact, shared with the file formats):
+Flattening, the assembled matrices, H2 and coboundary solves come from the
+engine in ``cochain``; ``cochain_complex`` hands it this theory's block
+layout (bit-exact, shared with the file formats):
   Cochain1 = [ phi row-major | phi1 row-major | chi by (x, y, out) ]
   Cochain2 = [ psi | omega | mu | nu | theta ], each by input indices then
   output index.
@@ -22,88 +24,67 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra2 import TwoTermAlgebra, require_algebra
-from .exactlin import Matrix, kernel_basis, rank, solve
+from .cochain import (
+    CoboundaryMatrices,
+    Cochain,
+    CochainComplex,
+    CohomologyResult,
+    Layout,
+    assemble,
+    cohomology,
+    primitive,
+)
+from .exactlin import Matrix
 from .rep2 import Representation2, require_representation
 from .report import CheckReport, report_from
-from .tensorops import bil, tri, unit, vadd, vsub, vzero, tensor2, tensor3, tzip, zeros2, zeros3
+from .tensorops import bil, tri, unit, vadd, vsub, vzero, tensor2, tensor3
 
 
 @dataclass
-class Cochain1:
+class Cochain1(Cochain):
     phi: Matrix   # g0 -> V0   (m0 x n0)
     phi1: Matrix  # g1 -> V1   (m1 x n1)
     chi: tuple    # g0 x g0 -> V1
 
-    def __add__(self, other):
-        return Cochain1(self.phi + other.phi, self.phi1 + other.phi1, tzip(lambda a, b: a + b, self.chi, other.chi))
-
-    def __sub__(self, other):
-        return Cochain1(self.phi - other.phi, self.phi1 - other.phi1, tzip(lambda a, b: a - b, self.chi, other.chi))
+    ROW_MAJOR = ("phi", "phi1")
 
 
 @dataclass
-class Cochain2:
+class Cochain2(Cochain):
     psi: Matrix   # g1 -> V0   (m0 x n1)
     omega: tuple  # g0 x g0 -> V0
     mu: tuple     # g0 x g1 -> V1
     nu: tuple     # g1 x g0 -> V1
     theta: tuple  # g0 x g0 x g0 -> V1
 
-    def __add__(self, other):
-        return Cochain2(
-            self.psi + other.psi,
-            tzip(lambda a, b: a + b, self.omega, other.omega),
-            tzip(lambda a, b: a + b, self.mu, other.mu),
-            tzip(lambda a, b: a + b, self.nu, other.nu),
-            tzip(lambda a, b: a + b, self.theta, other.theta),
-        )
 
-    def __sub__(self, other):
-        return Cochain2(
-            self.psi - other.psi,
-            tzip(lambda a, b: a - b, self.omega, other.omega),
-            tzip(lambda a, b: a - b, self.mu, other.mu),
-            tzip(lambda a, b: a - b, self.nu, other.nu),
-            tzip(lambda a, b: a - b, self.theta, other.theta),
-        )
-
-    def scale(self, c):
-        from .tensorops import tmap
-
-        return Cochain2(
-            self.psi.scale(c),
-            tmap(lambda a: c * a, self.omega),
-            tmap(lambda a: c * a, self.mu),
-            tmap(lambda a: c * a, self.nu),
-            tmap(lambda a: c * a, self.theta),
-        )
-
-    def is_zero(self) -> bool:
-        from .tensorops import tflat
-
-        return (
-            self.psi.is_zero()
-            and all(x == 0 for x in tflat(self.omega))
-            and all(x == 0 for x in tflat(self.mu))
-            and all(x == 0 for x in tflat(self.nu))
-            and all(x == 0 for x in tflat(self.theta))
-        )
-
-
-def zero_cochain1(g: TwoTermAlgebra, r: Representation2) -> Cochain1:
-    return Cochain1(
-        Matrix.zero(r.dim0, g.dim0), Matrix.zero(r.dim1, g.dim1), zeros2(g.dim0, g.dim0, r.dim1)
+def cochain_complex(g: TwoTermAlgebra, r: Representation2) -> CochainComplex:
+    """Degrees 1 and 2 of the complex of (g, r) for the shared engine."""
+    n0, n1, m0, m1 = g.dim0, g.dim1, r.dim0, r.dim1
+    return CochainComplex(
+        Layout(Cochain1, {"phi": ((n0,), m0), "phi1": ((n1,), m1), "chi": ((n0, n0), m1)}),
+        Layout(
+            Cochain2,
+            {
+                "psi": ((n1,), m0),
+                "omega": ((n0, n0), m0),
+                "mu": ((n0, n1), m1),
+                "nu": ((n1, n0), m1),
+                "theta": ((n0, n0, n0), m1),
+            },
+        ),
+        lambda c: d1_apply(g, r, c),
+        lambda c: d2_residual(g, r, c),
+        "d2 . d1 != 0: representation is not compatible with the complex",
     )
 
 
 def zero_cochain2(g: TwoTermAlgebra, r: Representation2) -> Cochain2:
-    return Cochain2(
-        Matrix.zero(r.dim0, g.dim1),
-        zeros2(g.dim0, g.dim0, r.dim0),
-        zeros2(g.dim0, g.dim1, r.dim1),
-        zeros2(g.dim1, g.dim0, r.dim1),
-        zeros3(g.dim0, g.dim0, g.dim0, r.dim1),
-    )
+    return cochain_complex(g, r).c2.zero()
+
+
+def flatten_cochain2(c: Cochain2) -> tuple:
+    return c.flatten()
 
 
 # ---------------------------------------------------------------------------
@@ -304,158 +285,20 @@ def is_cocycle1(g: TwoTermAlgebra, r: Representation2, c: Cochain1) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# flattening and assembled matrices
+# assembled matrices, H2 and coboundaries (the shared engine)
 # ---------------------------------------------------------------------------
 
-def cochain1_dim(g: TwoTermAlgebra, r: Representation2) -> int:
-    return r.dim0 * g.dim0 + r.dim1 * g.dim1 + g.dim0 * g.dim0 * r.dim1
-
-
-def cochain2_dim(g: TwoTermAlgebra, r: Representation2) -> int:
-    n0, n1, m0, m1 = g.dim0, g.dim1, r.dim0, r.dim1
-    return n1 * m0 + n0 * n0 * m0 + n0 * n1 * m1 + n1 * n0 * m1 + n0 ** 3 * m1
-
-
-def flatten_cochain1(c: Cochain1) -> tuple:
-    out = [x for row in c.phi.entries for x in row]
-    out.extend(x for row in c.phi1.entries for x in row)
-    for row in c.chi:
-        for cell in row:
-            out.extend(cell)
-    return tuple(out)
-
-
-def unflatten_cochain1(g: TwoTermAlgebra, r: Representation2, flat) -> Cochain1:
-    n0, n1, m0, m1 = g.dim0, g.dim1, r.dim0, r.dim1
-    flat = list(flat)
-    pos = 0
-
-    def take(k):
-        nonlocal pos
-        chunk = flat[pos : pos + k]
-        pos += k
-        return chunk
-
-    phi = Matrix(tuple(tuple(take(n0)) for _ in range(m0)), n0)
-    phi1 = Matrix(tuple(tuple(take(n1)) for _ in range(m1)), n1)
-    chi = tensor2(n0, n0, lambda i, j: take(m1))
-    if pos != len(flat):
-        raise ValueError("flattened one-cochain has wrong length")
-    return Cochain1(phi, phi1, chi)
-
-
-def flatten_cochain2(c: Cochain2) -> tuple:
-    n1 = c.psi.cols
-    out = []
-    for p in range(n1):
-        out.extend(c.psi.col(p))
-    for row in c.omega:
-        for cell in row:
-            out.extend(cell)
-    for row in c.mu:
-        for cell in row:
-            out.extend(cell)
-    for row in c.nu:
-        for cell in row:
-            out.extend(cell)
-    for plane in c.theta:
-        for row in plane:
-            for cell in row:
-                out.extend(cell)
-    return tuple(out)
-
-
-def unflatten_cochain2(g: TwoTermAlgebra, r: Representation2, flat) -> Cochain2:
-    n0, n1, m0, m1 = g.dim0, g.dim1, r.dim0, r.dim1
-    flat = list(flat)
-    pos = 0
-
-    def take(k):
-        nonlocal pos
-        chunk = flat[pos : pos + k]
-        pos += k
-        return chunk
-
-    psi = Matrix.from_cols([take(m0) for _ in range(n1)], m0)
-    omega = tensor2(n0, n0, lambda i, j: take(m0))
-    mu = tensor2(n0, n1, lambda i, p: take(m1))
-    nu = tensor2(n1, n0, lambda p, i: take(m1))
-    theta = tensor3(n0, n0, n0, lambda i, j, k: take(m1))
-    if pos != len(flat):
-        raise ValueError("flattened two-cochain has wrong length")
-    return Cochain2(psi, omega, mu, nu, theta)
-
-
-def basis_cochain1(g: TwoTermAlgebra, r: Representation2, k: int) -> Cochain1:
-    n = cochain1_dim(g, r)
-    return unflatten_cochain1(g, r, unit(n, k))
-
-
-@dataclass
-class CoboundaryMatrices:
-    d1: Matrix  # flattened Cochain1 -> flattened Cochain2
-    d2: Matrix  # flattened Cochain2 -> stacked residual families
-
-
 def assemble_matrices(g: TwoTermAlgebra, r: Representation2) -> CoboundaryMatrices:
-    """Matrices of d1 and of the residual map d2 in the flattening order.
-
-    The complex property d2 . d1 = 0 is part of this type's contract and is
-    verified here; assembly fails loudly if the representation's action maps
-    are not compatible with the complex differentials.
-    """
+    """Matrices of d1 and of the residual map d2 in the flattening order,
+    with d2 . d1 = 0 verified (see ``cochain.assemble``)."""
     require_algebra(g)
     require_representation(r)
-    dim1 = cochain1_dim(g, r)
-    dim2 = cochain2_dim(g, r)
-    d1_cols = [flatten_cochain2(d1_apply(g, r, basis_cochain1(g, r, k))) for k in range(dim1)]
-    d1 = Matrix.from_cols(d1_cols, dim2)
-    d2_cols = [
-        d2_residual(g, r, unflatten_cochain2(g, r, unit(dim2, k))) for k in range(dim2)
-    ]
-    rows2 = len(d2_cols[0]) if dim2 else 0
-    d2 = Matrix.from_cols(d2_cols, rows2)
-    prod = d2 @ d1
-    if not prod.is_zero():
-        raise ValueError("d2 . d1 != 0: representation is not compatible with the complex")
-    return CoboundaryMatrices(d1, d2)
-
-
-@dataclass
-class CohomologyResult:
-    dim_z2: int
-    dim_b2: int
-    dim_h2: int
-    representatives: list[Cochain2]
+    return assemble(cochain_complex(g, r))
 
 
 def second_cohomology(g: TwoTermAlgebra, r: Representation2) -> CohomologyResult:
-    """dim Z2, dim B2, dim H2 = Z2/B2, plus representative cocycles.
-
-    Representatives are kernel-basis vectors of d2 chosen greedily so that
-    together with a basis of the image of d1 they stay independent; each one
-    has zero residual by construction.
-    """
-    mats = assemble_matrices(g, r)
-    ker = kernel_basis(mats.d2)
-    dim_z2 = ker.dim
-    dim_b2 = rank(mats.d1)
-    dim_h2 = dim_z2 - dim_b2
-
-    image_cols = [mats.d1.col(k) for k in range(mats.d1.cols)]
-    chosen: list[tuple] = []
-    current = list(image_cols)
-    current_rank = rank(Matrix(tuple(current), mats.d1.rows)) if current else 0
-    for v in ker.basis:
-        if len(chosen) == dim_h2:
-            break
-        cand = Matrix(tuple(current) + (v,), mats.d1.rows)
-        if rank(cand) > current_rank:
-            chosen.append(v)
-            current.append(v)
-            current_rank += 1
-    reps = [unflatten_cochain2(g, r, v) for v in chosen]
-    return CohomologyResult(dim_z2, dim_b2, dim_h2, reps)
+    """dim Z2, dim B2, dim H2 = Z2/B2, plus representative cocycles."""
+    return cohomology(cochain_complex(g, r), assemble_matrices(g, r))
 
 
 def is_coboundary(g: TwoTermAlgebra, r: Representation2, c: Cochain2):
@@ -463,11 +306,4 @@ def is_coboundary(g: TwoTermAlgebra, r: Representation2, c: Cochain2):
 
     The preimage is re-verified by applying d1 to it.
     """
-    mats = assemble_matrices(g, r)
-    x = solve(mats.d1, flatten_cochain2(c))
-    if x is None:
-        return None
-    pre = unflatten_cochain1(g, r, x)
-    if flatten_cochain2(d1_apply(g, r, pre)) != flatten_cochain2(c):
-        raise AssertionError("primitive failed exact re-application")
-    return pre
+    return primitive(cochain_complex(g, r), assemble_matrices(g, r), c)

@@ -25,15 +25,9 @@ from .algebra2 import (
     check_homomorphism,
     require_algebra,
 )
-from .cohom2 import (
-    Cochain1,
-    Cochain2,
-    assemble_matrices,
-    d2_residual,
-    flatten_cochain2,
-    unflatten_cochain1,
-)
-from .exactlin import Matrix, rank, solve
+from .cochain import Inequivalence, cohomologous
+from .cohom2 import Cochain1, Cochain2, assemble_matrices, cochain_complex, d2_residual
+from .exactlin import Matrix, rank
 from .rep2 import Representation2, require_representation
 from .report import CheckReport, Violation
 from .tensorops import bil, tri, unit, vadd, vsub, vzero, tensor2, tensor3, zeros2, tflat
@@ -307,17 +301,8 @@ def build_extension(
 
 @dataclass
 class EquivalenceWitness:
-    lambda0: Matrix  # base0 -> kernel0
-    lambda1: Matrix  # base1 -> kernel1
-    lambda2: tuple   # base0 x base0 -> kernel1
+    primitive: Cochain1  # (lambda0, lambda1, lambda2) with d1(primitive) = c1 - c2
     homomorphism: Homomorphism2
-
-
-@dataclass
-class Inequivalence:
-    reason: str
-    rank_d1: int
-    rank_augmented: int
 
 
 def witness_homomorphism(e1: Extension2, e2: Extension2, lam: Cochain1) -> Homomorphism2:
@@ -365,17 +350,9 @@ def check_equivalence(e1: Extension2, e2: Extension2):
 
     c1 = extract_cocycle(e1)
     c2 = extract_cocycle(e2)
-    delta = flatten_cochain2(c1 - c2)
-    mats = assemble_matrices(e1.base, r1)
-    x = solve(mats.d1, delta)
-    if x is None:
-        aug = Matrix(
-            tuple(row + (b,) for row, b in zip(mats.d1.entries, delta)), mats.d1.cols + 1
-        )
-        return Inequivalence(
-            "cocycle difference is not a coboundary", rank(mats.d1), rank(aug)
-        )
-    lam = unflatten_cochain1(e1.base, r1, x)
+    lam = cohomologous(cochain_complex(e1.base, r1), assemble_matrices(e1.base, r1), c1, c2)
+    if isinstance(lam, Inequivalence):
+        return lam
     hom = witness_homomorphism(e1, e2, lam)
     check_homomorphism(hom).require("witness does not induce a homomorphism")
     # the witness respects the inclusions and projections
@@ -389,4 +366,4 @@ def check_equivalence(e1: Extension2, e2: Extension2):
     proj_ok = (e2.p0 @ hom.f0 == e1.p0) and (e2.p1 @ hom.f1 == e1.p1)
     if not (incl_ok and proj_ok):
         raise AssertionError("witness does not commute with inclusion/projection")
-    return EquivalenceWitness(lam.phi, lam.phi1, lam.chi, hom)
+    return EquivalenceWitness(lam, hom)

@@ -7,7 +7,10 @@ and crossed modules determine each other, and the whole graded apparatus
 has a strict mirror here: representations (V, W, phi), semidirect
 products, a two-term cochain complex with seven cocycle families,
 deformations with Nijenhuis pairs, and abelian extensions classified by
-the second cohomology.
+the second cohomology.  This module holds the formulas and the structure
+checks; the linear algebra of the complex (flattening, assembly, H2,
+coboundary solves) is the shared engine in ``cochain``, fed by
+``xmod_cochain_complex``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,19 @@ from .algebra2 import (
     check_algebra,
     require_algebra,
 )
-from .exactlin import Matrix, kernel_basis, rank, solve
+from .cochain import (
+    CoboundaryMatrices,
+    Cochain,
+    CochainComplex,
+    CohomologyResult,
+    Inequivalence,
+    Layout,
+    assemble,
+    cohomologous,
+    cohomology,
+    primitive,
+)
+from .exactlin import Matrix, rank
 from .poly import Poly, T
 from .report import CheckReport, Violation, report_from
 from .tensorops import bil, unit, vadd, vsub, vzero, tensor2, tzip, zeros2
@@ -294,42 +309,43 @@ def semidirect_product(x: CrossedModule, r: XModRepresentation) -> CrossedModule
 # ---------------------------------------------------------------------------
 
 @dataclass
-class XCochain1:
+class XCochain1(Cochain):
     n0: Matrix  # p -> W
     n1: Matrix  # h -> V
 
+    ROW_MAJOR = ("n0", "n1")
+
 
 @dataclass
-class XCochain2:
+class XCochain2(Cochain):
     psi: Matrix   # h -> W
     omega: tuple  # p x p -> W
     mu: tuple     # p x h -> V
     nu: tuple     # h x p -> V
 
-    def __sub__(self, other):
-        return XCochain2(
-            self.psi - other.psi,
-            tzip(lambda a, b: a - b, self.omega, other.omega),
-            tzip(lambda a, b: a - b, self.mu, other.mu),
-            tzip(lambda a, b: a - b, self.nu, other.nu),
-        )
 
-    def __add__(self, other):
-        return XCochain2(
-            self.psi + other.psi,
-            tzip(lambda a, b: a + b, self.omega, other.omega),
-            tzip(lambda a, b: a + b, self.mu, other.mu),
-            tzip(lambda a, b: a + b, self.nu, other.nu),
-        )
+def xmod_cochain_complex(x: CrossedModule, r: XModRepresentation) -> CochainComplex:
+    """Degrees 1 and 2 of the complex of (x, r) for the shared engine:
+    [ n0 row-major | n1 row-major ] and [ psi | omega | mu | nu ]."""
+    np_, nh, nv, nw = x.pdim, x.hdim, r.vdim, r.wdim
+    return CochainComplex(
+        Layout(XCochain1, {"n0": ((np_,), nw), "n1": ((nh,), nv)}),
+        Layout(
+            XCochain2,
+            {"psi": ((nh,), nw), "omega": ((np_, np_), nw), "mu": ((np_, nh), nv), "nu": ((nh, np_), nv)},
+        ),
+        lambda c: xmod_d1_apply(x, r, c),
+        lambda c: xmod_d2_residual(x, r, c),
+        "d2 . d1 != 0 for this crossed-module representation",
+    )
 
 
 def xmod_zero_cochain2(x: CrossedModule, r: XModRepresentation) -> XCochain2:
-    return XCochain2(
-        Matrix.zero(r.wdim, x.hdim),
-        zeros2(x.pdim, x.pdim, r.wdim),
-        zeros2(x.pdim, x.hdim, r.vdim),
-        zeros2(x.hdim, x.pdim, r.vdim),
-    )
+    return xmod_cochain_complex(x, r).c2.zero()
+
+
+def xmod_flatten2(c: XCochain2) -> tuple:
+    return c.flatten()
 
 
 def xmod_d1_apply(x: CrossedModule, r: XModRepresentation, c: XCochain1) -> XCochain2:
@@ -456,135 +472,18 @@ def xmod_cocycle_report(x: CrossedModule, r: XModRepresentation, c: XCochain2) -
     return report_from(residuals())
 
 
-def xmod_cochain1_dim(x: CrossedModule, r: XModRepresentation) -> int:
-    return r.wdim * x.pdim + r.vdim * x.hdim
-
-
-def xmod_cochain2_dim(x: CrossedModule, r: XModRepresentation) -> int:
-    return (
-        r.wdim * x.hdim
-        + x.pdim * x.pdim * r.wdim
-        + x.pdim * x.hdim * r.vdim
-        + x.hdim * x.pdim * r.vdim
-    )
-
-
-def xmod_flatten1(c: XCochain1) -> tuple:
-    return tuple(v for row in c.n0.entries for v in row) + tuple(
-        v for row in c.n1.entries for v in row
-    )
-
-
-def xmod_unflatten1(x: CrossedModule, r: XModRepresentation, flat) -> XCochain1:
-    flat = list(flat)
-    nw, np_, nv, nh = r.wdim, x.pdim, r.vdim, x.hdim
-    if len(flat) != nw * np_ + nv * nh:
-        raise ValueError("flattened one-cochain has wrong length")
-    n0 = Matrix(tuple(tuple(flat[i * np_ : (i + 1) * np_]) for i in range(nw)), np_)
-    rest = flat[nw * np_ :]
-    n1 = Matrix(tuple(tuple(rest[i * nh : (i + 1) * nh]) for i in range(nv)), nh)
-    return XCochain1(n0, n1)
-
-
-def xmod_flatten2(c: XCochain2) -> tuple:
-    out = []
-    for a in range(c.psi.cols):
-        out.extend(c.psi.col(a))
-    for row in c.omega:
-        for cell in row:
-            out.extend(cell)
-    for row in c.mu:
-        for cell in row:
-            out.extend(cell)
-    for row in c.nu:
-        for cell in row:
-            out.extend(cell)
-    return tuple(out)
-
-
-def xmod_unflatten2(x: CrossedModule, r: XModRepresentation, flat) -> XCochain2:
-    flat = list(flat)
-    pos = 0
-
-    def take(k):
-        nonlocal pos
-        chunk = flat[pos : pos + k]
-        pos += k
-        return chunk
-
-    psi = Matrix.from_cols([take(r.wdim) for _ in range(x.hdim)], r.wdim)
-    omega = tensor2(x.pdim, x.pdim, lambda i, j: take(r.wdim))
-    mu = tensor2(x.pdim, x.hdim, lambda i, a: take(r.vdim))
-    nu = tensor2(x.hdim, x.pdim, lambda a, i: take(r.vdim))
-    if pos != len(flat):
-        raise ValueError("flattened two-cochain has wrong length")
-    return XCochain2(psi, omega, mu, nu)
-
-
-@dataclass
-class XModCoboundaryMatrices:
-    d1: Matrix
-    d2: Matrix
-
-
-def xmod_assemble_matrices(x: CrossedModule, r: XModRepresentation) -> XModCoboundaryMatrices:
+def xmod_assemble_matrices(x: CrossedModule, r: XModRepresentation) -> CoboundaryMatrices:
     require_crossed_module(x)
     require_xmod_representation(r)
-    dim1 = xmod_cochain1_dim(x, r)
-    dim2 = xmod_cochain2_dim(x, r)
-    d1_cols = [
-        xmod_flatten2(xmod_d1_apply(x, r, xmod_unflatten1(x, r, unit(dim1, k))))
-        for k in range(dim1)
-    ]
-    d1 = Matrix.from_cols(d1_cols, dim2)
-    d2_cols = [
-        xmod_d2_residual(x, r, xmod_unflatten2(x, r, unit(dim2, k))) for k in range(dim2)
-    ]
-    rows2 = len(d2_cols[0]) if dim2 else 0
-    d2 = Matrix.from_cols(d2_cols, rows2)
-    if not (d2 @ d1).is_zero():
-        raise ValueError("d2 . d1 != 0 for this crossed-module representation")
-    return XModCoboundaryMatrices(d1, d2)
+    return assemble(xmod_cochain_complex(x, r))
 
 
-@dataclass
-class XModCohomologyResult:
-    dim_z2: int
-    dim_b2: int
-    dim_h2: int
-    representatives: list[XCochain2]
-
-
-def xmod_second_cohomology(x: CrossedModule, r: XModRepresentation) -> XModCohomologyResult:
-    mats = xmod_assemble_matrices(x, r)
-    ker = kernel_basis(mats.d2)
-    dim_z2 = ker.dim
-    dim_b2 = rank(mats.d1)
-    dim_h2 = dim_z2 - dim_b2
-    image_cols = [mats.d1.col(k) for k in range(mats.d1.cols)]
-    chosen: list[tuple] = []
-    current = list(image_cols)
-    current_rank = rank(Matrix(tuple(current), mats.d1.rows)) if current else 0
-    for v in ker.basis:
-        if len(chosen) == dim_h2:
-            break
-        cand = Matrix(tuple(current) + (v,), mats.d1.rows)
-        if rank(cand) > current_rank:
-            chosen.append(v)
-            current.append(v)
-            current_rank += 1
-    return XModCohomologyResult(dim_z2, dim_b2, dim_h2, [xmod_unflatten2(x, r, v) for v in chosen])
+def xmod_second_cohomology(x: CrossedModule, r: XModRepresentation) -> CohomologyResult:
+    return cohomology(xmod_cochain_complex(x, r), xmod_assemble_matrices(x, r))
 
 
 def xmod_is_coboundary(x: CrossedModule, r: XModRepresentation, c: XCochain2):
-    mats = xmod_assemble_matrices(x, r)
-    sol = solve(mats.d1, xmod_flatten2(c))
-    if sol is None:
-        return None
-    pre = xmod_unflatten1(x, r, sol)
-    if xmod_flatten2(xmod_d1_apply(x, r, pre)) != xmod_flatten2(c):
-        raise AssertionError("primitive failed exact re-application")
-    return pre
+    return primitive(xmod_cochain_complex(x, r), xmod_assemble_matrices(x, r), c)
 
 
 # ---------------------------------------------------------------------------
@@ -905,17 +804,9 @@ def xmod_build_extension(
 
 @dataclass
 class XModWitness:
-    lambda0: Matrix
-    lambda1: Matrix
+    primitive: XCochain1  # d1(primitive) = c1 - c2
     f0: Matrix
     f1: Matrix
-
-
-@dataclass
-class XModInequivalence:
-    reason: str
-    rank_d1: int
-    rank_augmented: int
 
 
 def xmod_check_equivalence(e1: XModExtension, e2: XModExtension):
@@ -929,13 +820,9 @@ def xmod_check_equivalence(e1: XModExtension, e2: XModExtension):
         raise ValueError("extensions induce different representations and are not comparable")
     c1 = xmod_extract_cocycle(e1)
     c2 = xmod_extract_cocycle(e2)
-    delta = xmod_flatten2(c1 - c2)
-    mats = xmod_assemble_matrices(e1.base, r1)
-    sol = solve(mats.d1, delta)
-    if sol is None:
-        aug = Matrix(tuple(row + (b,) for row, b in zip(mats.d1.entries, delta)), mats.d1.cols + 1)
-        return XModInequivalence("cocycle difference is not a coboundary", rank(mats.d1), rank(aug))
-    lam = xmod_unflatten1(e1.base, r1, sol)
+    lam = cohomologous(xmod_cochain_complex(e1.base, r1), xmod_assemble_matrices(e1.base, r1), c1, c2)
+    if isinstance(lam, Inequivalence):
+        return lam
 
     def f0_col(j):
         col = unit(e1.total.pdim, j)
@@ -962,4 +849,4 @@ def xmod_check_equivalence(e1: XModExtension, e2: XModExtension):
     proj_ok = (e2.p0 @ f0 == e1.p0) and (e2.p1 @ f1 == e1.p1)
     if not (incl_ok and proj_ok):
         raise AssertionError("witness does not commute with inclusion/projection")
-    return XModWitness(lam.n0, lam.n1, f0, f1)
+    return XModWitness(lam, f0, f1)

@@ -23,11 +23,11 @@ from assoc2.algebra2 import (
 from assoc2.cli import main as cli_main
 from assoc2.cohom2 import (
     assemble_matrices,
+    cochain_complex,
     d1_apply,
     d2_residual,
     flatten_cochain2,
     second_cohomology,
-    unflatten_cochain2,
     zero_cochain2,
 )
 from assoc2.deform2 import (
@@ -301,7 +301,7 @@ def test_criterion_07_nijenhuis():
 
 def _cocycle_combinations(g, r, rng, count):
     mats = assemble_matrices(g, r)
-    basis = [unflatten_cochain2(g, r, v) for v in kernel_basis(mats.d2).basis]
+    basis = [cochain_complex(g, r).c2.unflatten(v) for v in kernel_basis(mats.d2).basis]
     for _ in range(count):
         c = zero_cochain2(g, r)
         for b in basis:
@@ -359,8 +359,8 @@ def test_criterion_09_classification():
         flat2 = [F(0)] * dim
         flat1[k % dim] = F(1 + k)
         flat2[(k + 1) % dim] = F(2 + k)
-        c1 = unflatten_cochain2(gz, triv, flat1)
-        c2 = unflatten_cochain2(gz, triv, flat2)
+        c1 = cochain_complex(gz, triv).c2.unflatten(flat1)
+        c2 = cochain_complex(gz, triv).c2.unflatten(flat2)
         e1 = build_extension(gz, triv.complex, triv, c1)
         e2 = build_extension(gz, triv.complex, triv, c2)
         res = check_equivalence(e1, e2)

@@ -7,24 +7,18 @@ from assoc2.algebra2 import TwoTermComplex
 from assoc2.cohom2 import (
     Cochain1,
     assemble_matrices,
-    basis_cochain1,
-    cochain1_dim,
-    cochain2_dim,
+    cochain_complex,
     cocycle_report,
     d1_apply,
     d2_residual,
-    flatten_cochain1,
     flatten_cochain2,
     is_coboundary,
     is_cocycle1,
     second_cohomology,
-    unflatten_cochain1,
-    unflatten_cochain2,
-    zero_cochain1,
     zero_cochain2,
 )
-from assoc2.exactlin import Matrix
-from assoc2.fixtures import algebra_fixtures, fix_u, fix_z
+from assoc2.exactlin import Matrix, kernel_basis, rank
+from assoc2.fixtures import algebra_fixtures, direct_sum_algebra, fix_d, fix_l3, fix_u, fix_z
 from assoc2.rep2 import adjoint_representation, trivial_representation
 from assoc2.sampling import random_cochain1, random_cochain2, random_transport
 from assoc2.tensorops import tflat, zeros2
@@ -40,7 +34,7 @@ def _pairs():
 
 def test_d1_of_zero_is_zero():
     for name, g, r in _pairs():
-        assert d1_apply(g, r, zero_cochain1(g, r)).is_zero(), name
+        assert d1_apply(g, r, cochain_complex(g, r).c1.zero()).is_zero(), name
 
 
 def test_d1_on_fix_z_vanishes():
@@ -67,7 +61,7 @@ def test_d1_identity_cochain_on_fix_u():
 def test_is_cocycle1_trivial_cases():
     g = fix_z()
     adj = adjoint_representation(g)
-    assert is_cocycle1(g, adj, zero_cochain1(g, adj))
+    assert is_cocycle1(g, adj, cochain_complex(g, adj).c1.zero())
     rng = random.Random(1)
     assert is_cocycle1(g, adj, random_cochain1(rng, g, adj))
 
@@ -100,7 +94,7 @@ def test_cochain_space_dimension_formula():
     for name, g, r in _pairs():
         n0, n1, m0, m1 = g.dim0, g.dim1, r.dim0, r.dim1
         expected = n1 * m0 + n0 * n0 * m0 + n0 * n1 * m1 + n1 * n0 * m1 + n0 ** 3 * m1
-        assert cochain2_dim(g, r) == expected
+        assert cochain_complex(g, r).c2.dim == expected
         mats = assemble_matrices(g, r)
         assert mats.d1.shape[0] == expected
         assert mats.d2.shape[1] == expected
@@ -112,7 +106,7 @@ def test_matrix_assembly_agrees_with_direct_application():
         mats = assemble_matrices(g, r)
         for _ in range(3):
             c = random_cochain1(rng, g, r)
-            assert mats.d1 @ flatten_cochain1(c) == flatten_cochain2(d1_apply(g, r, c))
+            assert mats.d1 @ c.flatten() == flatten_cochain2(d1_apply(g, r, c))
             c2 = random_cochain2(rng, g, r)
             assert mats.d2 @ flatten_cochain2(c2) == d2_residual(g, r, c2)
 
@@ -121,13 +115,14 @@ def test_flatten_round_trips():
     rng = random.Random(13)
     g = algebra_fixtures()["FIX-2D"]
     r = adjoint_representation(g)
+    cx = cochain_complex(g, r)
     c1 = random_cochain1(rng, g, r)
-    back = unflatten_cochain1(g, r, flatten_cochain1(c1))
+    back = cx.c1.unflatten(c1.flatten())
     assert back.phi == c1.phi and back.phi1 == c1.phi1 and back.chi == c1.chi
     c2 = random_cochain2(rng, g, r)
-    back2 = unflatten_cochain2(g, r, flatten_cochain2(c2))
+    back2 = cx.c2.unflatten(flatten_cochain2(c2))
     assert flatten_cochain2(back2) == flatten_cochain2(c2)
-    assert cochain1_dim(g, r) == len(flatten_cochain1(c1))
+    assert cx.c1.dim == len(c1.flatten())
 
 
 def test_second_cohomology_fix_z_trivial_pinned():
@@ -145,6 +140,40 @@ def test_second_cohomology_matches_brute_oracle():
         assert len(res.representatives) == res.dim_h2
         for rep in res.representatives:
             assert all(x == 0 for x in d2_residual(g, r, rep))
+
+
+def _greedy_representatives(mats):
+    """Reference choice: walk the kernel basis of d2 in order and keep each
+    vector that raises the rank of the image of d1 plus the vectors kept."""
+    current = [mats.d1.col(k) for k in range(mats.d1.cols)]
+    current_rank = rank(Matrix(tuple(current), mats.d1.rows))
+    chosen = []
+    for v in kernel_basis(mats.d2).basis:
+        if rank(Matrix(tuple(current) + (v,), mats.d1.rows)) > current_rank:
+            chosen.append(v)
+            current.append(v)
+            current_rank += 1
+    return chosen
+
+
+def test_representatives_match_greedy_rank_reference():
+    from assoc2 import xmod
+    from assoc2.cochain import cohomology
+
+    for seed, (a, b) in ((1, (fix_z, fix_l3)), (2, (fix_l3, fix_u))):
+        g = random_transport(random.Random(seed), direct_sum_algebra(a(), b()))
+        r = adjoint_representation(g)
+        mats = assemble_matrices(g, r)
+        res = cohomology(cochain_complex(g, r), mats)
+        assert [flatten_cochain2(c) for c in res.representatives] == _greedy_representatives(mats)
+        assert res.dim_b2 == rank(mats.d1)
+    for seed, (a, b) in ((1, (fix_z, fix_d)), (2, (fix_u, fix_d))):
+        x = xmod.algebra_to_crossed_module(random_transport(random.Random(seed), direct_sum_algebra(a(), b())))
+        r = xmod.xmod_adjoint(x)
+        mats = xmod.xmod_assemble_matrices(x, r)
+        res = cohomology(xmod.xmod_cochain_complex(x, r), mats)
+        assert [xmod.xmod_flatten2(c) for c in res.representatives] == _greedy_representatives(mats)
+        assert res.dim_b2 == rank(mats.d1)
 
 
 def test_is_coboundary_round_trip_and_rejection():
@@ -217,15 +246,27 @@ def test_one_cocycles_of_adjoint_are_homotopy_derivations():
 def test_assembly_refuses_non_complex_pairs():
     # the displayed equations stop forming a complex when a nonzero algebra
     # differential couples with nonzero products across dimensions: the
-    # chi-routes through omega and theta reinforce instead of cancelling
+    # chi-routes through omega and theta reinforce instead of cancelling.
+    # A zero coefficient differential is not enough: with trivial
+    # coefficients coc05 of d1(phi, phi1, chi) leaves
+    # 2(chi(x.y, d a) - chi(x, y.d a)), a defect through the algebra
+    # differential, although each pair passes its representation checker
     import pytest
 
-    from assoc2.fixtures import direct_sum_algebra, fix_w
+    from assoc2.fixtures import direct_sum_algebra, fix_d, fix_w
+    from assoc2.rep2 import check_representation
 
+    zero11 = TwoTermComplex(1, 1, Matrix.zero(1, 1))
     g = direct_sum_algebra(fix_w(), fix_u())
     adj = adjoint_representation(g)
-    with pytest.raises(ValueError, match="d2 . d1"):
-        assemble_matrices(g, adj)
+    pairs = [(g, adj)] + [
+        (s, trivial_representation(s, zero11))
+        for s in (direct_sum_algebra(fix_u(), fix_w()), direct_sum_algebra(fix_d(), fix_u()))
+    ]
+    for s, r in pairs:
+        assert check_representation(r).passed
+        with pytest.raises(ValueError, match="d2 . d1"):
+            assemble_matrices(s, r)
     # the coboundary of a cross-block chi carries the residual explicitly
     chi = [[[F(0), F(0)] for _ in range(2)] for _ in range(2)]
     chi[0][1][0] = F(1)

@@ -6,10 +6,10 @@ import pytest
 from assoc2.algebra2 import TwoTermComplex, check_algebra, check_homomorphism
 from assoc2.cohom2 import (
     assemble_matrices,
+    cochain_complex,
     d1_apply,
     d2_residual,
     flatten_cochain2,
-    unflatten_cochain2,
     zero_cochain2,
 )
 from assoc2.exactlin import Matrix, kernel_basis
@@ -32,7 +32,7 @@ F = Fraction
 
 def _cocycle_space(g, r):
     mats = assemble_matrices(g, r)
-    return [unflatten_cochain2(g, r, v) for v in kernel_basis(mats.d2).basis]
+    return [cochain_complex(g, r).c2.unflatten(v) for v in kernel_basis(mats.d2).basis]
 
 
 def _random_cocycle(rng, g, r):
@@ -140,7 +140,7 @@ def test_equivalence_same_extension_zero_witness():
     e = build_extension(g, adj.complex, adj, c)
     w = check_equivalence(e, e)
     assert isinstance(w, EquivalenceWitness)
-    assert w.lambda0.is_zero() and w.lambda1.is_zero()
+    assert w.primitive.phi.is_zero() and w.primitive.phi1.is_zero()
 
 
 def test_equivalence_on_cohomologous_pairs():

@@ -6,15 +6,26 @@ import pytest
 from brute_oracle import brute_xmod_h2
 
 from assoc2.algebra2 import Bimodule, check_algebra
+from assoc2.cochain import Inequivalence
 from assoc2.exactlin import Matrix, kernel_basis
-from assoc2.fixtures import algebra_fixtures, fix_u, fix_d, fix_x, fix_x_peiffer, fix_x_zero, xmod_fixtures
-from assoc2.sampling import random_xcochain2
+from assoc2.fixtures import (
+    algebra_fixtures,
+    direct_sum_algebra,
+    fix_d,
+    fix_u,
+    fix_w,
+    fix_x,
+    fix_x_peiffer,
+    fix_x_zero,
+    fix_z,
+    xmod_fixtures,
+)
+from assoc2.sampling import random_transport, random_xcochain2
 from assoc2.tensorops import zeros2
 from assoc2.xmod import (
     CrossedModule,
     XCochain1,
     XCochain2,
-    XModInequivalence,
     XModWitness,
     algebra_to_crossed_module,
     check_crossed_module,
@@ -24,6 +35,7 @@ from assoc2.xmod import (
     semidirect_product,
     xmod_adjoint,
     xmod_assemble_matrices,
+    xmod_cochain_complex,
     xmod_build_extension,
     xmod_check_equivalence,
     xmod_check_generates,
@@ -40,7 +52,6 @@ from assoc2.xmod import (
     xmod_nijenhuis_deformation,
     xmod_second_cohomology,
     xmod_trivial_representation,
-    xmod_unflatten2,
     xmod_zero_cochain2,
 )
 
@@ -135,7 +146,13 @@ def test_complex_property_and_coboundaries():
 
 
 def test_second_cohomology_matches_oracle():
-    for name, x in xmod_fixtures().items():
+    cases = dict(xmod_fixtures())
+    for a, b in ((fix_d, fix_w), (fix_z, fix_d), (fix_u, fix_d)):
+        g = direct_sum_algebra(a(), b())
+        name = f"{a.__name__}+{b.__name__}"
+        cases[name] = algebra_to_crossed_module(g)
+        cases[name + " transported"] = algebra_to_crossed_module(random_transport(random.Random(1), g))
+    for name, x in cases.items():
         adj = xmod_adjoint(x)
         res = xmod_second_cohomology(x, adj)
         assert (res.dim_z2, res.dim_b2, res.dim_h2) == brute_xmod_h2(x, adj), name
@@ -212,7 +229,7 @@ def test_nijenhuis_deformation_generates_and_trivializes():
 
 def _xcocycle_space(x, r):
     mats = xmod_assemble_matrices(x, r)
-    return [xmod_unflatten2(x, r, v) for v in kernel_basis(mats.d2).basis]
+    return [xmod_cochain_complex(x, r).c2.unflatten(v) for v in kernel_basis(mats.d2).basis]
 
 
 def _random_xcocycle(rng, x, r):
@@ -269,7 +286,7 @@ def test_xmod_equivalence_and_inequivalence():
     e0 = xmod_build_extension(x0, adj0, c0)
     e1 = xmod_build_extension(x0, adj0, c1)
     res = xmod_check_equivalence(e0, e1)
-    assert isinstance(res, XModInequivalence)
+    assert isinstance(res, Inequivalence)
     assert res.rank_augmented > res.rank_d1
 
 
