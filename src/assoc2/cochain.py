@@ -10,6 +10,14 @@ cochain arithmetic, the assembled matrices with their d2 . d1 = 0 check,
 H2 with representative cocycles, coboundary solves re-verified by applying
 d1, and the rank certificate of a failed solve.
 
+The matrices are read off one call of each evaluator on a generic cochain,
+whose k-th flattened coordinate is the linear form x_k (``LinearForm``):
+every output entry is then the form of one matrix row.  This is
+forward-mode differentiation of a linear map seeded with the full basis.
+The evaluators run unchanged on these forms because they only add,
+subtract and scale their cochain's entries; a form refuses anything else,
+so an evaluator that is not linear fails loudly.
+
 Flattening contract (bit-exact, shared with the file formats; see
 CONVENTIONS.md "Flattening"): blocks in field order.  A block with one
 input is a Matrix (out x in), flattened row by row when its class names it
@@ -22,11 +30,96 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from math import prod
 from typing import Callable
 
-from .exactlin import ZERO, Matrix, kernel_basis, rank, solve
-from .tensorops import tflat, tmap, tzip, unit
+from .exactlin import ONE, ZERO, Matrix, kernel_basis, rank, solve
+from .tensorops import tflat, tmap, tzip
+
+
+class LinearForm:
+    """An exact linear form sum c_k x_k in the flattened coordinates x_k of
+    a cochain, stored sparsely as {k: c_k} without zero coefficients.
+
+    Forms add, subtract and scale by an int or Fraction, and a form equals
+    0 exactly when it has no term.  Adding a nonzero constant or
+    multiplying two forms raises TypeError instead of dropping a term.
+    Forms are never mutated, so results may share them.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
+        self.terms = terms if terms is not None else {}
+
+    def __add__(self, other):
+        if type(other) is not LinearForm:
+            if isinstance(other, (int, Fraction)) and other == 0:
+                return self
+            raise TypeError(f"linear form plus the constant {other!r}")
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        terms = dict(self.terms)
+        for k, v in other.terms.items():
+            if k in terms:
+                s = terms[k] + v
+                if s:
+                    terms[k] = s
+                else:
+                    del terms[k]
+            else:
+                terms[k] = v
+        return LinearForm(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LinearForm({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, c):
+        if type(c) is LinearForm or not isinstance(c, (int, Fraction)):
+            raise TypeError(f"linear form times {type(c).__name__}")
+        if c == 0:
+            return _NO_TERMS
+        if c == 1:
+            return self
+        return LinearForm({k: c * v for k, v in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if type(other) is LinearForm:
+            return self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return other == 0 and not self.terms
+        return NotImplemented
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __repr__(self):
+        return f"LinearForm({self.terms!r})"
+
+
+_NO_TERMS = LinearForm()
+
+
+def _form(x) -> LinearForm:
+    """An evaluator's output entry as a form: a form, or the constant 0."""
+    if type(x) is LinearForm:
+        return x
+    if x != 0:
+        raise TypeError(f"evaluator output has the constant term {x!r}")
+    return _NO_TERMS
 
 
 def _zip_block(op, a, b):
@@ -109,8 +202,9 @@ class Layout:
     def zero(self) -> Cochain:
         return self.unflatten((ZERO,) * self.dim)
 
-    def unit(self, k: int) -> Cochain:
-        return self.unflatten(unit(self.dim, k))
+    def generic(self) -> Cochain:
+        """The cochain whose k-th flattened coordinate is the form x_k."""
+        return self.unflatten(LinearForm({k: ONE}) for k in range(self.dim))
 
 
 @dataclass
@@ -130,17 +224,28 @@ class CoboundaryMatrices:
     d2: Matrix  # flattened two-cochains -> stacked residual families
 
 
+def _dense(rows: list[LinearForm], cols: int) -> Matrix:
+    out = []
+    for form in rows:
+        row = [ZERO] * cols
+        for k, v in form.terms.items():
+            row[k] = v
+        out.append(row)
+    return Matrix(out, cols)
+
+
 def assemble(cx: CochainComplex) -> CoboundaryMatrices:
-    """Matrices of d1 and d2 in the flattening order, one evaluator call per
-    unit cochain.  The complex property d2 . d1 = 0 is verified here on every
-    call; assembly fails loudly on a pair where the evaluators do not form a
-    complex."""
-    d1 = Matrix.from_cols([cx.d1(cx.c1.unit(k)).flatten() for k in range(cx.c1.dim)], cx.c2.dim)
-    d2_cols = [cx.d2(cx.c2.unit(k)) for k in range(cx.c2.dim)]
-    d2 = Matrix.from_cols(d2_cols, len(d2_cols[0]) if d2_cols else 0)
-    if not (d2 @ d1).is_zero():
-        raise ValueError(cx.not_a_complex)
-    return CoboundaryMatrices(d1, d2)
+    """Matrices of d1 and d2 in the flattening order, read off one call of
+    each evaluator on the generic cochain of its degree: output entry i is
+    the form of row i.  The complex property d2 . d1 = 0 is verified here on
+    every call, by substituting the rows of d1 into those of d2; assembly
+    fails loudly on a pair where the evaluators do not form a complex."""
+    d1 = [_form(x) for x in cx.d1(cx.c1.generic()).flatten()]
+    d2 = [_form(x) for x in cx.d2(cx.c2.generic())]
+    for row in d2:
+        if sum((d1[j] * v for j, v in row.terms.items()), _NO_TERMS):
+            raise ValueError(cx.not_a_complex)
+    return CoboundaryMatrices(_dense(d1, cx.c1.dim), _dense(d2, cx.c2.dim))
 
 
 @dataclass

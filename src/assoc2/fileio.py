@@ -13,12 +13,18 @@ Entries are sparse: omitted entries are zero, duplicate index tuples are
 forbidden, out-of-range indices are schema errors.  Serialization is
 deterministic (entries sorted by index tuple, zero entries dropped), so
 identical values produce byte-identical files.
+
+Loading builds dense tensors from the declared dimensions, so a document
+may declare at most ``MAX_CELLS`` dense cells over all its tensors; one
+that declares more is a schema error, raised before the tensor that would
+pass the ceiling is allocated.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import prod
 
 from .algebra2 import (
     AssocAlgebra,
@@ -36,6 +42,9 @@ from .rep2 import Representation2
 from .xmod import CrossedModule, XCochain1, XCochain2, XModExtension, XModRepresentation
 
 FORMAT_VERSION = "1"
+
+# dense tensor cells one document may declare, summed over its tensors
+MAX_CELLS = 1_000_000
 
 KINDS = (
     "algebra2",
@@ -61,12 +70,6 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 # generic array <-> sparse entry list
 # ---------------------------------------------------------------------------
-
-def _zeros(shape):
-    if not shape:
-        return Fraction(0)
-    return tuple(_zeros(shape[1:]) for _ in range(shape[0]))
-
 
 def _set_entry(arr, idx, value):
     if len(idx) == 1:
@@ -133,18 +136,40 @@ def entries_from_array(arr, shape: tuple[int, ...]) -> list:
     return out
 
 
-def _matrix(name, shape, tensors) -> Matrix:
-    return Matrix(array_from_entries(name, shape, tensors.get(name, [])), shape[1])
+def _record(doc, key) -> dict:
+    if key not in doc:
+        raise SchemaError(f"missing required key {key!r}")
+    if not isinstance(doc[key], dict):
+        raise SchemaError(f"{key} must be an object")
+    return doc[key]
 
 
-def _tensor(name, shape, tensors) -> tuple:
-    return array_from_entries(name, shape, tensors.get(name, []))
+class _Tensors:
+    """The tensors record of one document, read into dense arrays while
+    counting their cells against ``MAX_CELLS``."""
+
+    def __init__(self, doc):
+        self.entries = _record(doc, "tensors")
+        self.cells = 0
+
+    def __contains__(self, name) -> bool:
+        return name in self.entries
+
+    def tensor(self, name, shape) -> tuple:
+        self.cells += prod(shape)
+        if self.cells > MAX_CELLS:
+            raise SchemaError(
+                f"tensor {name!r} of shape {shape}: the declared dimensions need more than "
+                f"{MAX_CELLS} dense cells"
+            )
+        return array_from_entries(name, shape, self.entries.get(name, []))
+
+    def matrix(self, name, shape) -> Matrix:
+        return Matrix(self.tensor(name, shape), shape[1])
 
 
 def _dims(doc, *names) -> tuple[int, ...]:
-    dims = doc.get("dims")
-    if not isinstance(dims, dict):
-        raise SchemaError("missing dims record")
+    dims = _record(doc, "dims")
     out = []
     for n in names:
         v = dims.get(n)
@@ -175,9 +200,7 @@ def parse_document(text: str) -> dict:
     kind = doc.get("kind")
     if kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
-    tensors = doc.get("tensors", {})
-    if not isinstance(tensors, dict):
-        raise SchemaError("tensors must be an object")
+    _record(doc, "tensors")
     return doc
 
 
@@ -195,8 +218,8 @@ def dumps(doc: dict) -> str:
 
 
 def _expect_kind(doc, kind):
-    if doc["kind"] != kind:
-        raise SchemaError(f"expected kind {kind!r}, found {doc['kind']!r}")
+    if doc.get("kind") != kind:
+        raise SchemaError(f"expected kind {kind!r}, found {doc.get('kind')!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +229,13 @@ def _expect_kind(doc, kind):
 def load_algebra(doc) -> TwoTermAlgebra:
     _expect_kind(doc, "algebra2")
     n0, n1 = _dims(doc, "dim0", "dim1")
-    t = doc["tensors"]
+    t = _Tensors(doc)
     return TwoTermAlgebra(
-        TwoTermComplex(n0, n1, _matrix("d", (n0, n1), t)),
-        _tensor("l2_00", (n0, n0, n0), t),
-        _tensor("l2_01", (n0, n1, n1), t),
-        _tensor("l2_10", (n1, n0, n1), t),
-        _tensor("l3", (n0, n0, n0, n1), t),
+        TwoTermComplex(n0, n1, t.matrix("d", (n0, n1))),
+        t.tensor("l2_00", (n0, n0, n0)),
+        t.tensor("l2_01", (n0, n1, n1)),
+        t.tensor("l2_10", (n1, n0, n1)),
+        t.tensor("l3", (n0, n0, n0, n1)),
     )
 
 
@@ -234,7 +257,7 @@ def dump_algebra(g: TwoTermAlgebra) -> dict:
 def load_complex(doc) -> TwoTermComplex:
     _expect_kind(doc, "complex2")
     n0, n1 = _dims(doc, "dim0", "dim1")
-    return TwoTermComplex(n0, n1, _matrix("d", (n0, n1), doc["tensors"]))
+    return TwoTermComplex(n0, n1, _Tensors(doc).matrix("d", (n0, n1)))
 
 
 def dump_complex(v: TwoTermComplex) -> dict:
@@ -250,19 +273,19 @@ def load_representation(doc, g: TwoTermAlgebra) -> Representation2:
     a0, a1, m0, m1 = _dims(doc, "alg0", "alg1", "v0", "v1")
     if (a0, a1) != (g.dim0, g.dim1):
         raise SchemaError(f"representation is over an algebra of dims {(a0, a1)}, got {(g.dim0, g.dim1)}")
-    t = doc["tensors"]
+    t = _Tensors(doc)
     return Representation2(
         algebra=g,
-        complex=TwoTermComplex(m0, m1, _matrix("dv", (m0, m1), t)),
-        l0v0=_tensor("l0v0", (a0, m0, m0), t),
-        l0v1=_tensor("l0v1", (a0, m1, m1), t),
-        r0v0=_tensor("r0v0", (m0, a0, m0), t),
-        r0v1=_tensor("r0v1", (m1, a0, m1), t),
-        l1=_tensor("l1", (a1, m0, m1), t),
-        r1=_tensor("r1", (m0, a1, m1), t),
-        tl=_tensor("tl", (a0, a0, m0, m1), t),
-        tm=_tensor("tm", (a0, m0, a0, m1), t),
-        tr=_tensor("tr", (m0, a0, a0, m1), t),
+        complex=TwoTermComplex(m0, m1, t.matrix("dv", (m0, m1))),
+        l0v0=t.tensor("l0v0", (a0, m0, m0)),
+        l0v1=t.tensor("l0v1", (a0, m1, m1)),
+        r0v0=t.tensor("r0v0", (m0, a0, m0)),
+        r0v1=t.tensor("r0v1", (m1, a0, m1)),
+        l1=t.tensor("l1", (a1, m0, m1)),
+        r1=t.tensor("r1", (m0, a1, m1)),
+        tl=t.tensor("tl", (a0, a0, m0, m1)),
+        tm=t.tensor("tm", (a0, m0, a0, m1)),
+        tr=t.tensor("tr", (m0, a0, a0, m1)),
     )
 
 
@@ -297,11 +320,11 @@ def _check_coeff_dims(doc, g, r):
 def load_cochain1(doc, g: TwoTermAlgebra, r: Representation2) -> Cochain1:
     _expect_kind(doc, "cochain1")
     a0, a1, m0, m1 = _check_coeff_dims(doc, g, r)
-    t = doc["tensors"]
+    t = _Tensors(doc)
     return Cochain1(
-        _matrix("phi", (m0, a0), t),
-        _matrix("phi1", (m1, a1), t),
-        _tensor("chi", (a0, a0, m1), t),
+        t.matrix("phi", (m0, a0)),
+        t.matrix("phi1", (m1, a1)),
+        t.tensor("chi", (a0, a0, m1)),
     )
 
 
@@ -322,15 +345,15 @@ def load_cochain2(doc, g: TwoTermAlgebra, r: Representation2):
     """Returns (Cochain2, optional theta2 tensor)."""
     _expect_kind(doc, "cochain2")
     a0, a1, m0, m1 = _check_coeff_dims(doc, g, r)
-    t = doc["tensors"]
+    t = _Tensors(doc)
     c = Cochain2(
-        _matrix("psi", (m0, a1), t),
-        _tensor("omega", (a0, a0, m0), t),
-        _tensor("mu", (a0, a1, m1), t),
-        _tensor("nu", (a1, a0, m1), t),
-        _tensor("theta", (a0, a0, a0, m1), t),
+        t.matrix("psi", (m0, a1)),
+        t.tensor("omega", (a0, a0, m0)),
+        t.tensor("mu", (a0, a1, m1)),
+        t.tensor("nu", (a1, a0, m1)),
+        t.tensor("theta", (a0, a0, a0, m1)),
     )
-    theta2 = _tensor("theta2", (a0, a0, a0, m1), t) if "theta2" in t else None
+    theta2 = t.tensor("theta2", (a0, a0, a0, m1)) if "theta2" in t else None
     return c, theta2
 
 
@@ -353,13 +376,13 @@ def load_homomorphism(doc, src: TwoTermAlgebra, dst: TwoTermAlgebra) -> Homomorp
     s0, s1, d0, d1 = _dims(doc, "src0", "src1", "dst0", "dst1")
     if (s0, s1) != (src.dim0, src.dim1) or (d0, d1) != (dst.dim0, dst.dim1):
         raise SchemaError("homomorphism dims do not match source/target algebras")
-    t = doc["tensors"]
+    t = _Tensors(doc)
     return Homomorphism2(
         src,
         dst,
-        _matrix("f0", (d0, s0), t),
-        _matrix("f1", (d1, s1), t),
-        _tensor("f2", (s0, s0, d1), t),
+        t.matrix("f0", (d0, s0)),
+        t.matrix("f1", (d1, s1)),
+        t.tensor("f2", (s0, s0, d1)),
     )
 
 
@@ -382,9 +405,9 @@ def load_derivation(doc, g: TwoTermAlgebra) -> HomotopyDerivation:
     n0, n1 = _dims(doc, "dim0", "dim1")
     if (n0, n1) != (g.dim0, g.dim1):
         raise SchemaError("derivation dims do not match the algebra")
-    t = doc["tensors"]
+    t = _Tensors(doc)
     return HomotopyDerivation(
-        g, _matrix("d0", (n0, n0), t), _matrix("d1", (n1, n1), t), _tensor("d2", (n0, n0, n1), t)
+        g, t.matrix("d0", (n0, n0)), t.matrix("d1", (n1, n1)), t.tensor("d2", (n0, n0, n1))
     )
 
 
@@ -393,9 +416,9 @@ def load_nijenhuis(doc, dims: tuple[int, int]) -> NijenhuisCandidate:
     n0, n1 = _dims(doc, "dim0", "dim1")
     if (n0, n1) != dims:
         raise SchemaError("candidate dims do not match the structure")
-    t = doc["tensors"]
+    t = _Tensors(doc)
     return NijenhuisCandidate(
-        _matrix("n0", (n0, n0), t), _matrix("n1", (n1, n1), t), _tensor("n2", (n0, n0, n1), t)
+        t.matrix("n0", (n0, n0)), t.matrix("n1", (n1, n1)), t.tensor("n2", (n0, n0, n1))
     )
 
 
@@ -419,10 +442,10 @@ def dump_nijenhuis(n: NijenhuisCandidate) -> dict:
 def load_crossed_module(doc) -> CrossedModule:
     _expect_kind(doc, "crossed_module")
     p, h = _dims(doc, "p", "h")
-    t = doc["tensors"]
-    alg = AssocAlgebra(p, _tensor("mul", (p, p, p), t))
-    mod = Bimodule(alg, h, _tensor("left", (p, h, h), t), _tensor("right", (h, p, h), t))
-    return CrossedModule(alg, mod, _matrix("f", (p, h), t))
+    t = _Tensors(doc)
+    alg = AssocAlgebra(p, t.tensor("mul", (p, p, p)))
+    mod = Bimodule(alg, h, t.tensor("left", (p, h, h)), t.tensor("right", (h, p, h)))
+    return CrossedModule(alg, mod, t.matrix("f", (p, h)))
 
 
 def dump_crossed_module(x: CrossedModule) -> dict:
@@ -444,14 +467,14 @@ def load_xmod_representation(doc, x: CrossedModule) -> XModRepresentation:
     p, h, v, w = _dims(doc, "p", "h", "v", "w")
     if (p, h) != (x.pdim, x.hdim):
         raise SchemaError("representation dims do not match the crossed module")
-    t = doc["tensors"]
+    t = _Tensors(doc)
     return XModRepresentation(
         xm=x,
-        v_mod=Bimodule(x.p_alg, v, _tensor("v_left", (p, v, v), t), _tensor("v_right", (v, p, v), t)),
-        w_mod=Bimodule(x.p_alg, w, _tensor("w_left", (p, w, w), t), _tensor("w_right", (w, p, w), t)),
-        phi=_matrix("phi", (w, v), t),
-        tr_l=_tensor("tr_l", (h, w, v), t),
-        tr_r=_tensor("tr_r", (w, h, v), t),
+        v_mod=Bimodule(x.p_alg, v, t.tensor("v_left", (p, v, v)), t.tensor("v_right", (v, p, v))),
+        w_mod=Bimodule(x.p_alg, w, t.tensor("w_left", (p, w, w)), t.tensor("w_right", (w, p, w))),
+        phi=t.matrix("phi", (w, v)),
+        tr_l=t.tensor("tr_l", (h, w, v)),
+        tr_r=t.tensor("tr_r", (w, h, v)),
     )
 
 
@@ -477,15 +500,15 @@ def load_xmod_cochain(doc, x: CrossedModule, r: XModRepresentation):
     p, h, v, w, degree = _dims(doc, "p", "h", "v", "w", "degree")
     if (p, h, v, w) != (x.pdim, x.hdim, r.vdim, r.wdim):
         raise SchemaError("cochain dims do not match the crossed module/representation pair")
-    t = doc["tensors"]
+    t = _Tensors(doc)
     if degree == 1:
-        return XCochain1(_matrix("n0", (w, p), t), _matrix("n1", (v, h), t))
+        return XCochain1(t.matrix("n0", (w, p)), t.matrix("n1", (v, h)))
     if degree == 2:
         return XCochain2(
-            _matrix("psi", (w, h), t),
-            _tensor("omega", (p, p, w), t),
-            _tensor("mu", (p, h, v), t),
-            _tensor("nu", (h, p, v), t),
+            t.matrix("psi", (w, h)),
+            t.tensor("omega", (p, p, w)),
+            t.tensor("mu", (p, h, v)),
+            t.tensor("nu", (h, p, v)),
         )
     raise SchemaError(f"unsupported cochain degree {degree}")
 
@@ -525,30 +548,30 @@ def load_extension(doc) -> Extension2:
     t0, t1, b0, b1 = _dims(doc, "total0", "total1", "base0", "base1")
     sub0 = _index_list(doc, "sub0", t0)
     sub1 = _index_list(doc, "sub1", t1)
-    t = doc["tensors"]
+    t = _Tensors(doc)
     total = TwoTermAlgebra(
-        TwoTermComplex(t0, t1, _matrix("total_d", (t0, t1), t)),
-        _tensor("total_l2_00", (t0, t0, t0), t),
-        _tensor("total_l2_01", (t0, t1, t1), t),
-        _tensor("total_l2_10", (t1, t0, t1), t),
-        _tensor("total_l3", (t0, t0, t0, t1), t),
+        TwoTermComplex(t0, t1, t.matrix("total_d", (t0, t1))),
+        t.tensor("total_l2_00", (t0, t0, t0)),
+        t.tensor("total_l2_01", (t0, t1, t1)),
+        t.tensor("total_l2_10", (t1, t0, t1)),
+        t.tensor("total_l3", (t0, t0, t0, t1)),
     )
     base = TwoTermAlgebra(
-        TwoTermComplex(b0, b1, _matrix("base_d", (b0, b1), t)),
-        _tensor("base_l2_00", (b0, b0, b0), t),
-        _tensor("base_l2_01", (b0, b1, b1), t),
-        _tensor("base_l2_10", (b1, b0, b1), t),
-        _tensor("base_l3", (b0, b0, b0, b1), t),
+        TwoTermComplex(b0, b1, t.matrix("base_d", (b0, b1))),
+        t.tensor("base_l2_00", (b0, b0, b0)),
+        t.tensor("base_l2_01", (b0, b1, b1)),
+        t.tensor("base_l2_10", (b1, b0, b1)),
+        t.tensor("base_l3", (b0, b0, b0, b1)),
     )
     return Extension2(
         total,
         base,
         sub0,
         sub1,
-        _matrix("p0", (b0, t0), t),
-        _matrix("p1", (b1, t1), t),
-        _matrix("sigma0", (t0, b0), t),
-        _matrix("sigma1", (t1, b1), t),
+        t.matrix("p0", (b0, t0)),
+        t.matrix("p1", (b1, t1)),
+        t.matrix("sigma0", (t0, b0)),
+        t.matrix("sigma1", (t1, b1)),
     )
 
 
@@ -589,24 +612,24 @@ def load_xmod_extension(doc) -> XModExtension:
     tp, th, bp, bh = _dims(doc, "totalp", "totalh", "basep", "baseh")
     subw = _index_list(doc, "subw", tp)
     subv = _index_list(doc, "subv", th)
-    t = doc["tensors"]
+    t = _Tensors(doc)
 
     def xm(prefix, p, h):
-        alg = AssocAlgebra(p, _tensor(prefix + "mul", (p, p, p), t))
+        alg = AssocAlgebra(p, t.tensor(prefix + "mul", (p, p, p)))
         mod = Bimodule(
-            alg, h, _tensor(prefix + "left", (p, h, h), t), _tensor(prefix + "right", (h, p, h), t)
+            alg, h, t.tensor(prefix + "left", (p, h, h)), t.tensor(prefix + "right", (h, p, h))
         )
-        return CrossedModule(alg, mod, _matrix(prefix + "f", (p, h), t))
+        return CrossedModule(alg, mod, t.matrix(prefix + "f", (p, h)))
 
     return XModExtension(
         xm("total_", tp, th),
         xm("base_", bp, bh),
         subw,
         subv,
-        _matrix("p0", (bp, tp), t),
-        _matrix("p1", (bh, th), t),
-        _matrix("sigma0", (tp, bp), t),
-        _matrix("sigma1", (th, bh), t),
+        t.matrix("p0", (bp, tp)),
+        t.matrix("p1", (bh, th)),
+        t.matrix("sigma0", (tp, bp)),
+        t.matrix("sigma1", (th, bh)),
     )
 
 

@@ -263,45 +263,9 @@ def xmod_trivial_representation(x: CrossedModule, nv: int, nw: int) -> XModRepre
 # ---------------------------------------------------------------------------
 
 def semidirect_product(x: CrossedModule, r: XModRepresentation) -> CrossedModule:
-    """(h + V, p + W, f + phi) with the action-twisted products."""
-    require_crossed_module(x)
-    require_xmod_representation(r)
-    np_, nh, nv, nw = x.pdim, x.hdim, r.vdim, r.wdim
-    NP, NH = np_ + nw, nh + nv
-
-    def splitp(v):
-        return v[:np_], v[np_:]
-
-    def splith(v):
-        return v[:nh], v[nh:]
-
-    def pmul(i, j):
-        xg, wg = splitp(unit(NP, i))
-        yg, wg2 = splitp(unit(NP, j))
-        return tuple(x.p_alg.product(xg, yg)) + tuple(
-            vadd(bil(r.w_mod.left, xg, wg2), bil(r.w_mod.right, wg, yg))
-        )
-
-    def hleft(i, a):
-        xg, wg = splitp(unit(NP, i))
-        ag, vg = splith(unit(NH, a))
-        return tuple(bil(x.h_mod.left, xg, ag)) + tuple(
-            vadd(bil(r.v_mod.left, xg, vg), bil(r.tr_r, wg, ag))
-        )
-
-    def hright(a, i):
-        ag, vg = splith(unit(NH, a))
-        xg, wg = splitp(unit(NP, i))
-        return tuple(bil(x.h_mod.right, ag, xg)) + tuple(
-            vadd(bil(r.v_mod.right, vg, xg), bil(r.tr_l, ag, wg))
-        )
-
-    p_alg = AssocAlgebra(NP, tensor2(NP, NP, pmul))
-    h_mod = Bimodule(p_alg, NH, tensor2(NP, NH, hleft), tensor2(NH, NP, hright))
-    fcols = [tuple(x.f_map.col(a)) + (Fraction(0),) * nw for a in range(nh)]
-    fcols += [(Fraction(0),) * np_ + tuple(r.phi.col(s)) for s in range(nv)]
-    f_map = Matrix.from_cols(fcols, NP)
-    return CrossedModule(p_alg, h_mod, f_map)
+    """(h + V, p + W, f + phi) with the action-twisted products: the total
+    of the extension by the zero cocycle."""
+    return xmod_build_extension(x, r, xmod_zero_cochain2(x, r)).total
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
+import pytest
 from brute_oracle import brute_h2
 
 from assoc2.algebra2 import TwoTermComplex
@@ -17,11 +19,12 @@ from assoc2.cohom2 import (
     second_cohomology,
     zero_cochain2,
 )
+from assoc2.cochain import Cochain, CochainComplex, Layout, assemble
 from assoc2.exactlin import Matrix, kernel_basis, rank
 from assoc2.fixtures import algebra_fixtures, direct_sum_algebra, fix_d, fix_l3, fix_u, fix_z
 from assoc2.rep2 import adjoint_representation, trivial_representation
 from assoc2.sampling import random_cochain1, random_cochain2, random_transport
-from assoc2.tensorops import tflat, zeros2
+from assoc2.tensorops import tflat, unit, zeros2
 
 F = Fraction
 
@@ -109,6 +112,73 @@ def test_matrix_assembly_agrees_with_direct_application():
             assert mats.d1 @ c.flatten() == flatten_cochain2(d1_apply(g, r, c))
             c2 = random_cochain2(rng, g, r)
             assert mats.d2 @ flatten_cochain2(c2) == d2_residual(g, r, c2)
+
+
+def unit_cochain_assembly(cx):
+    """Reference assembly: column k of each matrix is the evaluator applied
+    to the k-th unit cochain."""
+    d1 = Matrix.from_cols(
+        [cx.d1(cx.c1.unflatten(unit(cx.c1.dim, k))).flatten() for k in range(cx.c1.dim)], cx.c2.dim
+    )
+    d2_cols = [cx.d2(cx.c2.unflatten(unit(cx.c2.dim, k))) for k in range(cx.c2.dim)]
+    rows = len(cx.d2(cx.c2.zero()))
+    return d1, Matrix.from_cols(d2_cols, rows)
+
+
+def counted(cx):
+    """cx with each evaluator wrapped to count its calls in ``calls``."""
+    calls = {"d1": 0, "d2": 0}
+
+    def wrap(name, fn):
+        def call(c):
+            calls[name] += 1
+            return fn(c)
+
+        return call
+
+    return CochainComplex(cx.c1, cx.c2, wrap("d1", cx.d1), wrap("d2", cx.d2), cx.not_a_complex), calls
+
+
+def test_assembly_matches_unit_cochain_reference():
+    zero11 = TwoTermComplex(1, 1, Matrix.zero(1, 1))
+    for seed, (a, b) in ((1, (fix_z, fix_l3)), (2, (fix_u, fix_l3)), (3, (fix_l3, fix_u)), (4, (fix_z, fix_d))):
+        g = random_transport(random.Random(seed), direct_sum_algebra(a(), b()))
+        for r in (adjoint_representation(g), trivial_representation(g, zero11)):
+            cx, calls = counted(cochain_complex(g, r))
+            mats = assemble(cx)
+            assert calls == {"d1": 1, "d2": 1}
+            d1, d2 = unit_cochain_assembly(cochain_complex(g, r))
+            assert mats.d1 == d1 and mats.d2 == d2, (seed, a.__name__, b.__name__)
+            assert all(type(v) is Fraction for m in (mats.d1, mats.d2) for row in m.entries for v in row)
+
+
+@dataclass
+class _Pair(Cochain):
+    a: Matrix
+    b: Matrix
+
+
+def _toy(d2, d1=lambda c: c):
+    layout = Layout(_Pair, {"a": ((1,), 1), "b": ((1,), 1)})
+    return CochainComplex(layout, layout, d1, d2, "toy: d2 . d1 != 0")
+
+
+def test_assembly_refuses_evaluators_that_are_not_linear():
+    at = lambda m: m.entries[0][0]
+    assert assemble(_toy(lambda c: (at(c.a) - at(c.b),), lambda c: _Pair(c.a, c.a))).d2 == Matrix(
+        ((F(1), F(-1)),)
+    )
+    with pytest.raises(ValueError, match="toy: d2 . d1"):
+        assemble(_toy(lambda c: (at(c.a),)))
+    for d2 in (
+        lambda c: (at(c.a) * at(c.b),),  # product of two cochain entries
+        lambda c: (at(c.a) + 1,),  # affine, not linear
+        lambda c: (1 + at(c.a),),
+        lambda c: (F(2) - at(c.b),),
+        lambda c: (F(0), F(1)),  # a constant output entry
+    ):
+        with pytest.raises(TypeError):
+            assemble(_toy(d2))
 
 
 def test_flatten_round_trips():

@@ -149,6 +149,95 @@ def test_schema_violations():
         fileio.parse_document(json.dumps({"format_version": "1", "kind": "nope"}))
 
 
+def _loader_cases():
+    """(loader, valid document, further loader arguments) for every loader."""
+    g, x = fix_u(), fix_x()
+    r, xr = adjoint_representation(g), xmod_adjoint(x)
+    complex11 = TwoTermComplex(1, 1, Matrix.zero(1, 1))
+    derivation = {
+        "format_version": "1",
+        "kind": "derivation2",
+        "dims": {"dim0": 1, "dim1": 1},
+        "tensors": {},
+    }
+    return [
+        (fileio.load_algebra, fileio.dump_algebra(g), ()),
+        (fileio.load_complex, fileio.dump_complex(complex11), ()),
+        (fileio.load_representation, fileio.dump_representation(r), (g,)),
+        (fileio.load_cochain1, fileio.dump_cochain1(random_cochain1(random.Random(0), g, r), g, r), (g, r)),
+        (fileio.load_cochain2, fileio.dump_cochain2(zero_cochain2(g, r), g, r), (g, r)),
+        (fileio.load_homomorphism, fileio.dump_homomorphism(identity_homomorphism(g)), (g, g)),
+        (fileio.load_derivation, derivation, (g,)),
+        (fileio.load_nijenhuis, fileio.dump_nijenhuis(identity_candidate(g)), ((1, 1),)),
+        (fileio.load_crossed_module, fileio.dump_crossed_module(x), ()),
+        (fileio.load_xmod_representation, fileio.dump_xmod_representation(xr), (x,)),
+        (fileio.load_xmod_cochain, fileio.dump_xmod_cochain2(xmod_zero_cochain2(x, xr), x, xr), (x, xr)),
+        (
+            fileio.load_extension,
+            fileio.dump_extension(build_extension(g, r.complex, r, zero_cochain2(g, r))),
+            (),
+        ),
+        (
+            fileio.load_xmod_extension,
+            fileio.dump_xmod_extension(xmod_build_extension(x, xr, xmod_zero_cochain2(x, xr))),
+            (),
+        ),
+    ]
+
+
+def test_missing_required_keys_are_schema_errors():
+    for loader, doc, args in _loader_cases():
+        loader(fileio.parse_document(fileio.dumps(doc)), *args)  # the full document loads
+        for key in ("kind", "dims", "tensors"):
+            bad = {k: v for k, v in doc.items() if k != key}
+            with pytest.raises(fileio.SchemaError, match=key):
+                loader(bad, *args)
+        bad = {k: v for k, v in doc.items() if k != "tensors"}
+        with pytest.raises(fileio.SchemaError, match="missing required key 'tensors'"):
+            fileio.parse_document(json.dumps(bad))
+
+
+def test_cell_ceiling_refuses_standalone_documents():
+    # the other loaders check their dimensions against structures already loaded
+    for loader, doc, args in _loader_cases():
+        if args:
+            continue
+        huge = json.loads(json.dumps(doc))
+        for key, v in huge["dims"].items():
+            if isinstance(v, int):
+                huge["dims"][key] = 10**9
+        with pytest.raises(fileio.SchemaError, match=str(fileio.MAX_CELLS)):
+            loader(huge)
+
+
+def test_cli_missing_tensors_exits_two(capsys, tmp_path):
+    path = tmp_path / "that.json"
+    path.write_text(
+        json.dumps({"format_version": "1", "kind": "algebra2", "dims": {"dim0": 1, "dim1": 1}})
+    )
+    code, out, err = _run(capsys, "check", "algebra", str(path))
+    assert code == 2 and out == ""
+    assert str(path) in err and "'tensors'" in err
+
+
+def test_cli_huge_dimensions_exit_two_fast(capsys, tmp_path):
+    import time
+
+    path = tmp_path / "huge.json"
+    doc = {
+        "format_version": "1",
+        "kind": "algebra2",
+        "dims": {"dim0": 1, "dim1": 1000000000},
+        "tensors": {"l2_00": [{"indices": [0, 0, 0], "value": "1"}]},
+    }
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "check", "algebra", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert str(path) in err and str(fileio.MAX_CELLS) in err
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------

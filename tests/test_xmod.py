@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from brute_oracle import brute_xmod_h2
+from test_cohom2 import counted, unit_cochain_assembly
 
-from assoc2.algebra2 import Bimodule, check_algebra
-from assoc2.cochain import Inequivalence
+from assoc2.algebra2 import AssocAlgebra, Bimodule, check_algebra
+from assoc2.cochain import Inequivalence, assemble
 from assoc2.exactlin import Matrix, kernel_basis
 from assoc2.fixtures import (
     algebra_fixtures,
@@ -21,7 +22,7 @@ from assoc2.fixtures import (
     xmod_fixtures,
 )
 from assoc2.sampling import random_transport, random_xcochain2
-from assoc2.tensorops import zeros2
+from assoc2.tensorops import bil, tensor2, unit, vadd, zeros2
 from assoc2.xmod import (
     CrossedModule,
     XCochain1,
@@ -112,14 +113,49 @@ def test_zeroed_pairing_fails_on_peiffer_variant():
     assert "XR03" in report.by_condition() or "XR06" in report.by_condition()
 
 
+def _semidirect_reference(x, r):
+    """(h + V, p + W, f + phi) written out block by block."""
+    np_, nh, nv, nw = x.pdim, x.hdim, r.vdim, r.wdim
+    NP, NH = np_ + nw, nh + nv
+    split = lambda n, k, i: (unit(n + k, i)[:n], unit(n + k, i)[n:])
+
+    def pmul(i, j):
+        (xg, wg), (yg, wg2) = split(np_, nw, i), split(np_, nw, j)
+        return x.p_alg.product(xg, yg) + vadd(bil(r.w_mod.left, xg, wg2), bil(r.w_mod.right, wg, yg))
+
+    def hleft(i, a):
+        (xg, wg), (ag, vg) = split(np_, nw, i), split(nh, nv, a)
+        return bil(x.h_mod.left, xg, ag) + vadd(bil(r.v_mod.left, xg, vg), bil(r.tr_r, wg, ag))
+
+    def hright(a, i):
+        (ag, vg), (xg, wg) = split(nh, nv, a), split(np_, nw, i)
+        return bil(x.h_mod.right, ag, xg) + vadd(bil(r.v_mod.right, vg, xg), bil(r.tr_l, ag, wg))
+
+    p_alg = AssocAlgebra(NP, tensor2(NP, NP, pmul))
+    h_mod = Bimodule(p_alg, NH, tensor2(NP, NH, hleft), tensor2(NH, NP, hright))
+    fcols = [x.f_map.col(a) + (F(0),) * nw for a in range(nh)]
+    fcols += [(F(0),) * np_ + r.phi.col(s) for s in range(nv)]
+    return CrossedModule(p_alg, h_mod, Matrix.from_cols(fcols, NP))
+
+
 def test_semidirect_products_pass():
     for name, x in xmod_fixtures().items():
-        sd = semidirect_product(x, xmod_adjoint(x))
-        assert check_crossed_module(sd).passed, name
-        assert sd.pdim == 2 * x.pdim and sd.hdim == 2 * x.hdim
-    x = fix_x()
-    sd = semidirect_product(x, xmod_trivial_representation(x, 1, 1))
-    assert check_crossed_module(sd).passed
+        for r in (xmod_adjoint(x), xmod_trivial_representation(x, 1, 1), xmod_trivial_representation(x, 2, 1)):
+            sd = semidirect_product(x, r)
+            assert check_crossed_module(sd).passed, name
+            assert sd.pdim == x.pdim + r.wdim and sd.hdim == x.hdim + r.vdim
+            assert sd == _semidirect_reference(x, r), name
+
+
+def test_assembly_matches_unit_cochain_reference():
+    for seed, (a, b) in ((1, (fix_d, fix_w)), (2, (fix_z, fix_d)), (3, (fix_u, fix_d)), (4, (fix_u, fix_w))):
+        x = algebra_to_crossed_module(random_transport(random.Random(seed), direct_sum_algebra(a(), b())))
+        for r in (xmod_adjoint(x), xmod_trivial_representation(x, 1, 1), xmod_trivial_representation(x, 1, 2)):
+            cx, calls = counted(xmod_cochain_complex(x, r))
+            mats = assemble(cx)
+            assert calls == {"d1": 1, "d2": 1}
+            d1, d2 = unit_cochain_assembly(xmod_cochain_complex(x, r))
+            assert mats.d1 == d1 and mats.d2 == d2, (seed, a.__name__, b.__name__)
 
 
 def test_xmod_d1_identity_values_on_fix_x():
