@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import algebra2, cohom2, deform2, ext2, fileio, rep2, xmod
-from .cochain import Inequivalence
+from .cochain import Inequivalence, NotAComplex
 from .exactlin import format_rational
 from .fileio import SchemaError
 from .report import CheckReport, PreconditionError
@@ -262,6 +262,8 @@ def cmd_ext(args) -> int:
     e2 = _load(fileio.load_extension, args.files[1])
     try:
         res = ext2.check_equivalence(e1, e2)
+    except NotAComplex:
+        raise  # a domain failure of the base pair, reported like `cohomology`
     except ValueError as exc:
         raise InputError(str(exc)) from None
     return _report_equivalence(args, res, e1, ext2.extract_representation, fileio.dump_cochain1)
@@ -380,6 +382,8 @@ def cmd_xmod_ext(args) -> int:
     e2 = _load(fileio.load_xmod_extension, args.files[1])
     try:
         res = xmod.xmod_check_equivalence(e1, e2)
+    except NotAComplex:
+        raise  # a domain failure of the base pair, reported like `cohomology`
     except ValueError as exc:
         raise InputError(str(exc)) from None
     return _report_equivalence(args, res, e1, xmod.xmod_extract_representation, fileio.dump_xmod_cochain1)

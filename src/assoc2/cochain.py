@@ -215,23 +215,20 @@ class CochainComplex:
     c2: Layout
     d1: Callable    # one-cochain -> two-cochain
     d2: Callable    # two-cochain -> stacked residual families
-    not_a_complex: str  # message of the ValueError when d2 . d1 != 0
+    not_a_complex: str  # message of the NotAComplex error when d2 . d1 != 0
+
+
+class NotAComplex(ValueError):
+    """The evaluators on a pair do not form a complex: d2 . d1 != 0."""
 
 
 @dataclass
 class CoboundaryMatrices:
+    """Both matrices carry their sparse row views, seeded by ``assemble``
+    with the terms of the evaluators' output forms."""
+
     d1: Matrix  # flattened one-cochains -> flattened two-cochains
     d2: Matrix  # flattened two-cochains -> stacked residual families
-
-
-def _dense(rows: list[LinearForm], cols: int) -> Matrix:
-    out = []
-    for form in rows:
-        row = [ZERO] * cols
-        for k, v in form.terms.items():
-            row[k] = v
-        out.append(row)
-    return Matrix(out, cols)
 
 
 def assemble(cx: CochainComplex) -> CoboundaryMatrices:
@@ -239,13 +236,17 @@ def assemble(cx: CochainComplex) -> CoboundaryMatrices:
     each evaluator on the generic cochain of its degree: output entry i is
     the form of row i.  The complex property d2 . d1 = 0 is verified here on
     every call, by substituting the rows of d1 into those of d2; assembly
-    fails loudly on a pair where the evaluators do not form a complex."""
+    raises ``NotAComplex`` on a pair where the evaluators do not form a
+    complex.  The forms' terms become the matrices' sparse rows as they
+    are, so elimination starts from them without rescanning dense rows."""
     d1 = [_form(x) for x in cx.d1(cx.c1.generic()).flatten()]
     d2 = [_form(x) for x in cx.d2(cx.c2.generic())]
     for row in d2:
         if sum((d1[j] * v for j, v in row.terms.items()), _NO_TERMS):
-            raise ValueError(cx.not_a_complex)
-    return CoboundaryMatrices(_dense(d1, cx.c1.dim), _dense(d2, cx.c2.dim))
+            raise NotAComplex(cx.not_a_complex)
+    return CoboundaryMatrices(
+        Matrix.from_sparse([f.terms for f in d1], cx.c1.dim), Matrix.from_sparse([f.terms for f in d2], cx.c2.dim)
+    )
 
 
 @dataclass
@@ -267,12 +268,14 @@ def cohomology(cx: CochainComplex, mats: CoboundaryMatrices) -> CohomologyResult
     order.  Each representative has zero residual by construction.
     """
     ker = kernel_basis(mats.d2).basis
-    d1 = mats.d1
-    joined = Matrix(
-        tuple(row + tuple(v[i] for v in ker) for i, row in enumerate(d1.entries)), d1.cols + len(ker)
-    )
-    pivots = joined.rref()[1]
-    chosen = [ker[p - d1.cols] for p in pivots if p >= d1.cols]
+    n = mats.d1.cols
+    joined = [dict(row) for row in mats.d1.sparse_rows()]
+    for t, v in enumerate(ker):
+        for i, x in enumerate(v):
+            if x:
+                joined[i][n + t] = x
+    pivots = Matrix.from_sparse(joined, n + len(ker)).rref()[1]
+    chosen = [ker[p - n] for p in pivots if p >= n]
     dim_b2 = len(pivots) - len(chosen)
     return CohomologyResult(len(ker), dim_b2, len(ker) - dim_b2, [cx.c2.unflatten(v) for v in chosen])
 

@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Every cohomology dimension, kernel, and equivalence witness in this package
-reduces to rank / kernel / solve on dense matrices with ``Fraction`` entries.
-This module is therefore deliberately small and boring: plain exact Gaussian
-elimination, no floating point anywhere, and results that the contract cares
-about (solutions, kernel vectors) are re-verified by exact multiplication
-before they are returned.
+reduces to rank / kernel / solve on matrices with ``Fraction`` entries.
+The cochain matrices are very sparse, so elimination works on each
+matrix's sparse row view: rows are inserted, sparsest first, into a
+reduced echelon basis keyed by leading column.  The reduced row echelon
+form is unique, so the result does not depend on that row order.  There
+is no floating point anywhere, and results that the contract cares about
+(solutions, kernel vectors) are re-verified by exact multiplication, over
+the nonzero entries, before they are returned.
 
 ``Matrix`` doubles as a container for entries from other commutative rings
 (polynomials in a deformation parameter, see :mod:`assoc2.poly`); only the
@@ -46,10 +49,24 @@ def _coerce(x):
     return Fraction(x) if isinstance(x, int) else x
 
 
-class Matrix:
-    """Dense row-major matrix. Immutable once constructed."""
+def _dense_row(terms: dict, cols: int) -> Vector:
+    row = [ZERO] * cols
+    for k, v in terms.items():
+        row[k] = v
+    return tuple(row)
 
-    __slots__ = ("rows", "cols", "entries")
+
+class Matrix:
+    """Row-major matrix. Immutable once constructed.
+
+    ``entries`` is the dense record, a tuple of row tuples.  Elimination
+    reads the sparse row view ``sparse_rows()``: one dict
+    ``{column: nonzero entry}`` per row, handed in by ``from_sparse`` or
+    built from ``entries`` on first use, then cached.  Neither is ever
+    mutated, so matrices may share them.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_sparse")
 
     def __init__(self, entries, cols: int | None = None):
         rows = tuple(tuple(_coerce(x) for x in row) for row in entries)
@@ -65,6 +82,24 @@ class Matrix:
                 raise ValueError("empty matrix needs an explicit column count")
             self.cols = cols
         self.entries = rows
+        self._sparse = None
+
+    @staticmethod
+    def from_sparse(rows, cols: int) -> "Matrix":
+        """The matrix whose row i has the nonzero ``Fraction`` entries
+        ``rows[i]`` (a dict ``{column: value}`` without zero values).  The
+        dicts become the sparse row view and must not be mutated later."""
+        m = Matrix.__new__(Matrix)
+        m._sparse = tuple(rows)
+        m.rows, m.cols = len(m._sparse), cols
+        m.entries = tuple(_dense_row(terms, cols) for terms in m._sparse)
+        return m
+
+    def sparse_rows(self) -> tuple[dict, ...]:
+        """Per row, the dict ``{column: entry}`` of its nonzero entries."""
+        if self._sparse is None:
+            self._sparse = tuple({j: x for j, x in enumerate(row) if x != 0} for row in self.entries)
+        return self._sparse
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
@@ -155,25 +190,72 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns."""
-        m = [list(row) for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = ONE / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix(tuple(tuple(row) for row in m), self.cols), tuple(pivots)
+        reduced, pivots = _eliminate(self.sparse_rows())
+        zero_rows = ({},) * (self.rows - len(reduced))
+        return Matrix.from_sparse(tuple(reduced) + zero_rows, self.cols), pivots
+
+
+def _eliminate(rows) -> tuple[list[dict], tuple[int, ...]]:
+    """The nonzero rows of the reduced row echelon form, in pivot order, and
+    their pivot columns.  Rows are reduced on copies; ``rows`` is not touched.
+
+    The basis, keyed by pivot column, is kept in reduced form: each basis
+    row leads with a 1 at its pivot and is zero at every other pivot.
+    Each input row, sparsest first, is cleared at the pivots it meets,
+    which adds entries at non-pivot columns only.  If anything is left, it
+    joins the basis at its leading column, scaled to a leading 1, and that
+    column is cleared from the rows already there (none of them leads
+    further left, since it would then be nonzero left of its own pivot).
+    """
+    basis: dict[int, dict] = {}
+    for row in sorted(rows, key=len):
+        row = dict(row)
+        for c in [k for k in row if k in basis]:
+            _axpy(row, -row[c], basis[c])
+        if not row:
+            continue
+        lead = min(row)
+        inv = ONE / row[lead]
+        new = {k: v * inv for k, v in row.items()}
+        for other in basis.values():
+            x = other.get(lead)
+            if x:
+                _axpy(other, -x, new)
+        basis[lead] = new
+    pivots = tuple(sorted(basis))
+    return [basis[p] for p in pivots], pivots
+
+
+def _axpy(row: dict, f, other: dict) -> None:
+    """row += f * other, in place, dropping entries that cancel."""
+    for k, v in other.items():
+        x = row.get(k)
+        if x is None:
+            row[k] = f * v
+        else:
+            x += f * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+
+
+def _times(m: Matrix, vectors) -> list[dict]:
+    """Per row i of m, ``{t: (m @ vectors[t])[i]}`` over the vectors that
+    meet the row; products are taken over nonzero entries only."""
+    by_col = [{} for _ in range(m.cols)]
+    for t, v in enumerate(vectors):
+        for j, x in enumerate(v):
+            if x:
+                by_col[j][t] = x
+    out = []
+    for row in m.sparse_rows():
+        acc = {}
+        for j, x in row.items():
+            for t, y in by_col[j].items():
+                acc[t] = acc.get(t, ZERO) + x * y
+        out.append(acc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -208,18 +290,17 @@ def kernel_basis(m: Matrix) -> Subspace:
     """A basis of ``{v : m v = 0}``; each vector is re-checked exactly."""
     red, pivots = m.rref()
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [ZERO] * m.cols
+    free = {c: [ZERO] * m.cols for c in range(m.cols) if c not in pivot_set}
+    for p, row in zip(pivots, red.sparse_rows()):
+        for f, x in row.items():
+            if f != p:
+                free[f][p] = -x
+    for f, v in free.items():
         v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -red.entries[i][f]
-        vec = tuple(v)
-        if any(x != 0 for x in m @ vec):
-            raise AssertionError("kernel vector failed exact re-multiplication")
-        basis.append(vec)
-    return Subspace(m.cols, tuple(basis))
+    basis = tuple(tuple(v) for v in free.values())
+    if any(x for acc in _times(m, basis) for x in acc.values()):
+        raise AssertionError("kernel vector failed exact re-multiplication")
+    return Subspace(m.cols, basis)
 
 
 def solve(m: Matrix, b: Vector):
@@ -231,15 +312,16 @@ def solve(m: Matrix, b: Vector):
     b = tuple(_coerce(x) for x in b)
     if len(b) != m.rows:
         raise ValueError(f"right-hand side has length {len(b)}, expected {m.rows}")
-    aug = Matrix(tuple(row + (bv,) for row, bv in zip(m.entries, b)), m.cols + 1) if m.rows else Matrix((), m.cols + 1)
+    n = m.cols
+    aug = Matrix.from_sparse(tuple({**row, n: bv} if bv else row for row, bv in zip(m.sparse_rows(), b)), n + 1)
     red, pivots = aug.rref()
-    if m.cols in pivots:
+    if n in pivots:
         return None
-    x = [ZERO] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = red.entries[i][m.cols]
+    x = [ZERO] * n
+    for p, row in zip(pivots, red.sparse_rows()):
+        x[p] = row.get(n, ZERO)
     xv = tuple(x)
-    if (m @ xv) != b:
+    if tuple(acc.get(0, ZERO) for acc in _times(m, (xv,))) != b:
         raise AssertionError("solution failed exact re-multiplication")
     return xv
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from assoc2 import fileio
+from assoc2 import fileio, xmod
 from assoc2.algebra2 import TwoTermComplex, identity_homomorphism
 from assoc2.cli import main
 from assoc2.cohom2 import zero_cochain2
@@ -13,8 +13,11 @@ from assoc2.exactlin import Matrix
 from assoc2.ext2 import build_extension
 from assoc2.fixtures import (
     algebra_fixtures,
+    direct_sum_algebra,
     fix_u,
+    fix_w,
     fix_x,
+    fix_x_zero,
     fixture_file,
     xmod_fixtures,
 )
@@ -389,6 +392,52 @@ def test_cli_ext_workflow(capsys, tmp_path):
     pb.write_text(fileio.dumps(fileio.dump_extension(eb)))
     code, out, _ = _run(capsys, "ext", "equiv", str(pa), str(pb))
     assert code == 1 and "inequivalent" in out
+
+
+def test_cli_ext_equiv_on_a_non_complex_pair_is_a_domain_failure(capsys, tmp_path):
+    # trivial coefficients over the zero-differential 1/1 complex: FIX-W+FIX-U
+    # passes its checkers, but d2 . d1 != 0 on it (CONVENTIONS.md caveat)
+    g, gu = direct_sum_algebra(fix_w(), fix_u()), fix_u()
+    triv = trivial_representation(g, TwoTermComplex(1, 1, Matrix.zero(1, 1)))
+    triv_u = trivial_representation(gu, triv.complex)
+    paths = {}
+    for name, doc in {
+        "g": fileio.dump_algebra(g),
+        "r": fileio.dump_representation(triv),
+        "e": fileio.dump_extension(build_extension(g, triv.complex, triv, zero_cochain2(g, triv))),
+        "u": fileio.dump_extension(build_extension(gu, triv.complex, triv_u, zero_cochain2(gu, triv_u))),
+    }.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(fileio.dumps(doc))
+    e, u = str(paths["e"]), str(paths["u"])
+    for fmt in ("human", "json"):
+        code, out, err = _run(capsys, "--format", fmt, "ext", "equiv", e, e)
+        assert (code, err) == (1, "")
+        # the same report as `cohomology` gives on the base pair
+        assert (code, out, err) == _run(capsys, "--format", fmt, "cohomology", str(paths["g"]), str(paths["r"]))
+    code, out, _ = _run(capsys, "--format", "json", "ext", "equiv", e, e)
+    doc = json.loads(out)
+    assert doc["verdict"] == "fail" and doc["numbers"]["error"].startswith("d2 . d1 != 0")
+    # extensions that cannot be compared stay input errors
+    code, out, err = _run(capsys, "ext", "equiv", e, u)
+    assert (code, out) == (2, "") and "different bases" in err
+
+
+def test_cli_xmod_ext_equiv_on_a_non_complex_pair_is_a_domain_failure(capsys, tmp_path, monkeypatch):
+    x, x0 = fix_x(), fix_x_zero()
+    e, e0 = tmp_path / "e.json", tmp_path / "e0.json"
+    for path, base in ((e, x), (e0, x0)):
+        adj = xmod_adjoint(base)
+        ext = xmod_build_extension(base, adj, xmod_zero_cochain2(base, adj))
+        path.write_text(fileio.dumps(fileio.dump_xmod_extension(ext)))
+    code, out, err = _run(capsys, "xmod", "ext", "equiv", str(e), str(e0))
+    assert (code, out) == (2, "") and "different bases" in err
+    # No shipped crossed module gives an extension whose pair fails d2 . d1 = 0,
+    # so the residual is replaced by a linear one that d1's image does not satisfy.
+    monkeypatch.setattr(xmod, "xmod_d2_residual", lambda x, r, c: c.flatten())
+    for fmt in ("human", "json"):
+        code, out, err = _run(capsys, "--format", fmt, "xmod", "ext", "equiv", str(e), str(e))
+        assert (code, err) == (1, "") and "d2 . d1 != 0 for this crossed-module representation" in out
 
 
 def test_cli_xmod_mirror(capsys, tmp_path):
