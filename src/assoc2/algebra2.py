@@ -24,10 +24,10 @@ parameter).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exactlin import Matrix, kernel_basis, solve
-from .report import CheckReport, report_from
+from .report import CheckReport, checked, checked_field, report_from
 from .tensorops import bil, tri, unit, vadd, vsub, vzero, tensor2, zeros2, zeros3
 
 
@@ -230,7 +230,7 @@ class TwoTermAlgebra:
     l2_01: tuple  # g0 x g1 -> g1
     l2_10: tuple  # g1 x g0 -> g1
     l3: tuple     # g0 x g0 x g0 -> g1
-    _checked: CheckReport | None = field(default=None, repr=False, compare=False)
+    _checked: CheckReport | None = checked_field()
 
     @property
     def dim0(self) -> int:
@@ -323,10 +323,8 @@ def algebra_residuals(g: TwoTermAlgebra):
 
 
 def check_algebra(g: TwoTermAlgebra) -> CheckReport:
-    """Check (a)-(f) on every basis tuple; the report caches on the value."""
-    if g._checked is None:
-        g._checked = report_from(algebra_residuals(g))
-    return g._checked
+    """Check (a)-(f) on every basis tuple, once per algebra."""
+    return checked(g, lambda g: report_from(algebra_residuals(g)))
 
 
 def require_algebra(g: TwoTermAlgebra) -> None:

@@ -143,19 +143,39 @@ def cmd_check(args) -> int:
     raise InputError(f"unknown check target {what!r}")
 
 
-def _checked_pair(args):
-    g = _load(fileio.load_algebra, args.algebra)
-    algebra2.check_algebra(g).require("algebra fails its checker")
-    r = _load(fileio.load_representation, args.rep, g)
-    rep2.check_representation(r).require("representation fails its checker")
-    return g, r
+def _checked_base(args, path):
+    base = _load(args.load_base, path)
+    args.check_base(base).require(f"{args.base_kind} fails its checker")
+    return base
 
+
+def _checked_pair(args, base_path, rep_path):
+    base = _checked_base(args, base_path)
+    r = _load(args.load_rep, rep_path, base)
+    args.check_rep(r).require("representation fails its checker")
+    return base, r
+
+
+def _plain_cochain2(path, g, r, message):
+    c, theta2 = _load(fileio.load_cochain2, path, g, r)
+    if theta2 is not None:
+        raise InputError(message)
+    return c
+
+
+def _xmod_cochain2(path, x, r, message):
+    c = _load(fileio.load_xmod_cochain, path, x, r)
+    if not isinstance(c, xmod.XCochain2):
+        raise InputError(message)
+    return c
+
+
+# Every handler below serves both theories: ``build_parser`` passes each
+# theory's loaders, checkers, library functions and dumpers as defaults.
 
 def cmd_cohomology(args) -> int:
-    """Either theory: ``args.pair`` loads and checks the pair, ``args.h2``
-    computes its cohomology and ``args.dump2`` writes a two-cochain."""
     try:
-        base, r = args.pair(args)
+        base, r = _checked_pair(args, args.base, args.rep)
         res = args.h2(base, r)
     except ValueError as exc:
         _emit(_report_doc("fail", numbers={"error": str(exc)}), args.format)
@@ -171,153 +191,22 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_cocycle(args) -> int:
-    g, r = _checked_pair(args)
-    c, theta2 = _load(fileio.load_cochain2, args.cochain, g, r)
-    if theta2 is not None:
-        raise InputError("cocycle commands take a plain two-cochain (no theta2)")
+    base, r = _checked_pair(args, args.base, args.rep)
+    c = args.cochain2(args.cochain, base, r, args.not_plain)
     if args.action == "check":
-        return _finish(cohom2.cocycle_report(g, r, c), args, verdict_fail="not_cocycle")
-    pre = cohom2.is_coboundary(g, r, c)
+        return _finish(args.cocycle_report(base, r, c), args, verdict_fail="not_cocycle")
+    pre = args.reduce(base, r, c)
     if pre is None:
         _emit(_report_doc("not_coboundary"), args.format)
         return 1
-    _emit(_report_doc("pass", witness=fileio.dump_cochain1(pre, g, r)), args.format)
+    _emit(_report_doc("pass", witness=args.dump1(pre, base, r)), args.format)
     return 0
 
 
 def cmd_deform(args) -> int:
-    g = _load(fileio.load_algebra, args.algebra)
-    algebra2.check_algebra(g).require("algebra fails its checker")
-    adj = rep2.adjoint_representation(g)
-    c, theta2 = _load(fileio.load_cochain2, args.cochain, g, adj)
-    if theta2 is not None:
-        raise InputError("the generation criterion applies to first-order deformations")
-    verdict = deform2.check_generates(deform2.PolyStructure(g, c))
-    doc = _report_doc(
-        "pass" if verdict.generates else "fail",
-        verdict.cocycle_violations + verdict.standalone_violations,
-        numbers={
-            "cocycle_ok": verdict.cocycle_ok,
-            "standalone_ok": verdict.standalone_ok,
-        },
-        max_violations=args.max_violations,
-    )
-    _emit(doc, args.format)
-    return 0 if verdict.generates else 1
-
-
-def cmd_nijenhuis(args) -> int:
-    g = _load(fileio.load_algebra, args.algebra)
-    algebra2.check_algebra(g).require("algebra fails its checker")
-    n = _load(fileio.load_nijenhuis, args.candidate, (g.dim0, g.dim1))
-    report = deform2.check_nijenhuis(g, n)
-    if args.action == "check":
-        return _finish(report, args)
-    if not report.passed:
-        return _finish(report, args)
-    p = deform2.nijenhuis_deformation(g, n)
-    trivial = deform2.check_trivializing(g, p, n)
-    adj = rep2.adjoint_representation(g)
-    doc = _report_doc(
-        "pass" if trivial.passed else "fail",
-        trivial.violations,
-        numbers={"trivializing_ok": trivial.passed},
-        witness=fileio.dump_cochain2(p.first_order, g, adj, theta2=p.second_order_l3),
-        max_violations=args.max_violations,
-    )
-    _emit(doc, args.format)
-    return 0 if trivial.passed else 1
-
-
-def cmd_ext(args) -> int:
-    if args.action == "build":
-        g, r = _checked_pair(args)
-        c, theta2 = _load(fileio.load_cochain2, args.cochain, g, r)
-        if theta2 is not None:
-            raise InputError("extension build takes a plain two-cocycle")
-        try:
-            e = ext2.build_extension(g, r.complex, r, c)
-        except ValueError as exc:
-            _emit(_report_doc("not_cocycle", numbers={"error": str(exc)}), args.format)
-            return 1
-        _emit(_report_doc("pass", witness=fileio.dump_extension(e)), args.format)
-        return 0
-    if args.action == "extract":
-        e = _load(fileio.load_extension, args.files[0])
-        report = ext2.check_extension(e)
-        if not report.passed:
-            return _finish(report, args)
-        r = ext2.extract_representation(e)
-        c = ext2.extract_cocycle(e)
-        doc = _report_doc(
-            "pass",
-            witness={
-                "representation": fileio.dump_representation(r),
-                "cocycle": fileio.dump_cochain2(c, e.base, r),
-            },
-        )
-        _emit(doc, args.format)
-        return 0
-    e1 = _load(fileio.load_extension, args.files[0])
-    e2 = _load(fileio.load_extension, args.files[1])
-    try:
-        res = ext2.check_equivalence(e1, e2)
-    except NotAComplex:
-        raise  # a domain failure of the base pair, reported like `cohomology`
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    return _report_equivalence(args, res, e1, ext2.extract_representation, fileio.dump_cochain1)
-
-
-def _report_equivalence(args, res, e1, extract_rep, dump1) -> int:
-    """The ext equiv report of either theory: the rank certificate, or the
-    witness one-cochain in the representation induced by ``e1``."""
-    if isinstance(res, Inequivalence):
-        doc = _report_doc(
-            "inequivalent",
-            numbers={"rank_d1": res.rank_d1, "rank_augmented": res.rank_augmented},
-        )
-        _emit(doc, args.format)
-        return 1
-    _emit(_report_doc("pass", witness=dump1(res.primitive, e1.base, extract_rep(e1))), args.format)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# crossed-module mirror
-# ---------------------------------------------------------------------------
-
-def _checked_xpair(args):
-    x = _load(fileio.load_crossed_module, args.xmod)
-    xmod.check_crossed_module(x).require("crossed module fails its checker")
-    r = _load(fileio.load_xmod_representation, args.rep, x)
-    xmod.check_xmod_representation(r).require("representation fails its checker")
-    return x, r
-
-
-def cmd_xmod_cocycle(args) -> int:
-    x, r = _checked_xpair(args)
-    c = _load(fileio.load_xmod_cochain, args.cochain, x, r)
-    if not isinstance(c, xmod.XCochain2):
-        raise InputError("expected a degree-2 cochain")
-    if args.action == "check":
-        return _finish(xmod.xmod_cocycle_report(x, r, c), args, verdict_fail="not_cocycle")
-    pre = xmod.xmod_is_coboundary(x, r, c)
-    if pre is None:
-        _emit(_report_doc("not_coboundary"), args.format)
-        return 1
-    _emit(_report_doc("pass", witness=fileio.dump_xmod_cochain1(pre, x, r)), args.format)
-    return 0
-
-
-def cmd_xmod_deform(args) -> int:
-    x = _load(fileio.load_crossed_module, args.xmod)
-    xmod.check_crossed_module(x).require("crossed module fails its checker")
-    adj = xmod.xmod_adjoint(x)
-    c = _load(fileio.load_xmod_cochain, args.cochain, x, adj)
-    if not isinstance(c, xmod.XCochain2):
-        raise InputError("expected a degree-2 cochain")
-    verdict = xmod.xmod_check_generates(x, c)
+    base = _checked_base(args, args.base)
+    c = args.cochain2(args.cochain, base, args.adjoint(base), args.not_plain)
+    verdict = args.generates(base, c)
     doc = _report_doc(
         "pass" if verdict.generates else "fail",
         verdict.cocycle_violations + verdict.standalone_violations,
@@ -328,65 +217,75 @@ def cmd_xmod_deform(args) -> int:
     return 0 if verdict.generates else 1
 
 
-def cmd_xmod_nijenhuis(args) -> int:
-    x = _load(fileio.load_crossed_module, args.xmod)
-    xmod.check_crossed_module(x).require("crossed module fails its checker")
-    n = _load(fileio.load_nijenhuis, args.candidate, (x.pdim, x.hdim))
-    report = xmod.xmod_check_nijenhuis(x, n.n0, n.n1)
+def cmd_nijenhuis(args) -> int:
+    base = _checked_base(args, args.base)
+    n = _load(fileio.load_nijenhuis, args.candidate, (base.dim0, base.dim1))
+    report = args.check_nijenhuis(base, n)
     if args.action == "check" or not report.passed:
         return _finish(report, args)
-    c = xmod.xmod_nijenhuis_deformation(x, n.n0, n.n1)
-    trivial = xmod.xmod_check_trivializing(x, c, n.n0, n.n1)
-    adj = xmod.xmod_adjoint(x)
+    deformation = args.nijenhuis_deformation(base, n)
+    trivial = args.check_trivializing(base, deformation, n)
     doc = _report_doc(
         "pass" if trivial.passed else "fail",
         trivial.violations,
         numbers={"trivializing_ok": trivial.passed},
-        witness=fileio.dump_xmod_cochain2(c, x, adj),
+        witness=args.dump_deformation(deformation, base, args.adjoint(base)),
         max_violations=args.max_violations,
     )
     _emit(doc, args.format)
     return 0 if trivial.passed else 1
 
 
-def cmd_xmod_ext(args) -> int:
+_EXT_FILES = {
+    "build": (3, "takes: {base} rep cochain"),
+    "extract": (1, "takes one extension file"),
+    "equiv": (2, "takes two extension files"),
+}
+
+
+def cmd_ext(args) -> int:
+    count, usage = _EXT_FILES[args.action]
+    if len(args.files) != count:
+        raise InputError(f"{args.prefix}ext {args.action} " + usage.format(base=args.base_arg))
     if args.action == "build":
-        x, r = _checked_xpair(args)
-        c = _load(fileio.load_xmod_cochain, args.cochain, x, r)
-        if not isinstance(c, xmod.XCochain2):
-            raise InputError("expected a degree-2 cochain")
+        base, r = _checked_pair(args, *args.files[:2])
+        c = args.cochain2(args.files[2], base, r, args.not_plain)
         try:
-            e = xmod.xmod_build_extension(x, r, c)
+            e = args.build_extension(base, r, c)
         except ValueError as exc:
             _emit(_report_doc("not_cocycle", numbers={"error": str(exc)}), args.format)
             return 1
-        _emit(_report_doc("pass", witness=fileio.dump_xmod_extension(e)), args.format)
+        _emit(_report_doc("pass", witness=args.dump_extension(e)), args.format)
         return 0
     if args.action == "extract":
-        e = _load(fileio.load_xmod_extension, args.files[0])
-        report = xmod.check_xmod_extension(e)
+        e = _load(args.load_extension, args.files[0])
+        report = args.check_extension(e)
         if not report.passed:
             return _finish(report, args)
-        r = xmod.xmod_extract_representation(e)
-        c = xmod.xmod_extract_cocycle(e)
-        doc = _report_doc(
-            "pass",
-            witness={
-                "representation": fileio.dump_xmod_representation(r),
-                "cocycle": fileio.dump_xmod_cochain2(c, e.base, r),
-            },
-        )
-        _emit(doc, args.format)
+        r = args.extract_representation(e)
+        c = args.extract_cocycle(e)
+        witness = {"representation": args.dump_rep(r), "cocycle": args.dump2(c, e.base, r)}
+        _emit(_report_doc("pass", witness=witness), args.format)
         return 0
-    e1 = _load(fileio.load_xmod_extension, args.files[0])
-    e2 = _load(fileio.load_xmod_extension, args.files[1])
+    e1 = _load(args.load_extension, args.files[0])
+    e2 = _load(args.load_extension, args.files[1])
     try:
-        res = xmod.xmod_check_equivalence(e1, e2)
+        res = args.equivalence(e1, e2)
     except NotAComplex:
         raise  # a domain failure of the base pair, reported like `cohomology`
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    return _report_equivalence(args, res, e1, xmod.xmod_extract_representation, fileio.dump_xmod_cochain1)
+    if isinstance(res, Inequivalence):
+        doc = _report_doc(
+            "inequivalent",
+            numbers={"rank_d1": res.rank_d1, "rank_augmented": res.rank_augmented},
+        )
+        _emit(doc, args.format)
+        return 1
+    # the witness one-cochain, in the representation induced by e1
+    witness = args.dump1(res.primitive, e1.base, args.extract_representation(e1))
+    _emit(_report_doc("pass", witness=witness), args.format)
+    return 0
 
 
 def cmd_endalg(args) -> int:
@@ -471,68 +370,123 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("cohomology", help="second cohomology of an algebra with coefficients")
-    p.add_argument("algebra")
-    p.add_argument("rep")
-    p.set_defaults(func=cmd_cohomology, pair=_checked_pair, h2=cohom2.second_cohomology, dump2=fileio.dump_cochain2)
-
-    p = sub.add_parser("cocycle", help="cocycle membership and coboundary reduction")
-    p.add_argument("action", choices=("check", "reduce"))
-    p.add_argument("algebra")
-    p.add_argument("rep")
-    p.add_argument("cochain")
-    p.set_defaults(func=cmd_cocycle)
-
-    p = sub.add_parser("deform", help="deformation generation criterion")
-    p.add_argument("action", choices=("check",))
-    p.add_argument("algebra")
-    p.add_argument("cochain")
-    p.set_defaults(func=cmd_deform)
-
-    p = sub.add_parser("nijenhuis", help="Nijenhuis operators and induced deformations")
-    p.add_argument("action", choices=("check", "apply"))
-    p.add_argument("algebra")
-    p.add_argument("candidate")
-    p.set_defaults(func=cmd_nijenhuis)
-
-    p = sub.add_parser("ext", help="abelian extensions")
-    p.add_argument("action", choices=("build", "extract", "equiv"))
-    p.add_argument("files", nargs="+")
-    p.set_defaults(func=_dispatch_ext)
-
-    px = sub.add_parser("xmod", help="crossed-module mirror of the graded commands")
-    xsub = px.add_subparsers(dest="xcommand", required=True)
-
-    p = xsub.add_parser("cohomology")
-    p.add_argument("xmod")
-    p.add_argument("rep")
-    p.set_defaults(
-        func=cmd_cohomology, pair=_checked_xpair, h2=xmod.xmod_second_cohomology, dump2=fileio.dump_xmod_cochain2
+    # each theory's side of the shared handlers, looked up when the parser is
+    # built so that replaced module attributes are honoured
+    algebra = dict(
+        prefix="",
+        base_arg="algebra",
+        base_kind="algebra",
+        load_base=fileio.load_algebra,
+        check_base=algebra2.check_algebra,
+        load_rep=fileio.load_representation,
+        check_rep=rep2.check_representation,
+        adjoint=rep2.adjoint_representation,
+        cochain2=_plain_cochain2,
+        dump_rep=fileio.dump_representation,
+        dump1=fileio.dump_cochain1,
+        dump2=fileio.dump_cochain2,
+        h2=cohom2.second_cohomology,
+        cocycle_report=cohom2.cocycle_report,
+        reduce=cohom2.is_coboundary,
+        generates=lambda g, c: deform2.check_generates(deform2.PolyStructure(g, c)),
+        check_nijenhuis=deform2.check_nijenhuis,
+        nijenhuis_deformation=deform2.nijenhuis_deformation,
+        check_trivializing=deform2.check_trivializing,
+        dump_deformation=lambda p, g, adj: fileio.dump_cochain2(p.first_order, g, adj, theta2=p.second_order_l3),
+        build_extension=lambda g, r, c: ext2.build_extension(g, r.complex, r, c),
+        load_extension=fileio.load_extension,
+        check_extension=ext2.check_extension,
+        extract_representation=ext2.extract_representation,
+        extract_cocycle=ext2.extract_cocycle,
+        equivalence=ext2.check_equivalence,
+        dump_extension=fileio.dump_extension,
+    )
+    crossed = dict(
+        prefix="xmod ",
+        base_arg="xmod",
+        base_kind="crossed module",
+        load_base=fileio.load_crossed_module,
+        check_base=xmod.check_crossed_module,
+        load_rep=fileio.load_xmod_representation,
+        check_rep=xmod.check_xmod_representation,
+        adjoint=xmod.xmod_adjoint,
+        cochain2=_xmod_cochain2,
+        dump_rep=fileio.dump_xmod_representation,
+        dump1=fileio.dump_xmod_cochain1,
+        dump2=fileio.dump_xmod_cochain2,
+        h2=xmod.xmod_second_cohomology,
+        cocycle_report=xmod.xmod_cocycle_report,
+        reduce=xmod.xmod_is_coboundary,
+        generates=xmod.xmod_check_generates,
+        check_nijenhuis=lambda x, n: xmod.xmod_check_nijenhuis(x, n.n0, n.n1),
+        nijenhuis_deformation=lambda x, n: xmod.xmod_nijenhuis_deformation(x, n.n0, n.n1),
+        check_trivializing=lambda x, c, n: xmod.xmod_check_trivializing(x, c, n.n0, n.n1),
+        dump_deformation=fileio.dump_xmod_cochain2,
+        build_extension=xmod.xmod_build_extension,
+        load_extension=fileio.load_xmod_extension,
+        check_extension=xmod.check_xmod_extension,
+        extract_representation=xmod.xmod_extract_representation,
+        extract_cocycle=xmod.xmod_extract_cocycle,
+        equivalence=xmod.xmod_check_equivalence,
+        dump_extension=fileio.dump_xmod_extension,
     )
 
-    p = xsub.add_parser("cocycle")
-    p.add_argument("action", choices=("check", "reduce"))
-    p.add_argument("xmod")
-    p.add_argument("rep")
-    p.add_argument("cochain")
-    p.set_defaults(func=cmd_xmod_cocycle)
+    def add_theory(subs, theory, helps, not_plain):
+        """The theory's commands; ``not_plain`` is each command's message for
+        a cochain file that is not a plain two-cochain."""
 
-    p = xsub.add_parser("deform")
-    p.add_argument("action", choices=("check",))
-    p.add_argument("xmod")
-    p.add_argument("cochain")
-    p.set_defaults(func=cmd_xmod_deform)
+        def add_parser(name):
+            return subs.add_parser(name, **({"help": helps[name]} if name in helps else {}))
 
-    p = xsub.add_parser("nijenhuis")
-    p.add_argument("action", choices=("check", "apply"))
-    p.add_argument("xmod")
-    p.add_argument("candidate")
-    p.set_defaults(func=cmd_xmod_nijenhuis)
+        base = dict(metavar=theory["base_arg"])
+        p = add_parser("cohomology")
+        p.add_argument("base", **base)
+        p.add_argument("rep")
+        p.set_defaults(func=cmd_cohomology, **theory)
 
-    p = xsub.add_parser("ext")
-    p.add_argument("action", choices=("build", "extract", "equiv"))
-    p.add_argument("files", nargs="+")
-    p.set_defaults(func=_dispatch_xext)
+        p = add_parser("cocycle")
+        p.add_argument("action", choices=("check", "reduce"))
+        p.add_argument("base", **base)
+        p.add_argument("rep")
+        p.add_argument("cochain")
+        p.set_defaults(func=cmd_cocycle, not_plain=not_plain["cocycle"], **theory)
+
+        p = add_parser("deform")
+        p.add_argument("action", choices=("check",))
+        p.add_argument("base", **base)
+        p.add_argument("cochain")
+        p.set_defaults(func=cmd_deform, not_plain=not_plain["deform"], **theory)
+
+        p = add_parser("nijenhuis")
+        p.add_argument("action", choices=("check", "apply"))
+        p.add_argument("base", **base)
+        p.add_argument("candidate")
+        p.set_defaults(func=cmd_nijenhuis, **theory)
+
+        p = add_parser("ext")
+        p.add_argument("action", choices=("build", "extract", "equiv"))
+        p.add_argument("files", nargs="+")
+        p.set_defaults(func=cmd_ext, not_plain=not_plain["ext"], **theory)
+
+    add_theory(
+        sub,
+        algebra,
+        {
+            "cohomology": "second cohomology of an algebra with coefficients",
+            "cocycle": "cocycle membership and coboundary reduction",
+            "deform": "deformation generation criterion",
+            "nijenhuis": "Nijenhuis operators and induced deformations",
+            "ext": "abelian extensions",
+        },
+        {
+            "cocycle": "cocycle commands take a plain two-cochain (no theta2)",
+            "deform": "the generation criterion applies to first-order deformations",
+            "ext": "extension build takes a plain two-cocycle",
+        },
+    )
+    px = sub.add_parser("xmod", help="crossed-module mirror of the graded commands")
+    xsub = px.add_subparsers(dest="xcommand", required=True)
+    add_theory(xsub, crossed, {}, dict.fromkeys(("cocycle", "deform", "ext"), "expected a degree-2 cochain"))
 
     p = sub.add_parser("endalg", help="endomorphism algebra of a two-term complex")
     p.add_argument("action", choices=("build",))
@@ -547,37 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch_ext(args) -> int:
-    if args.action == "build":
-        if len(args.files) != 3:
-            raise InputError("ext build takes: algebra rep cochain")
-        args.algebra, args.rep, args.cochain = args.files
-    elif args.action == "extract":
-        if len(args.files) != 1:
-            raise InputError("ext extract takes one extension file")
-    else:
-        if len(args.files) != 2:
-            raise InputError("ext equiv takes two extension files")
-    return cmd_ext(args)
-
-
-def _dispatch_xext(args) -> int:
-    if args.action == "build":
-        if len(args.files) != 3:
-            raise InputError("xmod ext build takes: xmod rep cochain")
-        args.xmod, args.rep, args.cochain = args.files
-    elif args.action == "extract":
-        if len(args.files) != 1:
-            raise InputError("xmod ext extract takes one extension file")
-    else:
-        if len(args.files) != 2:
-            raise InputError("xmod ext equiv takes two extension files")
-    return cmd_xmod_ext(args)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.max_violations is not None and args.max_violations < 0:
+        parser.error(f"argument --max-violations: N must be at least 0, got {args.max_violations}")
     try:
         return args.func(args)
     except InputError as exc:

@@ -16,7 +16,6 @@ converted into an honest homomorphism between the totals and re-verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra2 import (
     Homomorphism2,
@@ -27,109 +26,53 @@ from .algebra2 import (
 )
 from .cochain import Inequivalence, cohomologous
 from .cohom2 import Cochain1, Cochain2, assemble_matrices, cochain_complex, d2_residual
-from .exactlin import Matrix, rank
+from .exactlin import Matrix
+from .extension import SplitExtension
 from .rep2 import Representation2, require_representation
-from .report import CheckReport, Violation
-from .tensorops import bil, tri, unit, vadd, vsub, vzero, tensor2, tensor3, zeros2, tflat
+from .report import CheckReport
+from .tensorops import bil, tri, unit, vadd, vsub, vzero, tensor2, tensor3, zeros2
 
 
-@dataclass
-class Extension2:
-    total: TwoTermAlgebra
-    base: TwoTermAlgebra
-    sub0: tuple[int, ...]   # indices of kernel coordinates inside total degree 0
-    sub1: tuple[int, ...]   # indices of kernel coordinates inside total degree 1
-    p0: Matrix              # total0 -> base0
-    p1: Matrix              # total1 -> base1
-    sigma0: Matrix          # base0 -> total0
-    sigma1: Matrix          # base1 -> total1
-
-    @property
-    def hdim0(self) -> int:
-        return len(self.sub0)
-
-    @property
-    def hdim1(self) -> int:
-        return len(self.sub1)
-
-    def incl0(self, v):
-        out = [Fraction(0)] * self.total.dim0
-        for pos, idx in enumerate(self.sub0):
-            out[idx] = v[pos]
-        return tuple(out)
-
-    def incl1(self, v):
-        out = [Fraction(0)] * self.total.dim1
-        for pos, idx in enumerate(self.sub1):
-            out[idx] = v[pos]
-        return tuple(out)
-
-    def restrict0(self, v):
-        return tuple(v[idx] for idx in self.sub0)
-
-    def restrict1(self, v):
-        return tuple(v[idx] for idx in self.sub1)
+class Extension2(SplitExtension):
+    """An abelian extension of a two-term algebra (fields in ``SplitExtension``)."""
 
     def kernel_complex(self) -> TwoTermComplex:
         cols = [self.restrict0(self.total.d(self.incl1(unit(self.hdim1, s)))) for s in range(self.hdim1)]
         return TwoTermComplex(self.hdim0, self.hdim1, Matrix.from_cols(cols, self.hdim0))
 
 
-def check_extension(e: Extension2) -> CheckReport:
-    """Structural invariants: exactness, strict projection, abelian kernel,
-    and the splitting property."""
-    violations: list[Violation] = []
-
-    def flag(cond, where, lhs, rhs):
-        if lhs != rhs:
-            violations.append(Violation(cond, where, tuple(lhs), tuple(rhs)))
-
-    require_algebra(e.total)
-    require_algebra(e.base)
+def extension_residuals(e: Extension2):
+    """Strict projection, exactness and splitting, a differential that keeps
+    the kernel, and abelian kernel."""
     n0, n1 = e.total.dim0, e.total.dim1
-    b0, b1 = e.base.dim0, e.base.dim1
-
-    if sorted(set(e.sub0)) != sorted(e.sub0) or sorted(set(e.sub1)) != sorted(e.sub1):
-        raise ValueError("kernel index sets contain duplicates")
-
-    # projection is a strict homomorphism and kills exactly the kernel coordinates
-    proj = Homomorphism2(e.total, e.base, e.p0, e.p1, zeros2(n0, n0, b1))
+    proj = Homomorphism2(e.total, e.base, e.p0, e.p1, zeros2(n0, n0, e.base.dim1))
     for v in check_homomorphism(proj).violations:
-        violations.append(Violation("proj-" + v.condition, v.where, v.lhs, v.rhs))
-    for pos in range(e.hdim0):
-        flag("exact0", (pos,), e.p0 @ e.incl0(unit(e.hdim0, pos)), vzero(b0))
-    for pos in range(e.hdim1):
-        flag("exact1", (pos,), e.p1 @ e.incl1(unit(e.hdim1, pos)), vzero(b1))
-    if rank(e.p0) != b0 or n0 - rank(e.p0) != e.hdim0:
-        violations.append(Violation("exact0-rank", (), (rank(e.p0), n0 - e.hdim0), (b0, rank(e.p0))))
-    if rank(e.p1) != b1 or n1 - rank(e.p1) != e.hdim1:
-        violations.append(Violation("exact1-rank", (), (rank(e.p1), n1 - e.hdim1), (b1, rank(e.p1))))
-
-    # differential maps the kernel into the kernel
+        yield "proj-" + v.condition, v.where, v.lhs, v.rhs
+    yield from e.split_residuals()
     for s in range(e.hdim1):
-        img = e.total.d(e.incl1(unit(e.hdim1, s)))
-        flag("kernel-diff", (s,), e.p0 @ img, vzero(b0))
-
-    # splitting property
-    flag("split0", (), tflat((e.p0 @ e.sigma0).entries), tflat(Matrix.identity(b0).entries))
-    flag("split1", (), tflat((e.p1 @ e.sigma1).entries), tflat(Matrix.identity(b1).entries))
+        yield "kernel-diff", (s,), e.p0 @ e.total.d(e.incl1(unit(e.hdim1, s))), vzero(e.base.dim0)
 
     # abelian kernel: any product or l3 with two kernel arguments vanishes
     for s in range(e.hdim0):
         us = e.incl0(unit(e.hdim0, s))
         for t in range(e.hdim0):
             ut = e.incl0(unit(e.hdim0, t))
-            flag("abelian-00", (s, t), e.total.m00(us, ut), vzero(n0))
+            yield "abelian-00", (s, t), e.total.m00(us, ut), vzero(n0)
             for k in range(n0):
                 ek = unit(n0, k)
-                flag("abelian-l3a", (s, t, k), e.total.l3v(us, ut, ek), vzero(n1))
-                flag("abelian-l3b", (s, k, t), e.total.l3v(us, ek, ut), vzero(n1))
-                flag("abelian-l3c", (k, s, t), e.total.l3v(ek, us, ut), vzero(n1))
+                yield "abelian-l3a", (s, t, k), e.total.l3v(us, ut, ek), vzero(n1)
+                yield "abelian-l3b", (s, k, t), e.total.l3v(us, ek, ut), vzero(n1)
+                yield "abelian-l3c", (k, s, t), e.total.l3v(ek, us, ut), vzero(n1)
         for t in range(e.hdim1):
             mt = e.incl1(unit(e.hdim1, t))
-            flag("abelian-01", (s, t), e.total.m01(us, mt), vzero(n1))
-            flag("abelian-10", (t, s), e.total.m10(mt, us), vzero(n1))
-    return CheckReport(violations).sorted()
+            yield "abelian-01", (s, t), e.total.m01(us, mt), vzero(n1)
+            yield "abelian-10", (t, s), e.total.m10(mt, us), vzero(n1)
+
+
+def check_extension(e: Extension2) -> CheckReport:
+    """Structural invariants, once per extension: exactness, strict
+    projection, abelian kernel, and the splitting property."""
+    return e.check(require_algebra, extension_residuals)
 
 
 def require_extension(e: Extension2) -> None:
@@ -284,15 +227,8 @@ def build_extension(
         tensor2(N1, N0, mul10),
         tensor3(N0, N0, N0, l3fun),
     )
-    p0 = Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(N0)) for i in range(n0)), N0)
-    p1 = Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(N1)) for i in range(n1)), N1)
-    sigma0 = Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n0)) for i in range(N0)), n0)
-    sigma1 = Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n1)) for i in range(N1)), n1)
-    ext = Extension2(
-        total, g, tuple(range(n0, N0)), tuple(range(n1, N1)), p0, p1, sigma0, sigma1
-    )
     require_algebra(total)
-    return ext
+    return Extension2.standard(total, g)
 
 
 # ---------------------------------------------------------------------------
@@ -309,27 +245,9 @@ def witness_homomorphism(e1: Extension2, e2: Extension2, lam: Cochain1) -> Homom
     """The candidate equivalence built from a one-cochain: through the stored
     splittings, x + u maps to x + lambda0(x) + u degreewise, with degree-2
     part lambda2 of the projected arguments."""
-    g = e1.base
-
-    def f0_col(j):
-        col = unit(e1.total.dim0, j)
-        x = e1.p0 @ col
-        u = e1.restrict0(vsub(col, e1.sigma0 @ x))
-        return vadd(e2.sigma0 @ x, e2.incl0(vadd(lam.phi @ x, u)))
-
-    def f1_col(j):
-        col = unit(e1.total.dim1, j)
-        a = e1.p1 @ col
-        m = e1.restrict1(vsub(col, e1.sigma1 @ a))
-        return vadd(e2.sigma1 @ a, e2.incl1(vadd(lam.phi1 @ a, m)))
-
-    f0 = Matrix.from_cols([f0_col(j) for j in range(e1.total.dim0)], e2.total.dim0)
-    f1 = Matrix.from_cols([f1_col(j) for j in range(e1.total.dim1)], e2.total.dim1)
-    f2 = tensor2(
-        e1.total.dim0,
-        e1.total.dim0,
-        lambda i, j: e2.incl1(bil(lam.chi, e1.p0 @ unit(e1.total.dim0, i), e1.p0 @ unit(e1.total.dim0, j))),
-    )
+    f0, f1 = e1.witness_maps(e2, lam.phi, lam.phi1)
+    n0 = e1.total.dim0
+    f2 = tensor2(n0, n0, lambda i, j: e2.incl1(bil(lam.chi, e1.p0 @ unit(n0, i), e1.p0 @ unit(n0, j))))
     return Homomorphism2(e1.total, e2.total, f0, f1, f2)
 
 
@@ -355,15 +273,5 @@ def check_equivalence(e1: Extension2, e2: Extension2):
         return lam
     hom = witness_homomorphism(e1, e2, lam)
     check_homomorphism(hom).require("witness does not induce a homomorphism")
-    # the witness respects the inclusions and projections
-    incl_ok = all(
-        hom.f0 @ e1.incl0(unit(e1.hdim0, s)) == e2.incl0(unit(e1.hdim0, s))
-        for s in range(e1.hdim0)
-    ) and all(
-        hom.f1 @ e1.incl1(unit(e1.hdim1, s)) == e2.incl1(unit(e1.hdim1, s))
-        for s in range(e1.hdim1)
-    )
-    proj_ok = (e2.p0 @ hom.f0 == e1.p0) and (e2.p1 @ hom.f1 == e1.p1)
-    if not (incl_ok and proj_ok):
-        raise AssertionError("witness does not commute with inclusion/projection")
+    e1.require_commutes(e2, hom.f0, hom.f1)
     return EquivalenceWitness(lam, hom)

@@ -1,0 +1,141 @@
+"""Split abelian extensions, the part both theories share.
+
+An extension is stored concretely: a total structure, the index sets that
+carve out the abelian kernel as coordinate subspaces in degrees 0 and 1,
+the projection onto the base, and an explicit splitting (a degreewise right
+inverse of the projection; never chosen implicitly).  A two-term algebra
+has degrees 0 and 1; a crossed module (h -> p) has p in degree 0, with
+kernel W, and h in degree 1, with kernel V.
+
+This module holds what does not depend on the theory: the coordinate maps,
+the standard extension's projection and splitting, the exactness, rank and
+splitting identities, and the degreewise maps of an equivalence witness
+with the check that they fix the kernel and commute with the projections.
+``ext2`` and ``xmod`` add the theory's own structure checks, extraction and
+construction formulas.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .exactlin import Matrix, rank
+from .report import CheckReport, checked, checked_field, report_from
+from .tensorops import tflat, unit, vadd, vsub, vzero
+
+
+def _incl(v, sub, n):
+    out = [Fraction(0)] * n
+    for pos, idx in enumerate(sub):
+        out[idx] = v[pos]
+    return tuple(out)
+
+
+def _coordinate_projection(n: int, total: int) -> Matrix:
+    return Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(total)) for i in range(n)), total)
+
+
+@dataclass
+class SplitExtension:
+    total: object
+    base: object
+    sub0: tuple[int, ...]   # indices of kernel coordinates inside total degree 0
+    sub1: tuple[int, ...]   # indices of kernel coordinates inside total degree 1
+    p0: Matrix              # total0 -> base0
+    p1: Matrix              # total1 -> base1
+    sigma0: Matrix          # base0 -> total0
+    sigma1: Matrix          # base1 -> total1
+    _checked: CheckReport | None = checked_field()
+
+    # condition labels of the exactness identities in degrees 0 and 1
+    EXACT = ("exact0", "exact1")
+
+    @classmethod
+    def standard(cls, total, base):
+        """``total`` on (base + kernel) coordinates in each degree, base
+        first, with the coordinate projection and inclusion of the base."""
+        p0 = _coordinate_projection(base.dim0, total.dim0)
+        p1 = _coordinate_projection(base.dim1, total.dim1)
+        sub0, sub1 = tuple(range(base.dim0, total.dim0)), tuple(range(base.dim1, total.dim1))
+        return cls(total, base, sub0, sub1, p0, p1, p0.transpose(), p1.transpose())
+
+    @property
+    def hdim0(self) -> int:
+        return len(self.sub0)
+
+    @property
+    def hdim1(self) -> int:
+        return len(self.sub1)
+
+    def incl0(self, v):
+        return _incl(v, self.sub0, self.total.dim0)
+
+    def incl1(self, v):
+        return _incl(v, self.sub1, self.total.dim1)
+
+    def restrict0(self, v):
+        return tuple(v[idx] for idx in self.sub0)
+
+    def restrict1(self, v):
+        return tuple(v[idx] for idx in self.sub1)
+
+    def _degrees(self):
+        """Per degree: kernel index set, projection, splitting, total and base dimension."""
+        return (
+            (self.sub0, self.p0, self.sigma0, self.total.dim0, self.base.dim0),
+            (self.sub1, self.p1, self.sigma1, self.total.dim1, self.base.dim1),
+        )
+
+    def check(self, require, residuals) -> CheckReport:
+        """The report of ``residuals(self)``, once both structures pass
+        ``require`` and the kernel index sets are free of duplicates;
+        computed once per extension."""
+
+        def compute(e):
+            require(e.total)
+            require(e.base)
+            if len(set(e.sub0)) != len(e.sub0) or len(set(e.sub1)) != len(e.sub1):
+                raise ValueError("kernel index sets contain duplicates")
+            return report_from(residuals(e))
+
+        return checked(self, compute)
+
+    def split_residuals(self):
+        """Exactness, rank and splitting in both degrees: the kernel
+        coordinates project to zero, the projection is onto with exactly
+        the kernel coordinates as its kernel, and p . sigma = id."""
+        for k, (sub, p, sigma, n, b) in enumerate(self._degrees()):
+            for pos in range(len(sub)):
+                yield self.EXACT[k], (pos,), p @ _incl(unit(len(sub), pos), sub, n), vzero(b)
+            r = rank(p)
+            yield self.EXACT[k] + "-rank", (), (r, n - len(sub)), (b, r)
+            yield f"split{k}", (), tuple(tflat((p @ sigma).entries)), tuple(tflat(Matrix.identity(b).entries))
+
+    def witness_maps(self, other: "SplitExtension", lam0: Matrix, lam1: Matrix) -> tuple[Matrix, Matrix]:
+        """The degreewise maps of the candidate equivalence from ``self`` to
+        ``other`` built from a one-cochain's degree-0 and degree-1 maps:
+        through the stored splittings, x + u maps to x + lam(x) + u."""
+
+        def f(mine, theirs, lam):
+            sub, p, sigma, n, _ = mine
+            osub, _, osigma, on, _ = theirs
+            cols = []
+            for j in range(n):
+                col = unit(n, j)
+                x = p @ col
+                rest = vsub(col, sigma @ x)
+                u = tuple(rest[idx] for idx in sub)
+                cols.append(vadd(osigma @ x, _incl(vadd(lam @ x, u), osub, on)))
+            return Matrix.from_cols(cols, on)
+
+        f0, f1 = (f(*degree) for degree in zip(self._degrees(), other._degrees(), (lam0, lam1)))
+        return f0, f1
+
+    def require_commutes(self, other: "SplitExtension", f0: Matrix, f1: Matrix) -> None:
+        """Raise unless the witness maps send the kernel of ``self`` to the
+        kernel of ``other`` identically and commute with the projections."""
+        for (sub, p, _, n, _), (osub, op, _, on, _), f in zip(self._degrees(), other._degrees(), (f0, f1)):
+            k = len(sub)
+            if any(f @ _incl(unit(k, s), sub, n) != _incl(unit(k, s), osub, on) for s in range(k)) or op @ f != p:
+                raise AssertionError("witness does not commute with inclusion/projection")

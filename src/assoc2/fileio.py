@@ -193,6 +193,8 @@ def parse_document(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("not valid JSON: nested deeper than the parser's recursion limit") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     if doc.get("format_version") != FORMAT_VERSION:
@@ -659,8 +661,8 @@ def dump_xmod_extension(e: XModExtension) -> dict:
             "totalh": th,
             "basep": bp,
             "baseh": bh,
-            "subw": list(e.subw),
-            "subv": list(e.subv),
+            "subw": list(e.sub0),
+            "subv": list(e.sub1),
         },
         tensors,
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra2 import TwoTermAlgebra, TwoTermComplex, require_algebra
-from .report import CheckReport, report_from
+from .report import CheckReport, checked, checked_field, report_from
 from .tensorops import bil, tri, unit, vadd, vsub, zeros2, zeros3
 
 
@@ -35,6 +35,7 @@ class Representation2:
     tl: tuple    # g0 x g0 x V0 -> V1
     tm: tuple    # g0 x V0 x g0 -> V1
     tr: tuple    # V0 x g0 x g0 -> V1
+    _checked: CheckReport | None = checked_field()
 
     @property
     def dim0(self) -> int:
@@ -242,8 +243,13 @@ def representation_residuals(r: Representation2):
 
 
 def check_representation(r: Representation2) -> CheckReport:
-    require_algebra(r.algebra)
-    return report_from(representation_residuals(r))
+    """Check R01-R16 on every basis tuple, once per representation."""
+
+    def compute(r):
+        require_algebra(r.algebra)
+        return report_from(representation_residuals(r))
+
+    return checked(r, compute)
 
 
 def require_representation(r: Representation2) -> None:

@@ -56,6 +56,20 @@ class PreconditionError(ValueError):
         self.report = report
 
 
+def checked_field():
+    """The field a checked structure keeps its own report in (see ``checked``)."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+def checked(obj, compute) -> CheckReport:
+    """``obj``'s report, computed by ``compute(obj)`` on the first call and
+    kept in ``obj._checked``: a structure is never mutated once built, so a
+    check runs once per object however many callers require it."""
+    if obj._checked is None:
+        obj._checked = compute(obj)
+    return obj._checked
+
+
 def report_from(residuals) -> CheckReport:
     """Collect the non-identities from an iterator of (condition, tuple, lhs, rhs)."""
     report = CheckReport()

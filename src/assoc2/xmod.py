@@ -40,9 +40,10 @@ from .cochain import (
     cohomology,
     primitive,
 )
-from .exactlin import Matrix, rank
+from .exactlin import Matrix
+from .extension import SplitExtension
 from .poly import Poly, T
-from .report import CheckReport, Violation, report_from
+from .report import CheckReport, Violation, checked, checked_field, report_from
 from .tensorops import bil, unit, vadd, vsub, vzero, tensor2, tzip, zeros2
 
 
@@ -51,6 +52,7 @@ class CrossedModule:
     p_alg: AssocAlgebra
     h_mod: Bimodule
     f_map: Matrix  # h -> p
+    _checked: CheckReport | None = checked_field()
 
     @property
     def pdim(self) -> int:
@@ -59,6 +61,9 @@ class CrossedModule:
     @property
     def hdim(self) -> int:
         return self.h_mod.dim
+
+    # the degrees of the corresponding strict two-term algebra h -> p
+    dim0, dim1 = pdim, hdim
 
 
 def crossed_module_residuals(x: CrossedModule, structure: bool = True):
@@ -100,7 +105,8 @@ def crossed_module_residuals(x: CrossedModule, structure: bool = True):
 
 
 def check_crossed_module(x: CrossedModule) -> CheckReport:
-    return report_from(crossed_module_residuals(x))
+    """Every defining identity on basis tuples, once per crossed module."""
+    return checked(x, lambda x: report_from(crossed_module_residuals(x)))
 
 
 def require_crossed_module(x: CrossedModule) -> None:
@@ -145,6 +151,7 @@ class XModRepresentation:
     phi: Matrix       # V -> W
     tr_l: tuple       # h x W -> V, written a |> w
     tr_r: tuple       # W x h -> V, written w <| a
+    _checked: CheckReport | None = checked_field()
 
     @property
     def vdim(self) -> int:
@@ -224,8 +231,13 @@ def xmod_representation_residuals(r: XModRepresentation, structure: bool = True)
 
 
 def check_xmod_representation(r: XModRepresentation) -> CheckReport:
-    require_crossed_module(r.xm)
-    return report_from(xmod_representation_residuals(r))
+    """XR01-XR12 and the bimodule axioms of V and W, once per representation."""
+
+    def compute(r):
+        require_crossed_module(r.xm)
+        return report_from(xmod_representation_residuals(r))
+
+    return checked(r, compute)
 
 
 def require_xmod_representation(r: XModRepresentation) -> None:
@@ -576,80 +588,33 @@ def xmod_check_trivializing(x: CrossedModule, c: XCochain2, n0: Matrix, n1: Matr
 # abelian extensions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class XModExtension:
-    total: CrossedModule
-    base: CrossedModule
-    subw: tuple[int, ...]  # W coordinates inside total.p
-    subv: tuple[int, ...]  # V coordinates inside total.h
-    p0: Matrix             # total.p -> base.p
-    p1: Matrix             # total.h -> base.h
-    sigma0: Matrix         # base.p -> total.p
-    sigma1: Matrix         # base.h -> total.h
+class XModExtension(SplitExtension):
+    """An abelian extension of a crossed module (fields in ``SplitExtension``):
+    W sits in degree 0, inside total.p, and V in degree 1, inside total.h."""
 
-    @property
-    def wdim(self) -> int:
-        return len(self.subw)
+    EXACT = ("exactW", "exactV")
 
-    @property
-    def vdim(self) -> int:
-        return len(self.subv)
 
-    def inclw(self, v):
-        out = [Fraction(0)] * self.total.pdim
-        for pos, idx in enumerate(self.subw):
-            out[idx] = v[pos]
-        return tuple(out)
-
-    def inclv(self, v):
-        out = [Fraction(0)] * self.total.hdim
-        for pos, idx in enumerate(self.subv):
-            out[idx] = v[pos]
-        return tuple(out)
-
-    def restrictw(self, v):
-        return tuple(v[idx] for idx in self.subw)
-
-    def restrictv(self, v):
-        return tuple(v[idx] for idx in self.subv)
+def xmod_extension_residuals(e: XModExtension):
+    """Strict projection, exactness and splitting, and abelian kernel."""
+    for cond, where, lhs, rhs in xmod_homomorphism_residuals(e.total, e.base, e.p0, e.p1):
+        yield "proj-" + cond, where, lhs, rhs
+    yield from e.split_residuals()
+    # abelian kernel: W.W = 0, W acts trivially on V
+    nP, nH = e.total.pdim, e.total.hdim
+    for s in range(e.hdim0):
+        ws = e.incl0(unit(e.hdim0, s))
+        for t in range(e.hdim0):
+            yield "abelian-WW", (s, t), e.total.p_alg.product(ws, e.incl0(unit(e.hdim0, t))), vzero(nP)
+        for t in range(e.hdim1):
+            vt = e.incl1(unit(e.hdim1, t))
+            yield "abelian-WV", (s, t), bil(e.total.h_mod.left, ws, vt), vzero(nH)
+            yield "abelian-VW", (t, s), bil(e.total.h_mod.right, vt, ws), vzero(nH)
 
 
 def check_xmod_extension(e: XModExtension) -> CheckReport:
-    violations: list[Violation] = []
-
-    def flag(cond, where, lhs, rhs):
-        if lhs != rhs:
-            violations.append(Violation(cond, where, tuple(lhs), tuple(rhs)))
-
-    require_crossed_module(e.total)
-    require_crossed_module(e.base)
-    nP, nH = e.total.pdim, e.total.hdim
-    bP, bH = e.base.pdim, e.base.hdim
-    for cond, where, lhs, rhs in xmod_homomorphism_residuals(e.total, e.base, e.p0, e.p1):
-        if lhs != rhs:
-            violations.append(Violation("proj-" + cond, where, lhs, rhs))
-    for s in range(e.wdim):
-        flag("exactW", (s,), e.p0 @ e.inclw(unit(e.wdim, s)), vzero(bP))
-    for s in range(e.vdim):
-        flag("exactV", (s,), e.p1 @ e.inclv(unit(e.vdim, s)), vzero(bH))
-    if rank(e.p0) != bP or nP - rank(e.p0) != e.wdim:
-        violations.append(Violation("exactW-rank", (), (rank(e.p0),), (bP,)))
-    if rank(e.p1) != bH or nH - rank(e.p1) != e.vdim:
-        violations.append(Violation("exactV-rank", (), (rank(e.p1),), (bH,)))
-    from .tensorops import tflat
-
-    flag("split0", (), tflat((e.p0 @ e.sigma0).entries), tflat(Matrix.identity(bP).entries))
-    flag("split1", (), tflat((e.p1 @ e.sigma1).entries), tflat(Matrix.identity(bH).entries))
-    # abelian kernel: W.W = 0, W acts trivially on V
-    for s in range(e.wdim):
-        ws = e.inclw(unit(e.wdim, s))
-        for t in range(e.wdim):
-            flag("abelian-WW", (s, t), e.total.p_alg.product(ws, e.inclw(unit(e.wdim, t))), vzero(nP))
-        for t in range(e.vdim):
-            vt = e.inclv(unit(e.vdim, t))
-            flag("abelian-WV", (s, t), bil(e.total.h_mod.left, ws, vt), vzero(nH))
-            flag("abelian-VW", (t, s), bil(e.total.h_mod.right, vt, ws), vzero(nH))
-    return CheckReport(violations).sorted()
+    """Structural invariants, once per extension."""
+    return e.check(require_crossed_module, xmod_extension_residuals)
 
 
 def require_xmod_extension(e: XModExtension) -> None:
@@ -663,24 +628,24 @@ def xmod_extract_representation(e: XModExtension) -> XModRepresentation:
     s0 = [e.sigma0.col(i) for i in range(nP)]
     s1 = [e.sigma1.col(a) for a in range(nH)]
     t = e.total
-    wv = [e.inclw(unit(e.wdim, s)) for s in range(e.wdim)]
-    vv = [e.inclv(unit(e.vdim, s)) for s in range(e.vdim)]
+    wv = [e.incl0(unit(e.hdim0, s)) for s in range(e.hdim0)]
+    vv = [e.incl1(unit(e.hdim1, s)) for s in range(e.hdim1)]
 
     v_mod = Bimodule(
         b.p_alg,
-        e.vdim,
-        tensor2(nP, e.vdim, lambda i, s: e.restrictv(bil(t.h_mod.left, s0[i], vv[s]))),
-        tensor2(e.vdim, nP, lambda s, i: e.restrictv(bil(t.h_mod.right, vv[s], s0[i]))),
+        e.hdim1,
+        tensor2(nP, e.hdim1, lambda i, s: e.restrict1(bil(t.h_mod.left, s0[i], vv[s]))),
+        tensor2(e.hdim1, nP, lambda s, i: e.restrict1(bil(t.h_mod.right, vv[s], s0[i]))),
     )
     w_mod = Bimodule(
         b.p_alg,
-        e.wdim,
-        tensor2(nP, e.wdim, lambda i, s: e.restrictw(t.p_alg.product(s0[i], wv[s]))),
-        tensor2(e.wdim, nP, lambda s, i: e.restrictw(t.p_alg.product(wv[s], s0[i]))),
+        e.hdim0,
+        tensor2(nP, e.hdim0, lambda i, s: e.restrict0(t.p_alg.product(s0[i], wv[s]))),
+        tensor2(e.hdim0, nP, lambda s, i: e.restrict0(t.p_alg.product(wv[s], s0[i]))),
     )
-    phi = Matrix.from_cols([e.restrictw(t.f_map @ vv[s]) for s in range(e.vdim)], e.wdim)
-    tr_l = tensor2(nH, e.wdim, lambda a, s: e.restrictv(bil(t.h_mod.right, s1[a], wv[s])))
-    tr_r = tensor2(e.wdim, nH, lambda s, a: e.restrictv(bil(t.h_mod.left, wv[s], s1[a])))
+    phi = Matrix.from_cols([e.restrict0(t.f_map @ vv[s]) for s in range(e.hdim1)], e.hdim0)
+    tr_l = tensor2(nH, e.hdim0, lambda a, s: e.restrict1(bil(t.h_mod.right, s1[a], wv[s])))
+    tr_r = tensor2(e.hdim0, nH, lambda s, a: e.restrict1(bil(t.h_mod.left, wv[s], s1[a])))
     return XModRepresentation(b, v_mod, w_mod, phi, tr_l, tr_r)
 
 
@@ -692,17 +657,17 @@ def xmod_extract_cocycle(e: XModExtension) -> XCochain2:
     s0 = [e.sigma0.col(i) for i in range(nP)]
     s1 = [e.sigma1.col(a) for a in range(nH)]
     psi = Matrix.from_cols(
-        [e.restrictw(vsub(t.f_map @ s1[a], e.sigma0 @ b.f_map.col(a))) for a in range(nH)],
-        e.wdim,
+        [e.restrict0(vsub(t.f_map @ s1[a], e.sigma0 @ b.f_map.col(a))) for a in range(nH)],
+        e.hdim0,
     )
     omega = tensor2(
-        nP, nP, lambda i, j: e.restrictw(vsub(t.p_alg.product(s0[i], s0[j]), e.sigma0 @ b.p_alg.mul[i][j]))
+        nP, nP, lambda i, j: e.restrict0(vsub(t.p_alg.product(s0[i], s0[j]), e.sigma0 @ b.p_alg.mul[i][j]))
     )
     mu = tensor2(
-        nP, nH, lambda i, a: e.restrictv(vsub(bil(t.h_mod.left, s0[i], s1[a]), e.sigma1 @ b.h_mod.left[i][a]))
+        nP, nH, lambda i, a: e.restrict1(vsub(bil(t.h_mod.left, s0[i], s1[a]), e.sigma1 @ b.h_mod.left[i][a]))
     )
     nu = tensor2(
-        nH, nP, lambda a, i: e.restrictv(vsub(bil(t.h_mod.right, s1[a], s0[i]), e.sigma1 @ b.h_mod.right[a][i]))
+        nH, nP, lambda a, i: e.restrict1(vsub(bil(t.h_mod.right, s1[a], s0[i]), e.sigma1 @ b.h_mod.right[a][i]))
     )
     return XCochain2(psi, omega, mu, nu)
 
@@ -757,13 +722,7 @@ def xmod_build_extension(
     f_map = Matrix.from_cols(fcols, NP)
     total = CrossedModule(p_alg, h_mod, f_map)
     require_crossed_module(total)
-    p0 = Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(NP)) for i in range(np_)), NP)
-    p1 = Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(NH)) for i in range(nh)), NH)
-    sigma0 = Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(np_)) for i in range(NP)), np_)
-    sigma1 = Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(nh)) for i in range(NH)), nh)
-    return XModExtension(
-        total, x, tuple(range(np_, NP)), tuple(range(nh, NH)), p0, p1, sigma0, sigma1
-    )
+    return XModExtension.standard(total, x)
 
 
 @dataclass
@@ -788,29 +747,9 @@ def xmod_check_equivalence(e1: XModExtension, e2: XModExtension):
     if isinstance(lam, Inequivalence):
         return lam
 
-    def f0_col(j):
-        col = unit(e1.total.pdim, j)
-        xb = e1.p0 @ col
-        w = e1.restrictw(vsub(col, e1.sigma0 @ xb))
-        return vadd(e2.sigma0 @ xb, e2.inclw(vadd(lam.n0 @ xb, w)))
-
-    def f1_col(j):
-        col = unit(e1.total.hdim, j)
-        ab = e1.p1 @ col
-        v = e1.restrictv(vsub(col, e1.sigma1 @ ab))
-        return vadd(e2.sigma1 @ ab, e2.inclv(vadd(lam.n1 @ ab, v)))
-
-    f0 = Matrix.from_cols([f0_col(j) for j in range(e1.total.pdim)], e2.total.pdim)
-    f1 = Matrix.from_cols([f1_col(j) for j in range(e1.total.hdim)], e2.total.hdim)
+    f0, f1 = e1.witness_maps(e2, lam.n0, lam.n1)
     report_from(xmod_homomorphism_residuals(e1.total, e2.total, f0, f1)).require(
         "witness does not induce a homomorphism"
     )
-    incl_ok = all(
-        f0 @ e1.inclw(unit(e1.wdim, s)) == e2.inclw(unit(e1.wdim, s)) for s in range(e1.wdim)
-    ) and all(
-        f1 @ e1.inclv(unit(e1.vdim, s)) == e2.inclv(unit(e1.vdim, s)) for s in range(e1.vdim)
-    )
-    proj_ok = (e2.p0 @ f0 == e1.p0) and (e2.p1 @ f1 == e1.p1)
-    if not (incl_ok and proj_ok):
-        raise AssertionError("witness does not commute with inclusion/projection")
+    e1.require_commutes(e2, f0, f1)
     return XModWitness(lam, f0, f1)

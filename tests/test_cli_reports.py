@@ -1,0 +1,292 @@
+"""CLI reports pinned byte for byte, and how often each structure is checked.
+
+The golden tests run the README's command examples on the shipped fixtures
+(plus the cochain, homomorphism, derivation and extension files they need,
+written here) and a set of corrupted inputs through ``assoc2.cli.main``, in
+json and human form, and compare exit code, stdout and stderr (with the
+file paths replaced by placeholders) with the stored reports in
+``tests/golden/``.  Regenerate them on purpose, after a change
+that is meant to alter a report, with
+
+    PYTHONPATH=src python tests/test_cli_reports.py
+
+The counting test wraps the residual generators behind every checker and
+asserts that each command evaluates each loaded structure's axioms once.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+from assoc2 import algebra2, cli, cohom2, ext2, fileio, rep2, xmod
+from assoc2.algebra2 import identity_homomorphism
+from assoc2.exactlin import Matrix
+from assoc2.fixtures import fix_u, fix_x, fixture_file
+from assoc2.sampling import random_cochain1, random_xcochain2
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _fx(name):
+    return str(fixture_file(name))
+
+
+def _invoke(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _write(tmp: Path, name: str, doc: dict) -> str:
+    path = tmp / f"{name}.json"
+    path.write_text(fileio.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _edit(doc: dict, tensor: str, indices: list, delta: str = "1") -> dict:
+    """A copy of ``doc`` with ``delta`` added to one tensor entry."""
+    doc = json.loads(json.dumps(doc))
+    entries = doc["tensors"].setdefault(tensor, [])
+    for entry in entries:
+        if entry["indices"] == indices:
+            entry["value"] = str(fileio.parse_rational(entry["value"]) + fileio.parse_rational(delta))
+            return doc
+    entries.append({"indices": indices, "value": delta})
+    return doc
+
+
+class _Runner:
+    """Runs named cases in both formats and records exit code, stdout and
+    stderr, the files of ``tmp`` and the fixtures shown by placeholders."""
+
+    def __init__(self, tmp: Path):
+        self.tmp = tmp
+        self.results: dict[str, list] = {}
+
+    def __call__(self, name, *argv, formats=("json", "human")):
+        for fmt in formats:
+            code, out, err = _invoke(["--format", fmt, *argv])
+            err = err.replace(str(self.tmp), "<tmp>").replace(str(Path(_fx("fix_u.json")).parent), "<fixtures>")
+            self.results[f"{name} [{fmt}]"] = [code, out, err]
+
+    def witness(self, name, *argv):
+        """Run a command whose json witness is a document; store it as a file."""
+        self(name, *argv)
+        code, out, _ = _invoke(["--format", "json", *argv])
+        return _write(self.tmp, name.replace(" ", "_"), json.loads(out)["witness"]) if code == 0 else None
+
+
+def _two_term_inputs(tmp: Path):
+    """FIX-U, its adjoint representation, and cochains: an H2 class, the
+    same class moved by a coboundary, a coboundary and a non-cocycle."""
+    g = fix_u()
+    r = rep2.adjoint_representation(g)
+    h2 = cohom2.second_cohomology(g, r).representatives[0]
+    cob = cohom2.d1_apply(g, r, random_cochain1(random.Random(1), g, r))
+    zero = cohom2.zero_cochain2(g, r)
+    broken = type(zero)(zero.psi, zero.omega, zero.mu, zero.nu, ((((Fraction(1),),),),))  # theta alone
+    cochains = {"h2": h2, "h2+cob": h2 + cob, "cob": cob, "zero": zero, "not-cocycle": broken}
+    return {k: _write(tmp, f"c2_{k}", fileio.dump_cochain2(c, g, r)) for k, c in cochains.items()}
+
+
+def _xmod_inputs(tmp: Path):
+    """FIX-X, its adjoint representation, and cochains as above, with a
+    seeded random cochain in place of the non-cocycle."""
+    x = fix_x()
+    r = xmod.xmod_adjoint(x)
+    h2 = xmod.xmod_second_cohomology(x, r).representatives[0]
+    cob = xmod.xmod_d1_apply(x, r, xmod.XCochain1(Matrix(((Fraction(2),),), 1), Matrix(((Fraction(-1, 3),),), 1)))
+    zero = xmod.xmod_zero_cochain2(x, r)
+    cochains = {"h2": h2, "h2+cob": h2 + cob, "cob": cob, "zero": zero, "random": random_xcochain2(random.Random(2), x, r)}
+    return {k: _write(tmp, f"xc2_{k}", fileio.dump_xmod_cochain2(c, x, r)) for k, c in cochains.items()}
+
+
+def readme_reports(tmp: Path) -> dict:
+    run = _Runner(tmp)
+    u, urep, x, xrep = _fx("fix_u.json"), _fx("fix_u_adjoint_rep.json"), _fx("fix_x.json"), _fx("fix_x_adjoint_rep.json")
+    for name in ("fix_u", "fix_u_bad", "fix_u_malformed", "fix_2d"):
+        run(f"check algebra {name}", "check", "algebra", _fx(f"{name}.json"))
+    run("check rep", "check", "rep", u, urep)
+    for name in ("fix_x", "fix_x_peiffer", "fix_x_zero"):
+        run(f"check xmod {name}", "check", "xmod", _fx(f"{name}.json"))
+    run("check xmod-rep", "check", "xmod-rep", x, xrep)
+    hom = _write(tmp, "hom", fileio.dump_homomorphism(identity_homomorphism(fix_u())))
+    run("check hom", "check", "hom", u, u, hom)
+    run("check hom scaled", "check", "hom", u, u, _write(tmp, "hom2", _edit(json.loads(Path(hom).read_text()), "f0", [0, 0])))
+    for name, entries in (("zero", []), ("identity", [{"indices": [0, 0], "value": "1"}])):
+        der = {"format_version": "1", "kind": "derivation2", "dims": {"dim0": 1, "dim1": 1},
+               "tensors": {"d0": entries, "d1": entries}}
+        run(f"check derivation {name}", "check", "derivation", u, _write(tmp, f"der_{name}", der))
+
+    run("cohomology", "cohomology", u, urep)
+    run("cohomology fix_z", "cohomology", _fx("fix_z.json"), _fx("trivial_rep_1_1.json"))
+    c2 = _two_term_inputs(tmp)
+    for k, path in c2.items():
+        run(f"cocycle check {k}", "cocycle", "check", u, urep, path)
+        run(f"cocycle reduce {k}", "cocycle", "reduce", u, urep, path)
+        run(f"deform check {k}", "deform", "check", u, path)
+    run("nijenhuis check", "nijenhuis", "check", u, _fx("fix_u_nijenhuis_id.json"))
+    run("nijenhuis apply", "nijenhuis", "apply", u, _fx("fix_u_nijenhuis_id.json"))
+    exts = {k: run.witness(f"ext build {k}", "ext", "build", u, urep, path) for k, path in c2.items()}
+    for k in ("h2", "h2+cob", "zero"):
+        run(f"ext extract {k}", "ext", "extract", exts[k])
+    run("ext equiv h2 h2+cob", "ext", "equiv", exts["h2"], exts["h2+cob"])
+    run("ext equiv h2 zero", "ext", "equiv", exts["h2"], exts["zero"])
+    run("ext equiv zero h2+cob", "ext", "equiv", exts["zero"], exts["h2+cob"])
+
+    run("xmod cohomology", "xmod", "cohomology", x, xrep)
+    xc2 = _xmod_inputs(tmp)
+    for k, path in xc2.items():
+        run(f"xmod cocycle check {k}", "xmod", "cocycle", "check", x, xrep, path)
+        run(f"xmod cocycle reduce {k}", "xmod", "cocycle", "reduce", x, xrep, path)
+        run(f"xmod deform check {k}", "xmod", "deform", "check", x, path)
+    run("xmod nijenhuis check", "xmod", "nijenhuis", "check", x, _fx("fix_u_nijenhuis_id.json"))
+    run("xmod nijenhuis apply", "xmod", "nijenhuis", "apply", x, _fx("fix_u_nijenhuis_id.json"))
+    xexts = {k: run.witness(f"xmod ext build {k}", "xmod", "ext", "build", x, xrep, p) for k, p in xc2.items()}
+    for k in ("h2", "h2+cob", "zero"):
+        run(f"xmod ext extract {k}", "xmod", "ext", "extract", xexts[k])
+    run("xmod ext equiv h2 h2+cob", "xmod", "ext", "equiv", xexts["h2"], xexts["h2+cob"])
+    run("xmod ext equiv h2 zero", "xmod", "ext", "equiv", xexts["h2"], xexts["zero"])
+
+    run("endalg build", "endalg", "build", _fx("complex_1_1_id.json"))
+    run("selftest", "selftest", "--seed", "7", "--trials", "5", formats=("human",))
+    return run.results
+
+
+def corrupted_reports(tmp: Path) -> dict:
+    """Corrupt the base, then each extension in turn, then the
+    representation: ``ext extract``, ``ext equiv``, ``cohomology`` and
+    ``cocycle reduce`` of both theories."""
+    run = _Runner(tmp)
+    u, urep = _fx("fix_u.json"), _fx("fix_u_adjoint_rep.json")
+    c2 = _two_term_inputs(tmp)
+    good = run.witness("ext build h2", "ext", "build", u, urep, c2["h2"])
+    other = run.witness("ext build h2+cob", "ext", "build", u, urep, c2["h2+cob"])
+    ext_doc = json.loads(Path(good).read_text())
+    alg_doc, rep_doc = json.loads(Path(u).read_text()), json.loads(Path(urep).read_text())
+    bad_alg = _write(tmp, "bad_alg", _edit(alg_doc, "l2_00", [0, 0, 0]))
+    bad_rep = _write(tmp, "bad_rep", _edit(rep_doc, "l0v0", [0, 0, 0]))
+    for name, a, r in (("base", bad_alg, urep), ("rep", u, bad_rep)):
+        run(f"cohomology bad {name}", "cohomology", a, r)
+        run(f"cocycle reduce bad {name}", "cocycle", "reduce", a, r, c2["h2+cob"])
+    variants = {
+        "base": _edit(ext_doc, "base_l2_00", [0, 0, 0]),
+        "total": _edit(ext_doc, "total_l3", [0, 0, 0, 0]),
+        "kernel": _edit(ext_doc, "total_l2_00", [1, 1, 0]),
+        "projection": _edit(ext_doc, "p0", [0, 1]),
+        "splitting": _edit(ext_doc, "sigma1", [0, 0]),
+        "index set": {**ext_doc, "dims": {**ext_doc["dims"], "sub0": []}},
+    }
+    for name, doc in variants.items():
+        bad = _write(tmp, f"bad_ext_{name}", doc)
+        run(f"ext extract bad {name}", "ext", "extract", bad)
+        run(f"ext equiv bad {name} first", "ext", "equiv", bad, other)
+        run(f"ext equiv bad {name} second", "ext", "equiv", other, bad)
+
+    x, xrep = _fx("fix_x.json"), _fx("fix_x_adjoint_rep.json")
+    xc2 = _xmod_inputs(tmp)
+    good = run.witness("xmod ext build h2", "xmod", "ext", "build", x, xrep, xc2["h2"])
+    other = run.witness("xmod ext build h2+cob", "xmod", "ext", "build", x, xrep, xc2["h2+cob"])
+    ext_doc = json.loads(Path(good).read_text())
+    x_doc, xrep_doc = json.loads(Path(x).read_text()), json.loads(Path(xrep).read_text())
+    bad_x = _write(tmp, "bad_xmod", _edit(x_doc, "mul", [0, 0, 0]))
+    bad_xrep = _write(tmp, "bad_xrep", _edit(xrep_doc, "v_left", [0, 0, 0]))
+    for name, a, r in (("base", bad_x, xrep), ("rep", x, bad_xrep)):
+        run(f"xmod cohomology bad {name}", "xmod", "cohomology", a, r)
+        run(f"xmod cocycle reduce bad {name}", "xmod", "cocycle", "reduce", a, r, xc2["h2+cob"])
+    variants = {
+        "base": _edit(ext_doc, "base_mul", [0, 0, 0]),
+        "total": _edit(ext_doc, "total_f", [0, 0]),
+        "kernel": _edit(ext_doc, "total_mul", [1, 1, 0]),
+        "projection": _edit(ext_doc, "p0", [0, 1]),
+        "splitting": _edit(ext_doc, "sigma1", [0, 0]),
+        "index set": {**ext_doc, "dims": {**ext_doc["dims"], "subw": []}},
+    }
+    for name, doc in variants.items():
+        bad = _write(tmp, f"bad_xext_{name}", doc)
+        run(f"xmod ext extract bad {name}", "xmod", "ext", "extract", bad)
+        run(f"xmod ext equiv bad {name} first", "xmod", "ext", "equiv", bad, other)
+        run(f"xmod ext equiv bad {name} second", "xmod", "ext", "equiv", other, bad)
+    return run.results
+
+
+def _assert_matches_golden(results: dict, name: str) -> None:
+    golden = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    assert sorted(results) == sorted(golden)
+    differ = [case for case in golden if results[case] != golden[case]]
+    assert not differ, f"reports differ from {name}: {differ}"
+
+
+def test_readme_examples_match_golden_reports(tmp_path):
+    _assert_matches_golden(readme_reports(tmp_path), "readme.json")
+
+
+def test_corrupted_inputs_match_golden_reports(tmp_path):
+    _assert_matches_golden(corrupted_reports(tmp_path), "corrupted.json")
+
+
+# ---------------------------------------------------------------------------
+# each structure checked once per loaded object
+# ---------------------------------------------------------------------------
+
+GENERATORS = [
+    (algebra2, "algebra_residuals", "algebra"),
+    (algebra2, "homomorphism_residuals", "hom"),
+    (rep2, "representation_residuals", "rep"),
+    (ext2, "extension_residuals", "ext"),
+    (xmod, "crossed_module_residuals", "xmod"),
+    (xmod, "xmod_representation_residuals", "xrep"),
+    (xmod, "xmod_homomorphism_residuals", "xhom"),
+    (xmod, "xmod_extension_residuals", "xext"),
+]
+
+
+def test_each_structure_is_checked_once_per_loaded_object(monkeypatch, tmp_path):
+    counts: dict[str, int] = {}
+    for module, attr, key in GENERATORS:
+        original = getattr(module, attr)
+
+        def counted(*args, _original=original, _key=key, **kwargs):
+            counts[_key] = counts.get(_key, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+
+    u, urep, x, xrep = _fx("fix_u.json"), _fx("fix_u_adjoint_rep.json"), _fx("fix_x.json"), _fx("fix_x_adjoint_rep.json")
+    c2, xc2 = _two_term_inputs(tmp_path), _xmod_inputs(tmp_path)
+    ext = _Runner(tmp_path).witness("ext", "ext", "build", u, urep, c2["h2"])
+    xext = _Runner(tmp_path).witness("xext", "xmod", "ext", "build", x, xrep, xc2["h2"])
+    # (argv, exit code, evaluations of each generator): one per loaded object
+    table = [
+        (["cohomology", u, urep], 0, {"algebra": 1, "rep": 1}),
+        (["cocycle", "reduce", u, urep, c2["cob"]], 0, {"algebra": 1, "rep": 1}),
+        (["ext", "extract", ext], 0, {"algebra": 2, "hom": 1, "ext": 1}),
+        (["ext", "equiv", ext, ext], 0, {"algebra": 4, "hom": 3, "rep": 1, "ext": 2}),
+        (["xmod", "cohomology", x, xrep], 0, {"xmod": 1, "xrep": 1}),
+        (["xmod", "cocycle", "reduce", x, xrep, xc2["cob"]], 0, {"xmod": 1, "xrep": 1}),
+        (["xmod", "ext", "extract", xext], 0, {"xmod": 2, "xhom": 1, "xext": 1}),
+        (["xmod", "ext", "equiv", xext, xext], 0, {"xmod": 4, "xrep": 1, "xhom": 3, "xext": 2}),
+    ]
+    for argv, code, expected in table:
+        counts.clear()
+        assert _invoke(argv)[0] == code, argv
+        assert counts == expected, (argv, counts)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, build in (("readme.json", readme_reports), ("corrupted.json", corrupted_reports)):
+            path = Path(tmp) / name.removesuffix(".json")
+            path.mkdir()
+            text = json.dumps(build(path), indent=1, sort_keys=True) + "\n"
+            GOLDEN.mkdir(exist_ok=True)
+            (GOLDEN / name).write_text(text, encoding="utf-8")
+            print(f"wrote {GOLDEN / name}", file=sys.stderr)

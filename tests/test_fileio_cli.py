@@ -241,6 +241,15 @@ def test_cli_huge_dimensions_exit_two_fast(capsys, tmp_path):
     assert str(path) in err and str(fileio.MAX_CELLS) in err
 
 
+def test_cli_deeply_nested_json_exits_two(capsys, tmp_path):
+    # well-formed JSON nested past the decoder's recursion limit, 10 KB
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = _run(capsys, "check", "algebra", str(path))
+    assert code == 2 and out == ""
+    assert str(path) in err and "nested deeper" in err
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
@@ -525,6 +534,17 @@ def test_cli_max_violations(capsys, tmp_path):
     assert rep["truncated"] is True
     assert len(rep["violations"]) == 2
     assert rep["total_violations"] > 2
+
+
+def test_cli_negative_max_violations_is_a_usage_error(capsys):
+    # a negative N used to slice the list silently: "truncated" with no violations
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "json", "--max-violations", "-1", "check", "algebra", _fx("fix_u_bad.json")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-violations" in captured.err
+    code, out, _ = _run(capsys, "--format", "json", "--max-violations", "0", "check", "algebra", _fx("fix_u_bad.json"))
+    assert code == 1 and json.loads(out)["total_violations"] == 1
 
 
 def test_cli_precondition_failure_is_exit_one(capsys, tmp_path):
