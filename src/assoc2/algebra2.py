@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlin import Matrix, kernel_basis, solve
+from .integral import integral_report, twin_field
 from .report import CheckReport, checked, checked_field, report_from
 from .tensorops import bil, tri, unit, vadd, vsub, vzero, tensor2, zeros2, zeros3
 
@@ -231,6 +232,7 @@ class TwoTermAlgebra:
     l2_10: tuple  # g1 x g0 -> g1
     l3: tuple     # g0 x g0 x g0 -> g1
     _checked: CheckReport | None = checked_field()
+    _twin: object = twin_field()
 
     @property
     def dim0(self) -> int:
@@ -323,8 +325,9 @@ def algebra_residuals(g: TwoTermAlgebra):
 
 
 def check_algebra(g: TwoTermAlgebra) -> CheckReport:
-    """Check (a)-(f) on every basis tuple, once per algebra."""
-    return checked(g, lambda g: report_from(algebra_residuals(g)))
+    """Check (a)-(f) on every basis tuple, once per algebra (over ℤ when
+    the algebra is integral)."""
+    return checked(g, lambda g: integral_report(algebra_residuals, g))
 
 
 def require_algebra(g: TwoTermAlgebra) -> None:
@@ -386,7 +389,7 @@ def homomorphism_residuals(h: Homomorphism2):
 
 
 def check_homomorphism(h: Homomorphism2) -> CheckReport:
-    return report_from(homomorphism_residuals(h))
+    return integral_report(homomorphism_residuals, h)
 
 
 def compose_homomorphisms(g: Homomorphism2, f: Homomorphism2) -> Homomorphism2:

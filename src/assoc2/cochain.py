@@ -16,7 +16,11 @@ every output entry is then the form of one matrix row.  This is
 forward-mode differentiation of a linear map seeded with the full basis.
 The evaluators run unchanged on these forms because they only add,
 subtract and scale their cochain's entries; a form refuses anything else,
-so an evaluator that is not linear fails loudly.
+so an evaluator that is not linear fails loudly.  The generic forms have
+``int`` coefficients, so on an integral pair (whose theory hands this
+engine evaluators over the integer twins, see ``assoc2.integral``) the
+forms and the d2 . d1 check stay over ℤ; the rows become ``Fraction``
+where they enter the matrices.
 
 Flattening contract (bit-exact, shared with the file formats; see
 CONVENTIONS.md "Flattening"): blocks in field order.  A block with one
@@ -34,7 +38,7 @@ from fractions import Fraction
 from math import prod
 from typing import Callable
 
-from .exactlin import ONE, ZERO, Matrix, kernel_basis, rank, solve
+from .exactlin import ZERO, Inconsistent, Matrix, kernel_basis, solve
 from .tensorops import tflat, tmap, tzip
 
 
@@ -204,7 +208,7 @@ class Layout:
 
     def generic(self) -> Cochain:
         """The cochain whose k-th flattened coordinate is the form x_k."""
-        return self.unflatten(LinearForm({k: ONE}) for k in range(self.dim))
+        return self.unflatten(LinearForm({k: 1}) for k in range(self.dim))
 
 
 @dataclass
@@ -238,15 +242,21 @@ def assemble(cx: CochainComplex) -> CoboundaryMatrices:
     every call, by substituting the rows of d1 into those of d2; assembly
     raises ``NotAComplex`` on a pair where the evaluators do not form a
     complex.  The forms' terms become the matrices' sparse rows as they
-    are, so elimination starts from them without rescanning dense rows."""
+    are, over ``Fraction``, so elimination starts from them without
+    rescanning dense rows."""
     d1 = [_form(x) for x in cx.d1(cx.c1.generic()).flatten()]
     d2 = [_form(x) for x in cx.d2(cx.c2.generic())]
     for row in d2:
         if sum((d1[j] * v for j, v in row.terms.items()), _NO_TERMS):
             raise NotAComplex(cx.not_a_complex)
     return CoboundaryMatrices(
-        Matrix.from_sparse([f.terms for f in d1], cx.c1.dim), Matrix.from_sparse([f.terms for f in d2], cx.c2.dim)
+        Matrix.from_sparse([_rational(f) for f in d1], cx.c1.dim),
+        Matrix.from_sparse([_rational(f) for f in d2], cx.c2.dim),
     )
+
+
+def _rational(form: LinearForm) -> dict:
+    return {k: Fraction(v) if type(v) is int else v for k, v in form.terms.items()}
 
 
 @dataclass
@@ -280,13 +290,14 @@ def cohomology(cx: CochainComplex, mats: CoboundaryMatrices) -> CohomologyResult
     return CohomologyResult(len(ker), dim_b2, len(ker) - dim_b2, [cx.c2.unflatten(v) for v in chosen])
 
 
-def primitive(cx: CochainComplex, mats: CoboundaryMatrices, c: Cochain):
+def primitive(cx: CochainComplex, mats: CoboundaryMatrices, c: Cochain, certificate: bool = False):
     """A one-cochain whose coboundary is c, or None when c is not in the
-    image of d1.  The solve is re-verified by applying the d1 evaluator."""
+    image of d1 (with ``certificate``, the solve's ``Inconsistent`` ranks).
+    The solve is re-verified by applying the d1 evaluator."""
     target = c.flatten()
-    x = solve(mats.d1, target)
-    if x is None:
-        return None
+    x = solve(mats.d1, target, certificate)
+    if x is None or isinstance(x, Inconsistent):
+        return x
     pre = cx.c1.unflatten(x)
     if cx.d1(pre).flatten() != target:
         raise AssertionError("primitive failed exact re-application")
@@ -302,11 +313,9 @@ class Inequivalence:
 
 def cohomologous(cx: CochainComplex, mats: CoboundaryMatrices, c1: Cochain, c2: Cochain):
     """A verified primitive of c1 - c2, or the rank certificate
-    rank [d1 | c1 - c2] > rank d1 that no primitive exists."""
-    delta = c1 - c2
-    lam = primitive(cx, mats, delta)
-    if lam is not None:
-        return lam
-    d1 = mats.d1
-    aug = Matrix(tuple(row + (b,) for row, b in zip(d1.entries, delta.flatten())), d1.cols + 1)
-    return Inequivalence("cocycle difference is not a coboundary", rank(d1), rank(aug))
+    rank [d1 | c1 - c2] > rank d1 that no primitive exists, read off the
+    elimination of the failed solve."""
+    lam = primitive(cx, mats, c1 - c2, certificate=True)
+    if isinstance(lam, Inconsistent):
+        return Inequivalence("cocycle difference is not a coboundary", lam.rank, lam.rank_augmented)
+    return lam

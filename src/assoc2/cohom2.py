@@ -35,9 +35,10 @@ from .cochain import (
     primitive,
 )
 from .exactlin import Matrix
+from .integral import on_integers
 from .rep2 import Representation2, require_representation
 from .report import CheckReport, report_from
-from .tensorops import bil, tri, unit, vadd, vsub, vzero, tensor2, tensor3
+from .tensorops import bil, tri, unit, vadd, vneg, vsub, vzero, tensor2, tensor3
 
 
 @dataclass
@@ -59,8 +60,10 @@ class Cochain2(Cochain):
 
 
 def cochain_complex(g: TwoTermAlgebra, r: Representation2) -> CochainComplex:
-    """Degrees 1 and 2 of the complex of (g, r) for the shared engine."""
+    """Degrees 1 and 2 of the complex of (g, r) for the shared engine; the
+    evaluators run on the integer twins of g and r when they have them."""
     n0, n1, m0, m1 = g.dim0, g.dim1, r.dim0, r.dim1
+    g, r = on_integers(g), on_integers(r)
     return CochainComplex(
         Layout(Cochain1, {"phi": ((n0,), m0), "phi1": ((n1,), m1), "chi": ((n0, n0), m1)}),
         Layout(
@@ -193,13 +196,13 @@ def d2_residual_blocks(g: TwoTermAlgebra, r: Representation2, c: Cochain2):
             res = vadd(
                 bil(r.l0v0, e[i], psi_col[p]),
                 vsub(om_at(e[i], dcol[p]), c.psi @ g.l2_01[i][p]),
-                vsub(vzero(r.dim0), dv @ c.mu[i][p]),
+                vneg(dv @ c.mu[i][p]),
             )
             yield "coc01", (i, p), res
             res = vadd(
                 bil(r.r0v0, psi_col[p], e[i]),
                 vsub(om_at(dcol[p], e[i]), c.psi @ g.l2_10[p][i]),
-                vsub(vzero(r.dim0), dv @ c.nu[p][i]),
+                vneg(dv @ c.nu[p][i]),
             )
             yield "coc02", (p, i), res
     for p in range(n1):
@@ -207,7 +210,7 @@ def d2_residual_blocks(g: TwoTermAlgebra, r: Representation2, c: Cochain2):
             res = vadd(
                 bil(r.l1, fv[p], psi_col[q]),
                 vsub(nu_at(fv[p], dcol[q]), bil(r.r1, psi_col[p], fv[q])),
-                vsub(vzero(r.dim1), mu_at(dcol[p], fv[q])),
+                vneg(mu_at(dcol[p], fv[q])),
             )
             yield "coc03", (p, q), res
     for i in range(n0):
@@ -217,30 +220,30 @@ def d2_residual_blocks(g: TwoTermAlgebra, r: Representation2, c: Cochain2):
                 res = vadd(
                     vsub(bil(r.r0v0, c.omega[i][j], e[k]), bil(r.l0v0, e[i], c.omega[j][k])),
                     vsub(om_at(xy, e[k]), om_at(e[i], g.l2_00[j][k])),
-                    vsub(vzero(r.dim0), dv @ c.theta[i][j][k]),
-                    vsub(vzero(r.dim0), c.psi @ g.l3[i][j][k]),
+                    vneg(dv @ c.theta[i][j][k]),
+                    vneg(c.psi @ g.l3[i][j][k]),
                 )
                 yield "coc04", (i, j, k), res
             for p in range(n1):
                 res = vadd(
                     vsub(bil(r.r1, c.omega[i][j], fv[p]), bil(r.l0v1, e[i], c.mu[j][p])),
                     vsub(mu_at(xy, fv[p]), mu_at(e[i], g.l2_01[j][p])),
-                    vsub(vzero(r.dim1), th_at(e[i], e[j], dcol[p])),
-                    vsub(vzero(r.dim1), tri(r.tl, e[i], e[j], psi_col[p])),
+                    vneg(th_at(e[i], e[j], dcol[p])),
+                    vneg(tri(r.tl, e[i], e[j], psi_col[p])),
                 )
                 yield "coc05", (i, j, p), res
                 res = vadd(
                     vsub(bil(r.r0v1, c.mu[i][p], e[j]), bil(r.l0v1, e[i], c.nu[p][j])),
                     vsub(nu_at(g.l2_01[i][p], e[j]), mu_at(e[i], g.l2_10[p][j])),
-                    vsub(vzero(r.dim1), th_at(e[i], dcol[p], e[j])),
-                    vsub(vzero(r.dim1), tri(r.tm, e[i], psi_col[p], e[j])),
+                    vneg(th_at(e[i], dcol[p], e[j])),
+                    vneg(tri(r.tm, e[i], psi_col[p], e[j])),
                 )
                 yield "coc06", (i, p, j), res
                 res = vadd(
                     vsub(bil(r.r0v1, c.nu[p][i], e[j]), bil(r.l1, fv[p], c.omega[i][j])),
                     vsub(nu_at(g.l2_10[p][i], e[j]), nu_at(fv[p], xy)),
-                    vsub(vzero(r.dim1), th_at(dcol[p], e[i], e[j])),
-                    vsub(vzero(r.dim1), tri(r.tr, psi_col[p], e[i], e[j])),
+                    vneg(th_at(dcol[p], e[i], e[j])),
+                    vneg(tri(r.tr, psi_col[p], e[i], e[j])),
                 )
                 yield "coc07", (p, i, j), res
     for i in range(n0):

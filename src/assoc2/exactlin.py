@@ -10,9 +10,14 @@ is no floating point anywhere, and results that the contract cares about
 (solutions, kernel vectors) are re-verified by exact multiplication, over
 the nonzero entries, before they are returned.
 
-``Matrix`` doubles as a container for entries from other commutative rings
-(polynomials in a deformation parameter, see :mod:`assoc2.poly`); only the
-elimination routines insist on ``Fraction``.
+Scalar contract: ``Matrix`` doubles as a container for entries from other
+commutative rings (polynomials in a deformation parameter, see
+:mod:`assoc2.poly`; the ``int`` entries of an integral structure's twin,
+``Matrix.of_ints``, see :mod:`assoc2.integral`), and ``Matrix @ vector`` is
+ring-generic like the tensor evaluators: it skips zeros by truthiness, and
+an empty sum is the zero of the matrix's own scalars.  Elimination is not
+generic: its inputs (``rref``, ``rank``, ``kernel_basis``, ``solve``) are
+``Fraction`` matrices and vectors, and so are all its outputs.
 """
 
 from __future__ import annotations
@@ -85,6 +90,14 @@ class Matrix:
         self._sparse = None
 
     @staticmethod
+    def of_ints(entries: tuple, cols: int) -> "Matrix":
+        """The matrix of ``entries``, a tuple of row tuples of ``int``, with
+        its entries kept ``int`` (the constructor makes them ``Fraction``)."""
+        m = Matrix.__new__(Matrix)
+        m.rows, m.cols, m.entries, m._sparse = len(entries), cols, entries, None
+        return m
+
+    @staticmethod
     def from_sparse(rows, cols: int) -> "Matrix":
         """The matrix whose row i has the nonzero ``Fraction`` entries
         ``rows[i]`` (a dict ``{column: value}`` without zero values).  The
@@ -139,18 +152,19 @@ class Matrix:
                         new[j] = new[j] + x * orow[j]
                 out.append(tuple(ZERO + v if isinstance(v, int) else v for v in new))
             return Matrix(tuple(out), cols)
-        # matrix @ vector
+        # matrix @ vector; an int accumulator left over is an empty sum,
+        # unless the matrix itself is over the integers
         v = tuple(other)
         if self.cols != len(v):
             raise ValueError(f"shape mismatch {self.shape} @ vector of length {len(v)}")
+        integral = self.rows and self.cols and type(self.entries[0][0]) is int
         out = []
         for row in self.entries:
             acc = 0
             for x, y in zip(row, v):
-                if x == 0 or y == 0:
-                    continue
-                acc = acc + x * y
-            out.append(ZERO + acc if isinstance(acc, int) else acc)
+                if x and y:
+                    acc += x * y
+            out.append(ZERO + acc if type(acc) is int and not integral else acc)
         return tuple(out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -303,8 +317,19 @@ def kernel_basis(m: Matrix) -> Subspace:
     return Subspace(m.cols, basis)
 
 
-def solve(m: Matrix, b: Vector):
-    """Some ``x`` with ``m x = b``, or ``None`` when the system is inconsistent.
+@dataclass(frozen=True)
+class Inconsistent:
+    """The rank certificate of an inconsistent ``m x = b``:
+    rank [m | b] = rank m + 1."""
+
+    rank: int            # rank of m
+    rank_augmented: int  # rank of [m | b]
+
+
+def solve(m: Matrix, b: Vector, certificate: bool = False):
+    """Some ``x`` with ``m x = b``, or ``None`` when the system is
+    inconsistent (with ``certificate``, the ``Inconsistent`` ranks instead,
+    read off the pivots of the same elimination).
 
     Free variables are set to zero, so the answer is deterministic.  The
     returned vector is verified by exact re-multiplication.
@@ -316,7 +341,8 @@ def solve(m: Matrix, b: Vector):
     aug = Matrix.from_sparse(tuple({**row, n: bv} if bv else row for row, bv in zip(m.sparse_rows(), b)), n + 1)
     red, pivots = aug.rref()
     if n in pivots:
-        return None
+        # the pivots left of column n are those of m's own rref
+        return Inconsistent(len(pivots) - 1, len(pivots)) if certificate else None
     x = [ZERO] * n
     for p, row in zip(pivots, red.sparse_rows()):
         x[p] = row.get(n, ZERO)

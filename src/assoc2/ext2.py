@@ -24,7 +24,7 @@ from .algebra2 import (
     check_homomorphism,
     require_algebra,
 )
-from .cochain import Inequivalence, cohomologous
+from .cochain import Inequivalence  # noqa: F401  (check_equivalence's certificate)
 from .cohom2 import Cochain1, Cochain2, assemble_matrices, cochain_complex, d2_residual
 from .exactlin import Matrix
 from .extension import SplitExtension
@@ -39,6 +39,18 @@ class Extension2(SplitExtension):
     def kernel_complex(self) -> TwoTermComplex:
         cols = [self.restrict0(self.total.d(self.incl1(unit(self.hdim1, s)))) for s in range(self.hdim1)]
         return TwoTermComplex(self.hdim0, self.hdim1, Matrix.from_cols(cols, self.hdim0))
+
+    def require(self) -> None:
+        require_extension(self)
+
+    def representation(self) -> Representation2:
+        return extract_representation(self)
+
+    def cocycle(self) -> Cochain2:
+        return extract_cocycle(self)
+
+    def complex_of(self, r: Representation2):
+        return cochain_complex(self.base, r), assemble_matrices(self.base, r)
 
 
 def extension_residuals(e: Extension2):
@@ -255,23 +267,10 @@ def check_equivalence(e1: Extension2, e2: Extension2):
     """Witness search: extract both cocycles, solve for a primitive of their
     difference, and verify the induced homomorphism.  Returns an
     EquivalenceWitness or an Inequivalence certificate."""
-    require_extension(e1)
-    require_extension(e2)
-    if e1.base != e2.base:
-        raise ValueError("extensions have different bases")
-    if e1.kernel_complex() != e2.kernel_complex():
-        raise ValueError("extensions have different kernel complexes")
-    r1 = extract_representation(e1)
-    r2 = extract_representation(e2)
-    if r1 != r2:
-        raise ValueError("extensions induce different representations and are not comparable")
 
-    c1 = extract_cocycle(e1)
-    c2 = extract_cocycle(e2)
-    lam = cohomologous(cochain_complex(e1.base, r1), assemble_matrices(e1.base, r1), c1, c2)
-    if isinstance(lam, Inequivalence):
-        return lam
-    hom = witness_homomorphism(e1, e2, lam)
-    check_homomorphism(hom).require("witness does not induce a homomorphism")
-    e1.require_commutes(e2, hom.f0, hom.f1)
-    return EquivalenceWitness(lam, hom)
+    def check_witness(lam):
+        hom = witness_homomorphism(e1, e2, lam)
+        check_homomorphism(hom).require("witness does not induce a homomorphism")
+        return EquivalenceWitness(lam, hom), hom.f0, hom.f1
+
+    return e1.equivalence(e2, lambda a, b: a.kernel_complex() == b.kernel_complex(), check_witness)

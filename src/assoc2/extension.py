@@ -9,10 +9,12 @@ kernel W, and h in degree 1, with kernel V.
 
 This module holds what does not depend on the theory: the coordinate maps,
 the standard extension's projection and splitting, the exactness, rank and
-splitting identities, and the degreewise maps of an equivalence witness
-with the check that they fix the kernel and commute with the projections.
-``ext2`` and ``xmod`` add the theory's own structure checks, extraction and
-construction formulas.
+splitting identities, the flow of the equivalence decision, and the
+degreewise maps of an equivalence witness with the check that they fix the
+kernel and commute with the projections.  ``ext2`` and ``xmod`` add the
+theory's own structure checks, extraction and construction formulas, as the
+subclass methods ``require``, ``representation``, ``cocycle`` and
+``complex_of``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cochain import Inequivalence, cohomologous
 from .exactlin import Matrix, rank
+from .integral import integral_report, twin_field
 from .report import CheckReport, checked, checked_field, report_from
 from .tensorops import tflat, unit, vadd, vsub, vzero
 
@@ -47,6 +51,7 @@ class SplitExtension:
     sigma0: Matrix          # base0 -> total0
     sigma1: Matrix          # base1 -> total1
     _checked: CheckReport | None = checked_field()
+    _twin: object = twin_field()
 
     # condition labels of the exactness identities in degrees 0 and 1
     EXACT = ("exact0", "exact1")
@@ -88,29 +93,62 @@ class SplitExtension:
         )
 
     def check(self, require, residuals) -> CheckReport:
-        """The report of ``residuals(self)``, once both structures pass
-        ``require`` and the kernel index sets are free of duplicates;
-        computed once per extension."""
+        """The report of ``residuals(self)`` and of the rank identities,
+        once both structures pass ``require`` and the kernel index sets are
+        free of duplicates; computed once per extension."""
 
         def compute(e):
             require(e.total)
             require(e.base)
             if len(set(e.sub0)) != len(e.sub0) or len(set(e.sub1)) != len(e.sub1):
                 raise ValueError("kernel index sets contain duplicates")
-            return report_from(residuals(e))
+            report = integral_report(residuals, e)
+            report.violations += report_from(e.rank_residuals()).violations
+            return report.sorted()
 
         return checked(self, compute)
 
     def split_residuals(self):
-        """Exactness, rank and splitting in both degrees: the kernel
-        coordinates project to zero, the projection is onto with exactly
-        the kernel coordinates as its kernel, and p . sigma = id."""
+        """Exactness and splitting in both degrees: the kernel coordinates
+        project to zero and p . sigma = id."""
         for k, (sub, p, sigma, n, b) in enumerate(self._degrees()):
             for pos in range(len(sub)):
                 yield self.EXACT[k], (pos,), p @ _incl(unit(len(sub), pos), sub, n), vzero(b)
+            yield f"split{k}", (), tuple(tflat((p @ sigma).entries)), tuple(tflat(Matrix.identity(b).entries))
+
+    def rank_residuals(self):
+        """The projection is onto, with exactly the kernel coordinates as
+        its kernel: (rank p, dimension left by the kernel) = (base
+        dimension, rank p).  Counts, not scalars, so never on a twin."""
+        for k, (sub, p, _, n, b) in enumerate(self._degrees()):
             r = rank(p)
             yield self.EXACT[k] + "-rank", (), (r, n - len(sub)), (b, r)
-            yield f"split{k}", (), tuple(tflat((p @ sigma).entries)), tuple(tflat(Matrix.identity(b).entries))
+
+    def equivalence(self, other: "SplitExtension", same_kernel, check_witness):
+        """Decide whether ``self`` and ``other`` are equivalent.  Both must
+        pass their checks, have the same base (and kernel complex, when the
+        theory passes ``same_kernel(self, other)``) and induce the same
+        representation; then one solve against d1 gives a primitive of the
+        difference of their cocycles, or the ``Inequivalence`` certificate.
+        ``check_witness(primitive)`` builds the theory's witness, verifies
+        that it is a homomorphism and returns it with its degreewise maps,
+        which must fix the kernel and commute with the projections."""
+        self.require()
+        other.require()
+        if self.base != other.base:
+            raise ValueError("extensions have different bases")
+        if same_kernel is not None and not same_kernel(self, other):
+            raise ValueError("extensions have different kernel complexes")
+        r = self.representation()
+        if r != other.representation():
+            raise ValueError("extensions induce different representations and are not comparable")
+        c1, c2 = self.cocycle(), other.cocycle()
+        lam = cohomologous(*self.complex_of(r), c1, c2)
+        if isinstance(lam, Inequivalence):
+            return lam
+        witness, f0, f1 = check_witness(lam)
+        self.require_commutes(other, f0, f1)
+        return witness
 
     def witness_maps(self, other: "SplitExtension", lam0: Matrix, lam1: Matrix) -> tuple[Matrix, Matrix]:
         """The degreewise maps of the candidate equivalence from ``self`` to

@@ -46,6 +46,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def __call__(self, value) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):

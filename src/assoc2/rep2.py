@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra2 import TwoTermAlgebra, TwoTermComplex, require_algebra
-from .report import CheckReport, checked, checked_field, report_from
+from .integral import integral_report, twin_field
+from .report import CheckReport, checked, checked_field
 from .tensorops import bil, tri, unit, vadd, vsub, zeros2, zeros3
 
 
@@ -36,6 +37,7 @@ class Representation2:
     tm: tuple    # g0 x V0 x g0 -> V1
     tr: tuple    # V0 x g0 x g0 -> V1
     _checked: CheckReport | None = checked_field()
+    _twin: object = twin_field()
 
     @property
     def dim0(self) -> int:
@@ -247,7 +249,7 @@ def check_representation(r: Representation2) -> CheckReport:
 
     def compute(r):
         require_algebra(r.algebra)
-        return report_from(representation_residuals(r))
+        return integral_report(representation_residuals, r)
 
     return checked(r, compute)
 

@@ -3,8 +3,17 @@
 Tensors are nested tuples whose innermost layer is an output vector:
 ``t2[i][j]`` is the value of the bilinear map on the (i, j) basis pair,
 ``t3[i][j][k]`` likewise for trilinear maps.  Multilinearity is implicit;
-the evaluators below extend to arbitrary vectors.  Scalars only need ring
-operations, so entries may be Fraction or Poly.
+the evaluators below extend to arbitrary vectors.
+
+Scalar contract: the evaluators are ring-generic.  They only add, subtract
+and multiply, and skip zero coordinates and zero tensor entries by
+truthiness, so entries may be ``Fraction``, ``int``, ``Poly`` or the linear
+forms of matrix assembly.  A sum starts from the zero of the tensor's own
+scalars: ``int`` 0 for an integer tensor, ``Fraction`` 0 otherwise, so an
+integral structure's twin (see :mod:`assoc2.integral`) is evaluated over ℤ
+from end to end and every other structure gets the ``Fraction`` zeros it
+always had.  Unit vectors are ``int``: 0 and 1 are the zero and one of
+every scalar ring used here.
 """
 
 from __future__ import annotations
@@ -12,11 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def unit(n: int, i: int) -> tuple:
-    return tuple(ONE if j == i else ZERO for j in range(n))
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def vzero(n: int) -> tuple:
@@ -49,42 +57,49 @@ def vis_zero(v) -> bool:
     return all(x == 0 for x in v)
 
 
+def _zero_of(x):
+    """The zero that sums over the scalar ``x``'s ring start from."""
+    return 0 if type(x) is int else ZERO
+
+
 def bil(t2, u, v) -> tuple:
     """Apply a bilinear map given by ``t2`` to vectors ``u``, ``v``."""
-    n_out = len(t2[0][0]) if t2 and t2[0] else _out_dim(t2)
-    acc = [ZERO] * n_out
+    n_out = len(t2[0][0]) if t2 and t2[0] else 0
+    acc = [_zero_of(t2[0][0][0]) if n_out else ZERO] * n_out
     for i, a in enumerate(u):
-        if a == 0:
+        if not a:
             continue
         row = t2[i]
         for j, b in enumerate(v):
-            if b == 0:
+            if not b:
                 continue
-            cell = row[j]
             ab = a * b
-            for k in range(n_out):
-                acc[k] = acc[k] + ab * cell[k]
+            for k, x in enumerate(row[j]):
+                if x:
+                    acc[k] += ab * x
     return tuple(acc)
 
 
 def tri(t3, u, v, w) -> tuple:
     """Apply a trilinear map given by ``t3`` to three vectors."""
     n_out = _out_dim(t3, depth=3)
-    acc = [ZERO] * n_out
+    acc = [_zero_of(t3[0][0][0][0]) if n_out else ZERO] * n_out
     for i, a in enumerate(u):
-        if a == 0:
+        if not a:
             continue
+        plane = t3[i]
         for j, b in enumerate(v):
-            if b == 0:
+            if not b:
                 continue
             ab = a * b
+            row = plane[j]
             for k, c in enumerate(w):
-                if c == 0:
+                if not c:
                     continue
-                cell = t3[i][j][k]
                 abc = ab * c
-                for m in range(n_out):
-                    acc[m] = acc[m] + abc * cell[m]
+                for m, x in enumerate(row[k]):
+                    if x:
+                        acc[m] += abc * x
     return tuple(acc)
 
 

@@ -33,18 +33,17 @@ from .cochain import (
     Cochain,
     CochainComplex,
     CohomologyResult,
-    Inequivalence,
     Layout,
     assemble,
-    cohomologous,
     cohomology,
     primitive,
 )
 from .exactlin import Matrix
 from .extension import SplitExtension
+from .integral import integral_report, on_integers, twin_field
 from .poly import Poly, T
 from .report import CheckReport, Violation, checked, checked_field, report_from
-from .tensorops import bil, unit, vadd, vsub, vzero, tensor2, tzip, zeros2
+from .tensorops import bil, unit, vadd, vneg, vsub, vzero, tensor2, tzip, zeros2
 
 
 @dataclass
@@ -53,6 +52,7 @@ class CrossedModule:
     h_mod: Bimodule
     f_map: Matrix  # h -> p
     _checked: CheckReport | None = checked_field()
+    _twin: object = twin_field()
 
     @property
     def pdim(self) -> int:
@@ -106,7 +106,7 @@ def crossed_module_residuals(x: CrossedModule, structure: bool = True):
 
 def check_crossed_module(x: CrossedModule) -> CheckReport:
     """Every defining identity on basis tuples, once per crossed module."""
-    return checked(x, lambda x: report_from(crossed_module_residuals(x)))
+    return checked(x, lambda x: integral_report(crossed_module_residuals, x))
 
 
 def require_crossed_module(x: CrossedModule) -> None:
@@ -152,6 +152,7 @@ class XModRepresentation:
     tr_l: tuple       # h x W -> V, written a |> w
     tr_r: tuple       # W x h -> V, written w <| a
     _checked: CheckReport | None = checked_field()
+    _twin: object = twin_field()
 
     @property
     def vdim(self) -> int:
@@ -235,7 +236,7 @@ def check_xmod_representation(r: XModRepresentation) -> CheckReport:
 
     def compute(r):
         require_crossed_module(r.xm)
-        return report_from(xmod_representation_residuals(r))
+        return integral_report(xmod_representation_residuals, r)
 
     return checked(r, compute)
 
@@ -302,8 +303,10 @@ class XCochain2(Cochain):
 
 def xmod_cochain_complex(x: CrossedModule, r: XModRepresentation) -> CochainComplex:
     """Degrees 1 and 2 of the complex of (x, r) for the shared engine:
-    [ n0 row-major | n1 row-major ] and [ psi | omega | mu | nu ]."""
+    [ n0 row-major | n1 row-major ] and [ psi | omega | mu | nu ]; the
+    evaluators run on the integer twins of x and r when they have them."""
     np_, nh, nv, nw = x.pdim, x.hdim, r.vdim, r.wdim
+    x, r = on_integers(x), on_integers(r)
     return CochainComplex(
         Layout(XCochain1, {"n0": ((np_,), nw), "n1": ((nh,), nv)}),
         Layout(
@@ -383,15 +386,15 @@ def xmod_d2_residual_blocks(x: CrossedModule, r: XModRepresentation, c: XCochain
             res = vadd(
                 c.psi @ x.h_mod.left[i][a],
                 r.phi @ c.mu[i][a],
-                vsub(vzero(r.wdim), bil(r.w_mod.left, e[i], psicol[a])),
-                vsub(vzero(r.wdim), bil(c.omega, e[i], fcol[a])),
+                vneg(bil(r.w_mod.left, e[i], psicol[a])),
+                vneg(bil(c.omega, e[i], fcol[a])),
             )
             yield "xcoc1", (i, a), res
             res = vadd(
                 c.psi @ x.h_mod.right[a][i],
                 r.phi @ c.nu[a][i],
-                vsub(vzero(r.wdim), bil(c.omega, fcol[a], e[i])),
-                vsub(vzero(r.wdim), bil(r.w_mod.right, psicol[a], e[i])),
+                vneg(bil(c.omega, fcol[a], e[i])),
+                vneg(bil(r.w_mod.right, psicol[a], e[i])),
             )
             yield "xcoc2", (a, i), res
     for a in range(nh):
@@ -399,8 +402,8 @@ def xmod_d2_residual_blocks(x: CrossedModule, r: XModRepresentation, c: XCochain
             res = vadd(
                 bil(r.tr_r, psicol[a], ha[b]),
                 bil(c.mu, fcol[a], ha[b]),
-                vsub(vzero(r.vdim), bil(r.tr_l, ha[a], psicol[b])),
-                vsub(vzero(r.vdim), bil(c.nu, ha[a], fcol[b])),
+                vneg(bil(r.tr_l, ha[a], psicol[b])),
+                vneg(bil(c.nu, ha[a], fcol[b])),
             )
             yield "xcoc3", (a, b), res
     for i in range(np_):
@@ -416,19 +419,19 @@ def xmod_d2_residual_blocks(x: CrossedModule, r: XModRepresentation, c: XCochain
                 res = vadd(
                     bil(r.v_mod.left, e[i], c.mu[j][a]),
                     vsub(bil(c.mu, e[i], x.h_mod.left[j][a]), bil(r.tr_r, c.omega[i][j], ha[a])),
-                    vsub(vzero(r.vdim), bil(c.mu, xy, ha[a])),
+                    vneg(bil(c.mu, xy, ha[a])),
                 )
                 yield "xcoc5", (i, j, a), res
                 res = vadd(
                     bil(r.tr_l, ha[a], c.omega[i][j]),
                     vsub(bil(c.nu, ha[a], xy), bil(r.v_mod.right, c.nu[a][i], e[j])),
-                    vsub(vzero(r.vdim), bil(c.nu, x.h_mod.right[a][i], e[j])),
+                    vneg(bil(c.nu, x.h_mod.right[a][i], e[j])),
                 )
                 yield "xcoc6", (a, i, j), res
                 res = vadd(
                     bil(r.v_mod.left, e[i], c.nu[a][j]),
                     vsub(bil(c.mu, e[i], x.h_mod.right[a][j]), bil(c.nu, x.h_mod.left[i][a], e[j])),
-                    vsub(vzero(r.vdim), bil(r.v_mod.right, c.mu[i][a], e[j])),
+                    vneg(bil(r.v_mod.right, c.mu[i][a], e[j])),
                 )
                 yield "xcoc7", (i, a, j), res
 
@@ -594,6 +597,18 @@ class XModExtension(SplitExtension):
 
     EXACT = ("exactW", "exactV")
 
+    def require(self) -> None:
+        require_xmod_extension(self)
+
+    def representation(self) -> "XModRepresentation":
+        return xmod_extract_representation(self)
+
+    def cocycle(self) -> XCochain2:
+        return xmod_extract_cocycle(self)
+
+    def complex_of(self, r: XModRepresentation):
+        return xmod_cochain_complex(self.base, r), xmod_assemble_matrices(self.base, r)
+
 
 def xmod_extension_residuals(e: XModExtension):
     """Strict projection, exactness and splitting, and abelian kernel."""
@@ -733,23 +748,14 @@ class XModWitness:
 
 
 def xmod_check_equivalence(e1: XModExtension, e2: XModExtension):
-    require_xmod_extension(e1)
-    require_xmod_extension(e2)
-    if e1.base != e2.base:
-        raise ValueError("extensions have different bases")
-    r1 = xmod_extract_representation(e1)
-    r2 = xmod_extract_representation(e2)
-    if r1 != r2:
-        raise ValueError("extensions induce different representations and are not comparable")
-    c1 = xmod_extract_cocycle(e1)
-    c2 = xmod_extract_cocycle(e2)
-    lam = cohomologous(xmod_cochain_complex(e1.base, r1), xmod_assemble_matrices(e1.base, r1), c1, c2)
-    if isinstance(lam, Inequivalence):
-        return lam
+    """Witness search as in ``ext2.check_equivalence``; the witness is the
+    pair of degreewise maps, verified as a strict homomorphism."""
 
-    f0, f1 = e1.witness_maps(e2, lam.n0, lam.n1)
-    report_from(xmod_homomorphism_residuals(e1.total, e2.total, f0, f1)).require(
-        "witness does not induce a homomorphism"
-    )
-    e1.require_commutes(e2, f0, f1)
-    return XModWitness(lam, f0, f1)
+    def check_witness(lam):
+        f0, f1 = e1.witness_maps(e2, lam.n0, lam.n1)
+        integral_report(xmod_homomorphism_residuals, e1.total, e2.total, f0, f1).require(
+            "witness does not induce a homomorphism"
+        )
+        return XModWitness(lam, f0, f1), f0, f1
+
+    return e1.equivalence(e2, None, check_witness)

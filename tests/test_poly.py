@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 from assoc2.poly import Poly, T
+from assoc2.tensorops import bil
 
 
 def test_arithmetic():
@@ -27,3 +28,11 @@ def test_zero_normalization_and_equality():
 def test_subtraction_both_sides():
     assert (1 - T).coeff(1) == -1
     assert (T - 1).coeff(0) == -1
+
+
+def test_truthiness_is_nonzero():
+    assert not Poly() and not (T - T) and not Poly((0, 0)) and not (T * 0)
+    assert T and (T * T - T) and Poly((Fraction(1, 2),))
+    # so the tensor evaluators skip zero polynomials like zero numbers
+    assert bil((((T,),),), (T - T,), (T,)) == (0,)
+    assert bil((((T,),),), (T,), (1 + T,)) == (T * T * (1 + T),)
