@@ -65,12 +65,15 @@ def check_associative(a: AssocAlgebra) -> CheckReport:
     return report_from(_assoc_residuals(a))
 
 
-def _assoc_residuals(a: AssocAlgebra):
+def _assoc_residuals(a: AssocAlgebra, top: int | None = None):
+    """Associativity on the triples of the first ``top`` basis vectors
+    (of all of them by default)."""
     n = a.dim
-    for i in range(n):
-        for j in range(n):
+    top = n if top is None else top
+    for i in range(top):
+        for j in range(top):
             uv = a.mul[i][j]
-            for k in range(n):
+            for k in range(top):
                 lhs = bil(a.mul, uv, unit(n, k))
                 rhs = bil(a.mul, unit(n, i), a.mul[j][k])
                 yield "assoc", (i, j, k), lhs, rhs
@@ -80,13 +83,16 @@ def check_bimodule(m: Bimodule) -> CheckReport:
     return report_from(_bimodule_residuals(m))
 
 
-def _bimodule_residuals(m: Bimodule):
+def _bimodule_residuals(m: Bimodule, ranges: tuple[int, int] | None = None):
+    """The bimodule identities on all tuples, or with ``ranges`` = (ka, km)
+    on those of the first ka basis vectors of the algebra and km of m."""
     a = m.algebra
     n, md = a.dim, m.dim
-    for i in range(n):
-        for j in range(n):
+    ka, km = ranges or (n, md)
+    for i in range(ka):
+        for j in range(ka):
             xy = a.mul[i][j]
-            for p in range(md):
+            for p in range(km):
                 yield (
                     "left",
                     (i, j, p),
@@ -196,10 +202,6 @@ def _build_nested(dim: int, depth: int, fn, prefix: tuple[int, ...] = ()):
     return tuple(_build_nested(dim, depth - 1, fn, prefix + (i,)) for i in range(dim))
 
 
-def hochschild_zero(m: Bimodule, arity: int) -> HochschildCochain:
-    return HochschildCochain(arity, _build_nested(m.algebra.dim, arity, lambda idx: vzero(m.dim)))
-
-
 def hochschild_is_zero(f: HochschildCochain) -> bool:
     def walk(t):
         if isinstance(t, tuple) and t and isinstance(t[0], tuple):
@@ -268,32 +270,35 @@ def zero_algebra(dim0: int, dim1: int) -> TwoTermAlgebra:
     )
 
 
-def algebra_residuals(g: TwoTermAlgebra):
-    """Yield (condition, basis tuple, lhs, rhs) for (a)-(f) on all tuples."""
+def algebra_residuals(g: TwoTermAlgebra, ranges: tuple[int, int] | None = None):
+    """Yield (condition, basis tuple, lhs, rhs) for (a)-(f) on all tuples,
+    or with ``ranges`` = (k0, k1) on the tuples of the first k0 basis
+    vectors of degree 0 and the first k1 of degree 1 only."""
     n0, n1 = g.dim0, g.dim1
+    k0, k1 = ranges or (n0, n1)
     d = g.complex.diff
-    e = [unit(n0, i) for i in range(n0)]
-    f = [unit(n1, p) for p in range(n1)]
-    dcol = [d.col(p) for p in range(n1)]
+    e = [unit(n0, i) for i in range(k0)]
+    f = [unit(n1, p) for p in range(k1)]
+    dcol = [d.col(p) for p in range(k1)]
 
-    for i in range(n0):
-        for p in range(n1):
+    for i in range(k0):
+        for p in range(k1):
             yield "a", (i, p), d @ g.l2_01[i][p], g.m00(e[i], dcol[p])
             yield "b", (p, i), d @ g.l2_10[p][i], g.m00(dcol[p], e[i])
-    for p in range(n1):
-        for q in range(n1):
+    for p in range(k1):
+        for q in range(k1):
             yield "c", (p, q), g.m01(dcol[p], f[q]), g.m10(f[p], dcol[q])
-    for i in range(n0):
-        for j in range(n0):
+    for i in range(k0):
+        for j in range(k0):
             xy = g.l2_00[i][j]
-            for k in range(n0):
+            for k in range(k0):
                 yield (
                     "d",
                     (i, j, k),
                     d @ g.l3[i][j][k],
                     vsub(g.m00(xy, e[k]), g.m00(e[i], g.l2_00[j][k])),
                 )
-            for p in range(n1):
+            for p in range(k1):
                 yield (
                     "e1",
                     (i, j, p),
@@ -312,10 +317,10 @@ def algebra_residuals(g: TwoTermAlgebra):
                     g.l3v(dcol[p], e[i], e[j]),
                     vsub(g.m10(g.l2_10[p][i], e[j]), g.m10(f[p], xy)),
                 )
-    for i in range(n0):
-        for j in range(n0):
-            for k in range(n0):
-                for t in range(n0):
+    for i in range(k0):
+        for j in range(k0):
+            for k in range(k0):
+                for t in range(k0):
                     lhs = vadd(g.m01(e[i], g.l3[j][k][t]), g.m10(g.l3[i][j][k], e[t]))
                     rhs = vadd(
                         g.l3v(g.l2_00[i][j], e[k], e[t]),

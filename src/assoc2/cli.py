@@ -269,6 +269,10 @@ def cmd_ext(args) -> int:
         return 0
     e1 = _load(args.load_extension, args.files[0])
     e2 = _load(args.load_extension, args.files[1])
+    for e in (e1, e2):
+        report = args.check_extension(e)
+        if not report.passed:
+            return _finish(report, args)
     try:
         res = args.equivalence(e1, e2)
     except NotAComplex:
@@ -282,8 +286,8 @@ def cmd_ext(args) -> int:
         )
         _emit(doc, args.format)
         return 1
-    # the witness one-cochain, in the representation induced by e1
-    witness = args.dump1(res.primitive, e1.base, args.extract_representation(e1))
+    # the witness one-cochain, in the representation both extensions induce
+    witness = args.dump1(res.primitive, e1.base, res.representation)
     _emit(_report_doc("pass", witness=witness), args.format)
     return 0
 

@@ -7,9 +7,13 @@ phi1 : g1 -> V1, chi : g0 x g0 -> V1.  Two-cochains are tuples
 mu : g0 x g1 -> V1, nu : g1 x g0 -> V1, theta : g0^3 -> V1.
 
 The differential d1 and the eight two-cocycle residual families coc01-coc08
-implemented here are the package's frozen convention (see CONVENTIONS.md at
-the repository root); d2 . d1 = 0 is enforced, not assumed, every time the
-matrices are assembled.
+are the package's frozen convention (see CONVENTIONS.md at the repository
+root); d2 . d1 = 0 is enforced, not assumed, every time the matrices are
+assembled.  d1 is written out here.  d2 is not: the standard total of an
+extension by c (``extension_total``, shared with ``ext2.build_extension``)
+is a two-term algebra exactly when c is a cocycle, so coc01-coc08 are the
+kernel part of the axioms (a)-(f) of that total on base tuples, read off
+``algebra2.algebra_residuals`` and relabelled by the table ``FAMILIES``.
 
 Flattening, the assembled matrices, H2 and coboundary solves come from the
 engine in ``cochain``; ``cochain_complex`` hands it this theory's block
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra2 import TwoTermAlgebra, require_algebra
+from .algebra2 import TwoTermAlgebra, TwoTermComplex, algebra_residuals, require_algebra
 from .cochain import (
     CoboundaryMatrices,
     Cochain,
@@ -35,10 +39,11 @@ from .cochain import (
     primitive,
 )
 from .exactlin import Matrix
+from .extension import cocycle_families, families_report, stacked, total_bilinear, total_matrix
 from .integral import on_integers
 from .rep2 import Representation2, require_representation
-from .report import CheckReport, report_from
-from .tensorops import bil, tri, unit, vadd, vneg, vsub, vzero, tensor2, tensor3
+from .report import CheckReport
+from .tensorops import bil, tri, unit, vadd, vsub, tensor2, tensor3, zeros2
 
 
 @dataclass
@@ -158,125 +163,56 @@ def d1_apply(g: TwoTermAlgebra, r: Representation2, c: Cochain1) -> Cochain2:
     return Cochain2(psi, omega, mu, nu, theta)
 
 
-def d2_residual_blocks(g: TwoTermAlgebra, r: Representation2, c: Cochain2):
-    """Yield (family, basis tuple, residual vector) for coc01-coc08.
+# the kernel part of each axiom of the standard total on a base tuple:
+# (cocycle family, sign, degree of the axiom's values); see ``extension``
+FAMILIES = {
+    "a": ("coc01", -1, 0),
+    "b": ("coc02", -1, 0),
+    "c": ("coc03", -1, 1),
+    "d": ("coc04", -1, 0),
+    "e1": ("coc05", -1, 1),
+    "e2": ("coc06", -1, 1),
+    "e3": ("coc07", -1, 1),
+    "f": ("coc08", 1, 1),
+}
 
-    A two-cochain is a cocycle iff every residual vanishes.  Families:
 
-      coc01 (x,a):   x|>psi(a) - psi(x.a) + omega(x, d a) - dv mu(x,a)
-      coc02 (a,x):   psi(a)<|x - psi(a.x) + omega(d a, x) - dv nu(a,x)
-      coc03 (a,b):   a|>psi(b) + nu(a, d b) - psi(a)<|b - mu(d a, b)
-      coc04 (x,y,z): omega(x,y)<|z - x|>omega(y,z) + omega(x.y, z)
-                     - omega(x, y.z) - dv theta(x,y,z) - psi(l3(x,y,z))
-      coc05 (x,y,a): omega(x,y)<|a - x|>mu(y,a) + mu(x.y, a) - mu(x, y.a)
-                     - theta(x,y,d a) - (x,y)|>psi(a)
-      coc06 (x,a,y): mu(x,a)<|y - x|>nu(a,y) + nu(x.a, y) - mu(x, a.y)
-                     - theta(x,d a,y) - x|>psi(a)<|y
-      coc07 (a,x,y): nu(a,x)<|y - a|>omega(x,y) + nu(a.x, y) - nu(a, x.y)
-                     - theta(d a,x,y) - psi(a)<|(x,y)
-      coc08 (x,y,z,t): x|>theta(y,z,t) + theta(x,y,z)<|t - theta(x.y,z,t)
-                     + theta(x,y.z,t) - theta(x,y,z.t) + mu(x, l3(y,z,t))
-                     + nu(l3(x,y,z), t) - omega(x,y)<|(z,t)
-                     + x|>omega(y,z)<|t - (x,y)|>omega(z,t)
-    """
-    n0, n1 = g.dim0, g.dim1
-    e = [unit(n0, i) for i in range(n0)]
-    fv = [unit(n1, p) for p in range(n1)]
-    d = g.complex.diff
-    dv = r.complex.diff
-    dcol = [d.col(p) for p in range(n1)]
-    psi_col = [c.psi.col(p) for p in range(n1)]
-    mu_at = lambda x, a: bil(c.mu, x, a)
-    nu_at = lambda a, x: bil(c.nu, a, x)
-    om_at = lambda x, y: bil(c.omega, x, y)
-    th_at = lambda x, y, z: tri(c.theta, x, y, z)
+def extension_total(g: TwoTermAlgebra, r: Representation2, c: Cochain2) -> TwoTermAlgebra:
+    """The standard total on (g + V) twisted by c, unchecked: differential
+    [[d, 0], [psi, dv]], products g's plus omega, mu, nu on base arguments
+    and r's actions on mixed ones, l3 plus theta on base arguments and the
+    trilinear actions tl, tm, tr with one kernel argument."""
+    n0, n1, m0, m1 = g.dim0, g.dim1, r.dim0, r.dim1
+    deg0, deg1 = (n0, m0), (n1, m1)
+    # l3 with first argument fixed is bilinear: from a base vector it is
+    # l3 + theta, tl and tm; from a kernel vector tr on base arguments only
+    l3 = tuple(total_bilinear(g.l3[i], c.theta[i], r.tl[i], r.tm[i], (deg0, deg0, deg1)) for i in range(n0))
+    zero = zeros2(n0, n0, n1), zeros2(n0, m0, m1), zeros2(m0, n0, m1)
+    l3 += tuple(total_bilinear(zero[0], r.tr[s], zero[1], zero[2], (deg0, deg0, deg1)) for s in range(m0))
+    return TwoTermAlgebra(
+        TwoTermComplex(n0 + m0, n1 + m1, total_matrix(g.complex.diff, c.psi, r.complex.diff)),
+        total_bilinear(g.l2_00, c.omega, r.l0v0, r.r0v0, (deg0, deg0, deg0)),
+        total_bilinear(g.l2_01, c.mu, r.l0v1, r.r1, (deg0, deg1, deg1)),
+        total_bilinear(g.l2_10, c.nu, r.l1, r.r0v1, (deg1, deg0, deg1)),
+        l3,
+    )
 
-    for i in range(n0):
-        for p in range(n1):
-            res = vadd(
-                bil(r.l0v0, e[i], psi_col[p]),
-                vsub(om_at(e[i], dcol[p]), c.psi @ g.l2_01[i][p]),
-                vneg(dv @ c.mu[i][p]),
-            )
-            yield "coc01", (i, p), res
-            res = vadd(
-                bil(r.r0v0, psi_col[p], e[i]),
-                vsub(om_at(dcol[p], e[i]), c.psi @ g.l2_10[p][i]),
-                vneg(dv @ c.nu[p][i]),
-            )
-            yield "coc02", (p, i), res
-    for p in range(n1):
-        for q in range(n1):
-            res = vadd(
-                bil(r.l1, fv[p], psi_col[q]),
-                vsub(nu_at(fv[p], dcol[q]), bil(r.r1, psi_col[p], fv[q])),
-                vneg(mu_at(dcol[p], fv[q])),
-            )
-            yield "coc03", (p, q), res
-    for i in range(n0):
-        for j in range(n0):
-            xy = g.l2_00[i][j]
-            for k in range(n0):
-                res = vadd(
-                    vsub(bil(r.r0v0, c.omega[i][j], e[k]), bil(r.l0v0, e[i], c.omega[j][k])),
-                    vsub(om_at(xy, e[k]), om_at(e[i], g.l2_00[j][k])),
-                    vneg(dv @ c.theta[i][j][k]),
-                    vneg(c.psi @ g.l3[i][j][k]),
-                )
-                yield "coc04", (i, j, k), res
-            for p in range(n1):
-                res = vadd(
-                    vsub(bil(r.r1, c.omega[i][j], fv[p]), bil(r.l0v1, e[i], c.mu[j][p])),
-                    vsub(mu_at(xy, fv[p]), mu_at(e[i], g.l2_01[j][p])),
-                    vneg(th_at(e[i], e[j], dcol[p])),
-                    vneg(tri(r.tl, e[i], e[j], psi_col[p])),
-                )
-                yield "coc05", (i, j, p), res
-                res = vadd(
-                    vsub(bil(r.r0v1, c.mu[i][p], e[j]), bil(r.l0v1, e[i], c.nu[p][j])),
-                    vsub(nu_at(g.l2_01[i][p], e[j]), mu_at(e[i], g.l2_10[p][j])),
-                    vneg(th_at(e[i], dcol[p], e[j])),
-                    vneg(tri(r.tm, e[i], psi_col[p], e[j])),
-                )
-                yield "coc06", (i, p, j), res
-                res = vadd(
-                    vsub(bil(r.r0v1, c.nu[p][i], e[j]), bil(r.l1, fv[p], c.omega[i][j])),
-                    vsub(nu_at(g.l2_10[p][i], e[j]), nu_at(fv[p], xy)),
-                    vneg(th_at(dcol[p], e[i], e[j])),
-                    vneg(tri(r.tr, psi_col[p], e[i], e[j])),
-                )
-                yield "coc07", (p, i, j), res
-    for i in range(n0):
-        for j in range(n0):
-            xy = g.l2_00[i][j]
-            for k in range(n0):
-                yz = g.l2_00[j][k]
-                for t in range(n0):
-                    res = vadd(
-                        bil(r.l0v1, e[i], c.theta[j][k][t]),
-                        bil(r.r0v1, c.theta[i][j][k], e[t]),
-                        vsub(th_at(e[i], yz, e[t]), th_at(xy, e[k], e[t])),
-                        vsub(mu_at(e[i], g.l3[j][k][t]), th_at(e[i], e[j], g.l2_00[k][t])),
-                        vsub(nu_at(g.l3[i][j][k], e[t]), tri(r.tr, c.omega[i][j], e[k], e[t])),
-                        vsub(tri(r.tm, e[i], c.omega[j][k], e[t]), tri(r.tl, e[i], e[j], c.omega[k][t])),
-                    )
-                    yield "coc08", (i, j, k, t), res
+
+def total_cocycle_families(total: TwoTermAlgebra, g: TwoTermAlgebra):
+    """Yield (family, basis tuple, residual) for coc01-coc08: the kernel
+    part of the axioms (a)-(f) of ``total``, a standard total over g, on
+    g's basis tuples."""
+    cuts = (g.dim0, g.dim1)
+    return cocycle_families(algebra_residuals(total, ranges=cuts), FAMILIES, cuts)
 
 
 def d2_residual(g: TwoTermAlgebra, r: Representation2, c: Cochain2) -> tuple:
     """Concatenated residuals of the eight cocycle families."""
-    out = []
-    for _, _, res in d2_residual_blocks(g, r, c):
-        out.extend(res)
-    return tuple(out)
+    return stacked(total_cocycle_families(extension_total(g, r, c), g))
 
 
 def cocycle_report(g: TwoTermAlgebra, r: Representation2, c: Cochain2) -> CheckReport:
-    def residuals():
-        for fam, where, res in d2_residual_blocks(g, r, c):
-            yield fam, where, tuple(res), vzero(len(res))
-
-    return report_from(residuals())
+    return families_report(total_cocycle_families(extension_total(g, r, c), g))
 
 
 def is_cocycle2(g: TwoTermAlgebra, r: Representation2, c: Cochain2) -> bool:

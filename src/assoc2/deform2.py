@@ -5,9 +5,11 @@ maps to d + t.psi, products + t.(omega|mu|nu), l3 + t.theta1 + t^2.theta2.
 Whether the deformed structure satisfies the axioms identically in t is a
 statement about polynomial coefficients, so the verifier runs the ordinary
 axiom evaluators over tensors with polynomial entries and inspects the
-coefficients exactly.  Specialization at sample values of t is kept as an
-independent cross-check (degree <= 2 per axiom when theta2 is absent, so
-three nonzero sample points already decide).
+coefficients exactly.  One function (``specialize``) gives the deformed
+structure over any scalar: the parameter ``T`` itself for the coefficient
+check, or sample values of t for an independent cross-check (degree <= 2
+per axiom when theta2 is absent, so three nonzero sample points already
+decide).
 
 Nijenhuis operators package the trivial deformations: a candidate
 (N0, N1, N2) passing conditions (i)-(v) induces a second-order deformation
@@ -25,15 +27,14 @@ from .algebra2 import (
     TwoTermAlgebra,
     TwoTermComplex,
     algebra_residuals,
-    check_algebra,
     homomorphism_residuals,
     require_algebra,
 )
 from .cohom2 import Cochain2, d1_apply, Cochain1
 from .exactlin import Matrix
-from .poly import Poly, T
+from .poly import GeneratesVerdict, T, generates_verdict, identity_report
 from .rep2 import adjoint_representation
-from .report import CheckReport, Violation, report_from
+from .report import CheckReport, report_from
 from .tensorops import bil, tensor2, tensor3, tmap, tzip, unit, vadd, vsub, zeros2
 
 
@@ -72,42 +73,20 @@ def identity_candidate(g: TwoTermAlgebra) -> NijenhuisCandidate:
 # building deformed structures
 # ---------------------------------------------------------------------------
 
-def _lin(base, pert, t):
-    return tzip(lambda b, p: b + t * p, base, pert)
-
-
-def specialize(p: PolyStructure, lam: Fraction) -> TwoTermAlgebra:
-    """The deformed algebra at a concrete parameter value."""
-    lam = Fraction(lam)
-    g = p.base
-    c = p.first_order
-    diff = Matrix(_lin(g.complex.diff.entries, c.psi.entries, lam), g.dim1)
-    l3 = _lin(g.l3, c.theta, lam)
+def specialize(p: PolyStructure, param) -> TwoTermAlgebra:
+    """The deformed algebra over a scalar: a value of the parameter, or the
+    parameter ``T`` itself for the algebra over polynomials in it."""
+    g, c = p.base, p.first_order
+    lin = lambda base, pert: tzip(lambda b, q: b + param * q, base, pert)
+    l3 = lin(g.l3, c.theta)
     if p.second_order_l3 is not None:
-        l3 = tzip(lambda b, q: b + lam * lam * q, l3, p.second_order_l3)
+        square = param * param
+        l3 = tzip(lambda b, q: b + square * q, l3, p.second_order_l3)
     return TwoTermAlgebra(
-        TwoTermComplex(g.dim0, g.dim1, diff),
-        _lin(g.l2_00, c.omega, lam),
-        _lin(g.l2_01, c.mu, lam),
-        _lin(g.l2_10, c.nu, lam),
-        l3,
-    )
-
-
-def deformed_algebra(p: PolyStructure) -> TwoTermAlgebra:
-    """The deformed algebra over the polynomial ring in the parameter."""
-    g = p.base
-    c = p.first_order
-    diff = Matrix(_lin(g.complex.diff.entries, c.psi.entries, T), g.dim1)
-    l3 = _lin(g.l3, c.theta, T)
-    if p.second_order_l3 is not None:
-        t2 = T * T
-        l3 = tzip(lambda b, q: b + t2 * q, l3, p.second_order_l3)
-    return TwoTermAlgebra(
-        TwoTermComplex(g.dim0, g.dim1, diff),
-        _lin(g.l2_00, c.omega, T),
-        _lin(g.l2_01, c.mu, T),
-        _lin(g.l2_10, c.nu, T),
+        TwoTermComplex(g.dim0, g.dim1, Matrix(lin(g.complex.diff.entries, c.psi.entries), g.dim1)),
+        lin(g.l2_00, c.omega),
+        lin(g.l2_01, c.mu),
+        lin(g.l2_10, c.nu),
         l3,
     )
 
@@ -122,18 +101,6 @@ def structure_from_cochain(g: TwoTermAlgebra, c: Cochain2) -> TwoTermAlgebra:
 # the generation criterion
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GeneratesVerdict:
-    cocycle_ok: bool
-    standalone_ok: bool
-    cocycle_violations: list[Violation]
-    standalone_violations: list[Violation]
-
-    @property
-    def generates(self) -> bool:
-        return self.cocycle_ok and self.standalone_ok
-
-
 def check_generates(p: PolyStructure) -> GeneratesVerdict:
     """Two-part criterion for a first-order perturbation.
 
@@ -146,21 +113,7 @@ def check_generates(p: PolyStructure) -> GeneratesVerdict:
     if p.second_order_l3 is not None:
         raise ValueError("generation criterion applies to first-order deformations")
     require_algebra(p.base)
-    ga = deformed_algebra(p)
-    coc: list[Violation] = []
-    standalone: list[Violation] = []
-    for cond, where, lhs, rhs in algebra_residuals(ga):
-        for idx, entry in enumerate(vsub(lhs, rhs)):
-            poly = entry if isinstance(entry, Poly) else Poly((entry,))
-            if poly.coeff(0) != 0:
-                raise AssertionError("base axioms leaked a constant term")
-            if poly.coeff(1) != 0:
-                coc.append(Violation(cond, where + (idx,), (poly.coeff(1),), (Fraction(0),)))
-            if poly.coeff(2) != 0:
-                standalone.append(Violation(cond, where + (idx,), (poly.coeff(2),), (Fraction(0),)))
-            if poly.degree > 2:
-                raise AssertionError("axiom residual degree exceeds 2")
-    return GeneratesVerdict(not coc, not standalone, coc, standalone)
+    return generates_verdict(algebra_residuals(specialize(p, T)))
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +237,5 @@ def check_trivializing(g: TwoTermAlgebra, p: PolyStructure, n: NijenhuisCandidat
     """
     if p.base is not g and p.base != g:
         raise ValueError("deformation is not over the given base")
-    ga = deformed_algebra(p)
     f0, f1, f2 = trivializing_triple(g, n, T)
-    hom = Homomorphism2(ga, g, f0, f1, f2)
-    violations: list[Violation] = []
-    for cond, where, lhs, rhs in homomorphism_residuals(hom):
-        for idx, entry in enumerate(vsub(lhs, rhs)):
-            poly = entry if isinstance(entry, Poly) else Poly((entry,))
-            for k in range(poly.degree + 1):
-                if poly.coeff(k) != 0:
-                    violations.append(
-                        Violation(cond, where + (idx, k), (poly.coeff(k),), (Fraction(0),))
-                    )
-    return CheckReport(violations).sorted()
+    return identity_report(homomorphism_residuals(Homomorphism2(specialize(p, T), g, f0, f1, f2)))

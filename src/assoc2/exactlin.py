@@ -12,12 +12,13 @@ the nonzero entries, before they are returned.
 
 Scalar contract: ``Matrix`` doubles as a container for entries from other
 commutative rings (polynomials in a deformation parameter, see
-:mod:`assoc2.poly`; the ``int`` entries of an integral structure's twin,
-``Matrix.of_ints``, see :mod:`assoc2.integral`), and ``Matrix @ vector`` is
-ring-generic like the tensor evaluators: it skips zeros by truthiness, and
-an empty sum is the zero of the matrix's own scalars.  Elimination is not
-generic: its inputs (``rref``, ``rank``, ``kernel_basis``, ``solve``) are
-``Fraction`` matrices and vectors, and so are all its outputs.
+:mod:`assoc2.poly`; the ``int`` entries of an integral structure's twin and
+the linear forms of a standard total, both kept by ``Matrix.as_given``),
+and ``Matrix @ vector`` is ring-generic like the tensor evaluators: it
+skips zeros by truthiness, and an empty sum is the zero of the matrix's own
+scalars.  Elimination is not generic: its inputs (``rref``, ``rank``,
+``kernel_basis``, ``solve``) are ``Fraction`` matrices and vectors, and so
+are all its outputs.
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ class Matrix:
         self._sparse = None
 
     @staticmethod
-    def of_ints(entries: tuple, cols: int) -> "Matrix":
-        """The matrix of ``entries``, a tuple of row tuples of ``int``, with
-        its entries kept ``int`` (the constructor makes them ``Fraction``)."""
+    def as_given(entries: tuple, cols: int) -> "Matrix":
+        """The matrix of ``entries``, a tuple of row tuples, with its entries
+        kept as they are (the constructor makes ``int`` ones ``Fraction``)."""
         m = Matrix.__new__(Matrix)
         m.rows, m.cols, m.entries, m._sparse = len(entries), cols, entries, None
         return m

@@ -6,7 +6,8 @@ projection onto the base, and an explicit splitting (a degreewise right
 inverse of the projection; never chosen implicitly).  From this data the
 induced representation and the extracted two-cocycle are computed; building
 an extension from a cocycle produces the standard total structure on
-(base + kernel) with the canonical inclusion, projection, and splitting.
+(base + kernel) (``cohom2.extension_total``, the total d2 is read off) with
+the canonical inclusion, projection, and splitting.
 
 Equivalence of two extensions over the same base and kernel is decided by a
 single linear solve against the assembled d1 matrix; a successful witness is
@@ -25,12 +26,19 @@ from .algebra2 import (
     require_algebra,
 )
 from .cochain import Inequivalence  # noqa: F401  (check_equivalence's certificate)
-from .cohom2 import Cochain1, Cochain2, assemble_matrices, cochain_complex, d2_residual
+from .cohom2 import (
+    Cochain1,
+    Cochain2,
+    assemble_matrices,
+    cochain_complex,
+    extension_total,
+    total_cocycle_families,
+)
 from .exactlin import Matrix
-from .extension import SplitExtension
+from .extension import SplitExtension, families_report
 from .rep2 import Representation2, require_representation
 from .report import CheckReport
-from .tensorops import bil, tri, unit, vadd, vsub, vzero, tensor2, tensor3, zeros2
+from .tensorops import bil, unit, vsub, vzero, tensor2, tensor3, zeros2
 
 
 class Extension2(SplitExtension):
@@ -160,85 +168,8 @@ def build_extension(
     require_representation(r)
     if r.complex != h:
         raise ValueError("representation does not act on the given kernel complex")
-    if any(x != 0 for x in d2_residual(g, r, c)):
-        from .cohom2 import cocycle_report
-
-        cocycle_report(g, r, c).require("not a two-cocycle")
-    n0, n1, m0, m1 = g.dim0, g.dim1, r.dim0, r.dim1
-    N0, N1 = n0 + m0, n1 + m1
-
-    def j0(xg, xh):
-        return tuple(xg) + tuple(xh)
-
-    def j1(ag, ah):
-        return tuple(ag) + tuple(ah)
-
-    def split0(v):
-        return v[:n0], v[n0:]
-
-    def split1(v):
-        return v[:n1], v[n1:]
-
-    diff_cols = []
-    for p in range(n1):
-        diff_cols.append(j0(g.complex.diff.col(p), c.psi.col(p)))
-    for s in range(m1):
-        diff_cols.append(j0(vzero(n0), r.complex.diff.col(s)))
-    diff = Matrix.from_cols(diff_cols, N0)
-
-    def mul00(iu, jv):
-        xg_i, xh_i = split0(unit(N0, iu))
-        xg_j, xh_j = split0(unit(N0, jv))
-        gpart = bil(g.l2_00, xg_i, xg_j)
-        hpart = vadd(
-            bil(c.omega, xg_i, xg_j),
-            bil(r.l0v0, xg_i, xh_j),
-            bil(r.r0v0, xh_i, xg_j),
-        )
-        return j0(gpart, hpart)
-
-    def mul01(iu, pv):
-        xg, xh = split0(unit(N0, iu))
-        ag, ah = split1(unit(N1, pv))
-        gpart = bil(g.l2_01, xg, ag)
-        hpart = vadd(
-            bil(c.mu, xg, ag),
-            bil(r.l0v1, xg, ah),
-            bil(r.r1, xh, ag),
-        )
-        return j1(gpart, hpart)
-
-    def mul10(pv, iu):
-        ag, ah = split1(unit(N1, pv))
-        xg, xh = split0(unit(N0, iu))
-        gpart = bil(g.l2_10, ag, xg)
-        hpart = vadd(
-            bil(c.nu, ag, xg),
-            bil(r.l1, ag, xh),
-            bil(r.r0v1, ah, xg),
-        )
-        return j1(gpart, hpart)
-
-    def l3fun(iu, jv, kw):
-        xg_i, xh_i = split0(unit(N0, iu))
-        xg_j, xh_j = split0(unit(N0, jv))
-        xg_k, xh_k = split0(unit(N0, kw))
-        gpart = tri(g.l3, xg_i, xg_j, xg_k)
-        hpart = vadd(
-            tri(c.theta, xg_i, xg_j, xg_k),
-            tri(r.tl, xg_i, xg_j, xh_k),
-            tri(r.tm, xg_i, xh_j, xg_k),
-            tri(r.tr, xh_i, xg_j, xg_k),
-        )
-        return j1(gpart, hpart)
-
-    total = TwoTermAlgebra(
-        TwoTermComplex(N0, N1, diff),
-        tensor2(N0, N0, mul00),
-        tensor2(N0, N1, mul01),
-        tensor2(N1, N0, mul10),
-        tensor3(N0, N0, N0, l3fun),
-    )
+    total = extension_total(g, r, c)
+    families_report(total_cocycle_families(total, g)).require("not a two-cocycle")
     require_algebra(total)
     return Extension2.standard(total, g)
 
@@ -251,6 +182,7 @@ def build_extension(
 class EquivalenceWitness:
     primitive: Cochain1  # (lambda0, lambda1, lambda2) with d1(primitive) = c1 - c2
     homomorphism: Homomorphism2
+    representation: Representation2  # induced by both extensions; primitive's coefficients
 
 
 def witness_homomorphism(e1: Extension2, e2: Extension2, lam: Cochain1) -> Homomorphism2:
@@ -268,9 +200,9 @@ def check_equivalence(e1: Extension2, e2: Extension2):
     difference, and verify the induced homomorphism.  Returns an
     EquivalenceWitness or an Inequivalence certificate."""
 
-    def check_witness(lam):
+    def check_witness(lam, r):
         hom = witness_homomorphism(e1, e2, lam)
         check_homomorphism(hom).require("witness does not induce a homomorphism")
-        return EquivalenceWitness(lam, hom), hom.f0, hom.f1
+        return EquivalenceWitness(lam, hom, r), hom.f0, hom.f1
 
     return e1.equivalence(e2, lambda a, b: a.kernel_complex() == b.kernel_complex(), check_witness)

@@ -8,13 +8,25 @@ has degrees 0 and 1; a crossed module (h -> p) has p in degree 0, with
 kernel W, and h in degree 1, with kernel V.
 
 This module holds what does not depend on the theory: the coordinate maps,
-the standard extension's projection and splitting, the exactness, rank and
-splitting identities, the flow of the equivalence decision, and the
-degreewise maps of an equivalence witness with the check that they fix the
-kernel and commute with the projections.  ``ext2`` and ``xmod`` add the
-theory's own structure checks, extraction and construction formulas, as the
-subclass methods ``require``, ``representation``, ``cocycle`` and
-``complex_of``.
+the blocks of the standard total, the reading of the cocycle families off
+its axioms, the standard extension's projection and splitting, the
+exactness, rank and splitting identities, the flow of the equivalence
+decision, and the degreewise maps of an equivalence witness with the check
+that they fix the kernel and commute with the projections.  ``ext2`` and
+``xmod`` add the theory's own structure checks, extraction formulas and
+totals, as the subclass methods ``require``, ``representation``,
+``cocycle`` and ``complex_of``.
+
+The standard total of a base, a representation and a two-cochain c lives
+on (base + kernel) in each degree, base coordinates first.  Its structure
+maps are copied into place block by block: on base arguments the base map
+plus c, the action of the base on the kernel where one argument is a
+kernel vector, and zero where two are.  It satisfies the theory's axioms
+exactly when c is a cocycle, and on base tuples the kernel part of each
+axiom's residual is, up to a fixed sign, one cocycle family evaluated on
+c (the tables are ``cohom2.FAMILIES`` and ``xmod.XFAMILIES``).  So d2 and
+the cocycle checks are read off the axiom evaluators, on a total whose
+cochain entries may be the linear forms of matrix assembly.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from .cochain import Inequivalence, cohomologous
 from .exactlin import Matrix, rank
 from .integral import integral_report, twin_field
 from .report import CheckReport, checked, checked_field, report_from
-from .tensorops import tflat, unit, vadd, vsub, vzero
+from .tensorops import ZERO, tflat, unit, vadd, vsub, vzero
 
 
 def _incl(v, sub, n):
@@ -38,6 +50,49 @@ def _incl(v, sub, n):
 
 def _coordinate_projection(n: int, total: int) -> Matrix:
     return Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(total)) for i in range(n)), total)
+
+
+def total_matrix(base: Matrix, twist: Matrix, kernel: Matrix) -> Matrix:
+    """The block matrix [[base, 0], [twist, kernel]] of a map from
+    (B + K) to (C + L): base on B to C, twist on B to L, kernel on K to L.
+    The entries are kept as they are: ``int`` on twins, forms in twist."""
+    pad = (ZERO,) * kernel.cols
+    rows = tuple(row + pad for row in base.entries) + tuple(t + k for t, k in zip(twist.entries, kernel.entries))
+    return Matrix.as_given(rows, base.cols + kernel.cols)
+
+
+def total_bilinear(base, twist, left, right, dims) -> tuple:
+    """The bilinear tensor on (A + M) x (B + N) -> (C + P) with base + twist
+    on (A, B) (to C and P), left on (A, N) and right on (M, B) (to P), and
+    zero on (M, N); ``dims`` is ((A, M), (B, N), (C, P)) by dimension."""
+    (na, ma), (nb, mb), (nc, mc) = dims
+    pad, none = (ZERO,) * nc, (ZERO,) * (nc + mc)
+    top = tuple(
+        tuple(base[i][j] + twist[i][j] for j in range(nb)) + tuple(pad + left[i][s] for s in range(mb))
+        for i in range(na)
+    )
+    return top + tuple(tuple(pad + right[s][j] for j in range(nb)) + (none,) * mb for s in range(ma))
+
+
+def cocycle_families(residuals, table: dict, cuts: tuple[int, int]):
+    """Yield (family, basis tuple, residual vector) from the axiom residuals
+    of a standard total on base tuples: ``table`` maps each condition to its
+    family, its sign and the degree of its values, and ``cuts`` are the base
+    dimensions, where the kernel part of a value starts."""
+    for condition, where, lhs, rhs in residuals:
+        family, sign, degree = table[condition]
+        cut = cuts[degree]
+        lhs, rhs = lhs[cut:], rhs[cut:]
+        yield family, where, vsub(lhs, rhs) if sign > 0 else vsub(rhs, lhs)
+
+
+def stacked(families) -> tuple:
+    """The residual vectors of ``cocycle_families``, concatenated."""
+    return tuple(x for _, _, res in families for x in res)
+
+
+def families_report(families) -> CheckReport:
+    return report_from((family, where, res, vzero(len(res))) for family, where, res in families)
 
 
 @dataclass
@@ -130,9 +185,11 @@ class SplitExtension:
         theory passes ``same_kernel(self, other)``) and induce the same
         representation; then one solve against d1 gives a primitive of the
         difference of their cocycles, or the ``Inequivalence`` certificate.
-        ``check_witness(primitive)`` builds the theory's witness, verifies
-        that it is a homomorphism and returns it with its degreewise maps,
-        which must fix the kernel and commute with the projections."""
+        ``check_witness(primitive, r)`` builds the theory's witness, which
+        keeps the induced representation r the primitive is a cochain of,
+        verifies that it is a homomorphism and returns it with its
+        degreewise maps, which must fix the kernel and commute with the
+        projections."""
         self.require()
         other.require()
         if self.base != other.base:
@@ -146,7 +203,7 @@ class SplitExtension:
         lam = cohomologous(*self.complex_of(r), c1, c2)
         if isinstance(lam, Inequivalence):
             return lam
-        witness, f0, f1 = check_witness(lam)
+        witness, f0, f1 = check_witness(lam, r)
         self.require_commutes(other, f0, f1)
         return witness
 

@@ -5,10 +5,11 @@ direct sums, unimodular changes of basis, adjoint representations, the
 totals of extensions by integral cocycles) has only ``Fraction`` constants
 of denominator 1.  Its *integer twin* is the same structure with each of
 those constants replaced by its ``int`` value: the same dataclass, built by
-its own constructor, with ``int`` tensors and ``Matrix.of_ints`` matrices.
-The ring-generic evaluators (``tensorops``, ``Matrix @ vector``) then run
-the unchanged residual generators on it over ``int``, which gives the same
-values as over ``Fraction`` at a fraction of the cost.
+its own constructor, with ``int`` tensors and ``int`` matrices (kept by
+``Matrix.as_given``).  The ring-generic evaluators (``tensorops``,
+``Matrix @ vector``) then run the unchanged residual generators on it over
+``int``, which gives the same values as over ``Fraction`` at a fraction of
+the cost.
 
 The choice is made once per structure, never per call: ``twin`` returns
 the twin, or ``None`` when some constant is not an integer (or not a
@@ -86,7 +87,7 @@ def _convert(x, memo: dict):
         if kind is tuple:
             memo[key] = tuple(_convert(y, memo) for y in x)
         elif kind is Matrix:
-            memo[key] = Matrix.of_ints(tuple(tuple(_convert(y, memo) for y in row) for row in x.entries), x.cols)
+            memo[key] = Matrix.as_given(tuple(tuple(_convert(y, memo) for y in row) for row in x.entries), x.cols)
         elif is_dataclass(x) and not isinstance(x, type):
             memo[key] = _structure(x, memo)
         else:

@@ -9,7 +9,10 @@ coefficient extraction is exact and shares no code with sampling.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+
+from .report import CheckReport, Violation
 
 
 def _coeffs_of(x) -> tuple[Fraction, ...]:
@@ -111,3 +114,55 @@ class Poly:
 
 #: The deformation parameter itself.
 T = Poly((0, 1))
+
+
+# ---------------------------------------------------------------------------
+# identities in the parameter, read coefficient by coefficient
+# ---------------------------------------------------------------------------
+
+def coefficient_violations(residuals) -> dict[int, list[Violation]]:
+    """The nonzero coefficients of lhs - rhs, entry by entry, of residuals
+    (condition, basis tuple, lhs, rhs) over polynomials in the parameter:
+    per power, in residual order, one violation ``coefficient != 0`` at the
+    basis tuple extended by the entry index."""
+    found: dict[int, list[Violation]] = {}
+    for condition, where, lhs, rhs in residuals:
+        for idx, (a, b) in enumerate(zip(lhs, rhs, strict=True)):
+            for k, coeff in enumerate(_coeffs_of(a - b)):
+                if coeff:
+                    found.setdefault(k, []).append(Violation(condition, where + (idx,), (coeff,), (Fraction(0),)))
+    return found
+
+
+def identity_report(residuals) -> CheckReport:
+    """Every nonzero coefficient of identities meant to hold identically in
+    the parameter, at (basis tuple, entry index, power)."""
+    found = coefficient_violations(residuals)
+    return CheckReport(
+        [Violation(v.condition, v.where + (k,), v.lhs, v.rhs) for k, vs in found.items() for v in vs]
+    ).sorted()
+
+
+@dataclass
+class GeneratesVerdict:
+    cocycle_ok: bool
+    standalone_ok: bool
+    cocycle_violations: list[Violation]
+    standalone_violations: list[Violation]
+
+    @property
+    def generates(self) -> bool:
+        return self.cocycle_ok and self.standalone_ok
+
+
+def generates_verdict(residuals) -> GeneratesVerdict:
+    """The two-part criterion on the axiom residuals of a first-order
+    deformation over the parameter: the constant coefficients vanish because
+    the base passes its checker, the linear ones iff the perturbation is a
+    two-cocycle in the adjoint representation, the quadratic ones iff it is
+    a structure in its own right, and none is of higher degree."""
+    found = coefficient_violations(residuals)
+    if set(found) - {1, 2}:
+        raise AssertionError(f"deformed axioms have coefficients of powers {sorted(set(found) - {1, 2})}")
+    coc, standalone = found.get(1, []), found.get(2, [])
+    return GeneratesVerdict(not coc, not standalone, coc, standalone)

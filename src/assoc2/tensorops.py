@@ -49,14 +49,6 @@ def vneg(v) -> tuple:
     return tuple(-a for a in v)
 
 
-def vscale(c, v) -> tuple:
-    return tuple(c * a for a in v)
-
-
-def vis_zero(v) -> bool:
-    return all(x == 0 for x in v)
-
-
 def _zero_of(x):
     """The zero that sums over the scalar ``x``'s ring start from."""
     return 0 if type(x) is int else ZERO

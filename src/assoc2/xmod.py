@@ -10,13 +10,15 @@ deformations with Nijenhuis pairs, and abelian extensions classified by
 the second cohomology.  This module holds the formulas and the structure
 checks; the linear algebra of the complex (flattening, assembly, H2,
 coboundary solves) is the shared engine in ``cochain``, fed by
-``xmod_cochain_complex``.
+``xmod_cochain_complex``.  As in ``cohom2``, d2 is not written out: the
+families xcoc1-xcoc7 are the kernel part of the crossed-module axioms of
+the standard total (``xmod_extension_total``, shared with
+``xmod_build_extension``) on base tuples, relabelled by ``XFAMILIES``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra2 import (
     AssocAlgebra,
@@ -25,7 +27,6 @@ from .algebra2 import (
     TwoTermComplex,
     _assoc_residuals,
     _bimodule_residuals,
-    check_algebra,
     require_algebra,
 )
 from .cochain import (
@@ -39,11 +40,11 @@ from .cochain import (
     primitive,
 )
 from .exactlin import Matrix
-from .extension import SplitExtension
+from .extension import SplitExtension, cocycle_families, families_report, stacked, total_bilinear, total_matrix
 from .integral import integral_report, on_integers, twin_field
-from .poly import Poly, T
-from .report import CheckReport, Violation, checked, checked_field, report_from
-from .tensorops import bil, unit, vadd, vneg, vsub, vzero, tensor2, tzip, zeros2
+from .poly import GeneratesVerdict, T, generates_verdict, identity_report
+from .report import CheckReport, checked, checked_field, report_from
+from .tensorops import bil, unit, vadd, vsub, vzero, tensor2, tzip, zeros2
 
 
 @dataclass
@@ -66,22 +67,25 @@ class CrossedModule:
     dim0, dim1 = pdim, hdim
 
 
-def crossed_module_residuals(x: CrossedModule, structure: bool = True):
-    """All defining identities on basis tuples.
+def crossed_module_residuals(x: CrossedModule, structure: bool = True, ranges: tuple[int, int] | None = None):
+    """All defining identities on basis tuples, or with ``ranges`` =
+    (kp, kh) on the tuples of the first kp basis vectors of p and the first
+    kh of h only.
 
     With ``structure`` the associativity of p and the bimodule axioms of h
     are included; they are preconditions of the definition but take part in
     deformed-structure checks on an equal footing.
     """
+    kp, kh = ranges or (x.pdim, x.hdim)
     if structure:
-        yield from _assoc_residuals(x.p_alg)
-        yield from _bimodule_residuals(x.h_mod)
+        yield from _assoc_residuals(x.p_alg, kp)
+        yield from _bimodule_residuals(x.h_mod, ranges)
     np_, nh = x.pdim, x.hdim
-    e = [unit(np_, i) for i in range(np_)]
-    fb = [unit(nh, a) for a in range(nh)]
-    fcol = [x.f_map.col(a) for a in range(nh)]
-    for i in range(np_):
-        for a in range(nh):
+    e = [unit(np_, i) for i in range(kp)]
+    fb = [unit(nh, a) for a in range(kh)]
+    fcol = [x.f_map.col(a) for a in range(kh)]
+    for i in range(kp):
+        for a in range(kh):
             yield (
                 "equiv-l",
                 (i, a),
@@ -94,8 +98,8 @@ def crossed_module_residuals(x: CrossedModule, structure: bool = True):
                 x.f_map @ x.h_mod.right[a][i],
                 x.p_alg.product(fcol[a], e[i]),
             )
-    for a in range(nh):
-        for b in range(nh):
+    for a in range(kh):
+        for b in range(kh):
             yield (
                 "peiffer",
                 (a, b),
@@ -363,92 +367,46 @@ def xmod_d1_apply(x: CrossedModule, r: XModRepresentation, c: XCochain1) -> XCoc
     return XCochain2(psi, omega, mu, nu)
 
 
-def xmod_d2_residual_blocks(x: CrossedModule, r: XModRepresentation, c: XCochain2):
-    """The seven cocycle families:
+# the kernel part of each axiom of the standard total on a base tuple:
+# (cocycle family, sign, degree of the axiom's values); see ``extension``
+XFAMILIES = {
+    "equiv-l": ("xcoc1", 1, 0),
+    "equiv-r": ("xcoc2", 1, 0),
+    "peiffer": ("xcoc3", 1, 1),
+    "assoc": ("xcoc4", -1, 0),
+    "left": ("xcoc5", -1, 1),
+    "right": ("xcoc6", 1, 1),
+    "middle": ("xcoc7", 1, 1),
+}
 
-      xcoc1 (x,a):   psi(x.a) + phi(mu(x,a)) - x.psi(a) - omega(x, f(a))
-      xcoc2 (a,x):   psi(a.x) + phi(nu(a,x)) - omega(f(a), x) - psi(a).x
-      xcoc3 (a,b):   psi(a)<|b + mu(f(a), b) - a|>psi(b) - nu(a, f(b))
-      xcoc4 (x,y,z): omega(x, y.z) - omega(x.y, z) + x.omega(y,z)
-                     - omega(x,y).z
-      xcoc5 (x,y,a): x.mu(y,a) + mu(x, y.a) - omega(x,y)<|a - mu(x.y, a)
-      xcoc6 (a,x,y): a|>omega(x,y) + nu(a, x.y) - nu(a,x).y - nu(a.x, y)
-      xcoc7 (x,a,y): x.nu(a,y) + mu(x, a.y) - nu(x.a, y) - mu(x,a).y
-    """
-    np_, nh = x.pdim, x.hdim
-    e = [unit(np_, i) for i in range(np_)]
-    ha = [unit(nh, a) for a in range(nh)]
-    fcol = [x.f_map.col(a) for a in range(nh)]
-    psicol = [c.psi.col(a) for a in range(nh)]
 
-    for i in range(np_):
-        for a in range(nh):
-            res = vadd(
-                c.psi @ x.h_mod.left[i][a],
-                r.phi @ c.mu[i][a],
-                vneg(bil(r.w_mod.left, e[i], psicol[a])),
-                vneg(bil(c.omega, e[i], fcol[a])),
-            )
-            yield "xcoc1", (i, a), res
-            res = vadd(
-                c.psi @ x.h_mod.right[a][i],
-                r.phi @ c.nu[a][i],
-                vneg(bil(c.omega, fcol[a], e[i])),
-                vneg(bil(r.w_mod.right, psicol[a], e[i])),
-            )
-            yield "xcoc2", (a, i), res
-    for a in range(nh):
-        for b in range(nh):
-            res = vadd(
-                bil(r.tr_r, psicol[a], ha[b]),
-                bil(c.mu, fcol[a], ha[b]),
-                vneg(bil(r.tr_l, ha[a], psicol[b])),
-                vneg(bil(c.nu, ha[a], fcol[b])),
-            )
-            yield "xcoc3", (a, b), res
-    for i in range(np_):
-        for j in range(np_):
-            xy = x.p_alg.mul[i][j]
-            for k in range(np_):
-                res = vadd(
-                    vsub(bil(c.omega, e[i], x.p_alg.mul[j][k]), bil(c.omega, xy, e[k])),
-                    vsub(bil(r.w_mod.left, e[i], c.omega[j][k]), bil(r.w_mod.right, c.omega[i][j], e[k])),
-                )
-                yield "xcoc4", (i, j, k), res
-            for a in range(nh):
-                res = vadd(
-                    bil(r.v_mod.left, e[i], c.mu[j][a]),
-                    vsub(bil(c.mu, e[i], x.h_mod.left[j][a]), bil(r.tr_r, c.omega[i][j], ha[a])),
-                    vneg(bil(c.mu, xy, ha[a])),
-                )
-                yield "xcoc5", (i, j, a), res
-                res = vadd(
-                    bil(r.tr_l, ha[a], c.omega[i][j]),
-                    vsub(bil(c.nu, ha[a], xy), bil(r.v_mod.right, c.nu[a][i], e[j])),
-                    vneg(bil(c.nu, x.h_mod.right[a][i], e[j])),
-                )
-                yield "xcoc6", (a, i, j), res
-                res = vadd(
-                    bil(r.v_mod.left, e[i], c.nu[a][j]),
-                    vsub(bil(c.mu, e[i], x.h_mod.right[a][j]), bil(c.nu, x.h_mod.left[i][a], e[j])),
-                    vneg(bil(r.v_mod.right, c.mu[i][a], e[j])),
-                )
-                yield "xcoc7", (i, a, j), res
+def xmod_extension_total(x: CrossedModule, r: XModRepresentation, c: XCochain2) -> CrossedModule:
+    """The standard total on (p + W, h + V) twisted by c, unchecked: f_map
+    [[f, 0], [psi, phi]], products and actions x's plus omega, mu, nu on
+    base arguments and r's actions and pairings on mixed ones."""
+    deg0, deg1 = (x.pdim, r.wdim), (x.hdim, r.vdim)
+    mul = total_bilinear(x.p_alg.mul, c.omega, r.w_mod.left, r.w_mod.right, (deg0, deg0, deg0))
+    p_alg = AssocAlgebra(sum(deg0), mul)
+    left = total_bilinear(x.h_mod.left, c.mu, r.v_mod.left, r.tr_r, (deg0, deg1, deg1))
+    right = total_bilinear(x.h_mod.right, c.nu, r.tr_l, r.v_mod.right, (deg1, deg0, deg1))
+    return CrossedModule(p_alg, Bimodule(p_alg, sum(deg1), left, right), total_matrix(x.f_map, c.psi, r.phi))
+
+
+def total_xcocycle_families(total: CrossedModule, x: CrossedModule):
+    """Yield (family, basis tuple, residual) for xcoc1-xcoc7: the kernel
+    part of the crossed-module axioms of ``total``, a standard total over
+    x, on x's basis tuples."""
+    cuts = (x.pdim, x.hdim)
+    return cocycle_families(crossed_module_residuals(total, ranges=cuts), XFAMILIES, cuts)
 
 
 def xmod_d2_residual(x: CrossedModule, r: XModRepresentation, c: XCochain2) -> tuple:
-    out = []
-    for _, _, res in xmod_d2_residual_blocks(x, r, c):
-        out.extend(res)
-    return tuple(out)
+    """Concatenated residuals of the seven cocycle families."""
+    return stacked(total_xcocycle_families(xmod_extension_total(x, r, c), x))
 
 
 def xmod_cocycle_report(x: CrossedModule, r: XModRepresentation, c: XCochain2) -> CheckReport:
-    def residuals():
-        for fam, where, res in xmod_d2_residual_blocks(x, r, c):
-            yield fam, where, tuple(res), vzero(len(res))
-
-    return report_from(residuals())
+    return families_report(total_xcocycle_families(xmod_extension_total(x, r, c), x))
 
 
 def xmod_assemble_matrices(x: CrossedModule, r: XModRepresentation) -> CoboundaryMatrices:
@@ -479,44 +437,12 @@ def xmod_deform(x: CrossedModule, c: XCochain2, param) -> CrossedModule:
     return CrossedModule(p_alg, h_mod, f_map)
 
 
-@dataclass
-class XModGeneratesVerdict:
-    cocycle_ok: bool
-    standalone_ok: bool
-    cocycle_violations: list[Violation]
-    standalone_violations: list[Violation]
-
-    @property
-    def generates(self) -> bool:
-        return self.cocycle_ok and self.standalone_ok
-
-
-def xmod_check_generates(x: CrossedModule, c: XCochain2) -> XModGeneratesVerdict:
+def xmod_check_generates(x: CrossedModule, c: XCochain2) -> GeneratesVerdict:
     """Coefficient extraction on the deformed structure: linear coefficients
     vanish iff c is a cocycle in the adjoint representation, quadratic ones
     iff (h, p, psi) with omega, mu, nu is itself a crossed module."""
     require_crossed_module(x)
-    deformed = xmod_deform(x, c, T)
-    coc: list[Violation] = []
-    standalone: list[Violation] = []
-    for cond, where, lhs, rhs in crossed_module_residuals(deformed):
-        for idx, entry in enumerate(vsub(lhs, rhs)):
-            poly = entry if isinstance(entry, Poly) else Poly((entry,))
-            if poly.coeff(0) != 0:
-                raise AssertionError("base crossed-module axioms leaked a constant term")
-            if poly.coeff(1) != 0:
-                coc.append(Violation(cond, where + (idx,), (poly.coeff(1),), (Fraction(0),)))
-            if poly.coeff(2) != 0:
-                standalone.append(Violation(cond, where + (idx,), (poly.coeff(2),), (Fraction(0),)))
-            if poly.degree > 2:
-                raise AssertionError("residual degree exceeds 2")
-    return XModGeneratesVerdict(not coc, not standalone, coc, standalone)
-
-
-def xmod_structure_from_cochain(x: CrossedModule, c: XCochain2) -> CrossedModule:
-    p_alg = AssocAlgebra(x.pdim, c.omega)
-    h_mod = Bimodule(p_alg, x.hdim, c.mu, c.nu)
-    return CrossedModule(p_alg, h_mod, c.psi)
+    return generates_verdict(crossed_module_residuals(xmod_deform(x, c, T)))
 
 
 def xmod_nijenhuis_residuals(x: CrossedModule, n0: Matrix, n1: Matrix):
@@ -574,17 +500,9 @@ def xmod_homomorphism_residuals(src: CrossedModule, dst: CrossedModule, f0: Matr
 def xmod_check_trivializing(x: CrossedModule, c: XCochain2, n0: Matrix, n1: Matrix) -> CheckReport:
     """(id + t N0, id + t N1) must be a strict homomorphism from the
     deformed structure to the base, identically in the parameter."""
-    deformed = xmod_deform(x, c, T)
     t0 = Matrix(tzip(lambda i, v: i + T * v, Matrix.identity(x.pdim).entries, n0.entries), x.pdim)
     t1 = Matrix(tzip(lambda i, v: i + T * v, Matrix.identity(x.hdim).entries, n1.entries), x.hdim)
-    violations: list[Violation] = []
-    for cond, where, lhs, rhs in xmod_homomorphism_residuals(deformed, x, t0, t1):
-        for idx, entry in enumerate(vsub(lhs, rhs)):
-            poly = entry if isinstance(entry, Poly) else Poly((entry,))
-            for k in range(poly.degree + 1):
-                if poly.coeff(k) != 0:
-                    violations.append(Violation(cond, where + (idx, k), (poly.coeff(k),), (Fraction(0),)))
-    return CheckReport(violations).sorted()
+    return identity_report(xmod_homomorphism_residuals(xmod_deform(x, c, T), x, t0, t1))
 
 
 # ---------------------------------------------------------------------------
@@ -693,49 +611,8 @@ def xmod_build_extension(
     """The standard extension on (p + W, h + V) twisted by a cocycle."""
     require_crossed_module(x)
     require_xmod_representation(r)
-    if any(v != 0 for v in xmod_d2_residual(x, r, c)):
-        xmod_cocycle_report(x, r, c).require("not a two-cocycle")
-    np_, nh, nv, nw = x.pdim, x.hdim, r.vdim, r.wdim
-    NP, NH = np_ + nw, nh + nv
-
-    def splitp(v):
-        return v[:np_], v[np_:]
-
-    def splith(v):
-        return v[:nh], v[nh:]
-
-    def pmul(i, j):
-        xg, wg = splitp(unit(NP, i))
-        yg, wg2 = splitp(unit(NP, j))
-        return tuple(x.p_alg.product(xg, yg)) + tuple(
-            vadd(
-                bil(c.omega, xg, yg),
-                bil(r.w_mod.left, xg, wg2),
-                bil(r.w_mod.right, wg, yg),
-            )
-        )
-
-    def hleft(i, a):
-        xg, wg = splitp(unit(NP, i))
-        ag, vg = splith(unit(NH, a))
-        return tuple(bil(x.h_mod.left, xg, ag)) + tuple(
-            vadd(bil(c.mu, xg, ag), bil(r.v_mod.left, xg, vg), bil(r.tr_r, wg, ag))
-        )
-
-    def hright(a, i):
-        ag, vg = splith(unit(NH, a))
-        xg, wg = splitp(unit(NP, i))
-        return tuple(bil(x.h_mod.right, ag, xg)) + tuple(
-            vadd(bil(c.nu, ag, xg), bil(r.v_mod.right, vg, xg), bil(r.tr_l, ag, wg))
-        )
-
-    p_alg = AssocAlgebra(NP, tensor2(NP, NP, pmul))
-    h_mod = Bimodule(p_alg, NH, tensor2(NP, NH, hleft), tensor2(NH, NP, hright))
-    fcols = [
-        tuple(x.f_map.col(a)) + tuple(c.psi.col(a)) for a in range(nh)
-    ] + [(Fraction(0),) * np_ + tuple(r.phi.col(s)) for s in range(nv)]
-    f_map = Matrix.from_cols(fcols, NP)
-    total = CrossedModule(p_alg, h_mod, f_map)
+    total = xmod_extension_total(x, r, c)
+    families_report(total_xcocycle_families(total, x)).require("not a two-cocycle")
     require_crossed_module(total)
     return XModExtension.standard(total, x)
 
@@ -745,17 +622,18 @@ class XModWitness:
     primitive: XCochain1  # d1(primitive) = c1 - c2
     f0: Matrix
     f1: Matrix
+    representation: XModRepresentation  # induced by both extensions; primitive's coefficients
 
 
 def xmod_check_equivalence(e1: XModExtension, e2: XModExtension):
     """Witness search as in ``ext2.check_equivalence``; the witness is the
     pair of degreewise maps, verified as a strict homomorphism."""
 
-    def check_witness(lam):
+    def check_witness(lam, r):
         f0, f1 = e1.witness_maps(e2, lam.n0, lam.n1)
         integral_report(xmod_homomorphism_residuals, e1.total, e2.total, f0, f1).require(
             "witness does not induce a homomorphism"
         )
-        return XModWitness(lam, f0, f1), f0, f1
+        return XModWitness(lam, f0, f1, r), f0, f1
 
     return e1.equivalence(e2, None, check_witness)

@@ -38,6 +38,23 @@ def brute_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def _c2_layout(n0, n1, m0, m1):
+    """dim C2 and the index maps of psi, omega, mu, nu, theta (the shared
+    flattening contract)."""
+    o_omega = n1 * m0
+    o_mu = o_omega + n0 * n0 * m0
+    o_nu = o_mu + n0 * n1 * m1
+    o_theta = o_nu + n1 * n0 * m1
+    return (
+        o_theta + n0 ** 3 * m1,
+        lambda p, s: p * m0 + s,
+        lambda i, j, s: o_omega + (i * n0 + j) * m0 + s,
+        lambda i, p, s: o_mu + (i * n1 + p) * m1 + s,
+        lambda p, i, s: o_nu + (p * n0 + i) * m1 + s,
+        lambda i, j, k, s: o_theta + ((i * n0 + j) * n0 + k) * m1 + s,
+    )
+
+
 def brute_h2(g, r) -> tuple[int, int, int]:
     """(dim Z2, dim B2, dim H2) for a two-term algebra and representation."""
     n0, n1 = g.dim0, g.dim1
@@ -48,19 +65,7 @@ def brute_h2(g, r) -> tuple[int, int, int]:
     l0v0, l0v1, r0v0, r0v1 = r.l0v0, r.l0v1, r.r0v0, r.r0v1
     l1, r1, tl, tm, tr = r.l1, r.r1, r.tl, r.tm, r.tr
 
-    # --- unknown layouts (the shared flattening contract) ---------------
-    o_omega = n1 * m0
-    o_mu = o_omega + n0 * n0 * m0
-    o_nu = o_mu + n0 * n1 * m1
-    o_theta = o_nu + n1 * n0 * m1
-    dim_c2 = o_theta + n0 ** 3 * m1
-
-    i_psi = lambda p, s: p * m0 + s
-    i_om = lambda i, j, s: o_omega + (i * n0 + j) * m0 + s
-    i_mu = lambda i, p, s: o_mu + (i * n1 + p) * m1 + s
-    i_nu = lambda p, i, s: o_nu + (p * n0 + i) * m1 + s
-    i_th = lambda i, j, k, s: o_theta + ((i * n0 + j) * n0 + k) * m1 + s
-
+    # --- unknown layout of one-cochains (the shared flattening contract) -
     p_phi1 = m0 * n0
     p_chi = p_phi1 + m1 * n1
     dim_c1 = p_chi + n0 * n0 * m1
@@ -136,7 +141,22 @@ def brute_h2(g, r) -> tuple[int, int, int]:
                         row[i_phi(t, j)] += tm[i][t][k][s]
                         row[i_phi(t, i)] += tr[t][j][k][s]
 
-    # --- d2 as rows of coefficients over C2 unknowns --------------------
+    z2 = _c2_layout(n0, n1, m0, m1)[0] - brute_rank(brute_d2_rows(g, r))
+    b2 = brute_rank(d1_rows)
+    h2 = z2 - b2
+    return z2, b2, h2
+
+
+def brute_d2_rows(g, r) -> list[list[Fraction]]:
+    """The cocycle families coc01-coc08 as rows over the C2 unknowns."""
+    n0, n1 = g.dim0, g.dim1
+    m0, m1 = r.dim0, r.dim1
+    d = g.complex.diff.entries      # d[j][p]
+    dv = r.complex.diff.entries     # dv[r][s]
+    m00, m01, m10, l3 = g.l2_00, g.l2_01, g.l2_10, g.l3
+    l0v0, l0v1, r0v0, r0v1 = r.l0v0, r.l0v1, r.r0v0, r.r0v1
+    l1, r1, tl, tm, tr = r.l1, r.r1, r.tl, r.tm, r.tr
+    dim_c2, i_psi, i_om, i_mu, i_nu, i_th = _c2_layout(n0, n1, m0, m1)
     d2_rows = []
 
     def d2_row():
@@ -250,11 +270,21 @@ def brute_h2(g, r) -> tuple[int, int, int]:
                             row[i_om(i, j, t)] -= tr[t][k][t4][s]
                             row[i_om(j, k, t)] += tm[i][t][t4][s]
                             row[i_om(k, t4, t)] -= tl[i][j][t][s]
+    return d2_rows
 
-    z2 = dim_c2 - brute_rank(d2_rows)
-    b2 = brute_rank(d1_rows)
-    h2 = z2 - b2
-    return z2, b2, h2
+
+def _xc2_layout(np_, nh, nv, nw):
+    """dim of crossed-module C2 and the index maps of psi, omega, mu, nu."""
+    o_om = nh * nw
+    o_mu = o_om + np_ * np_ * nw
+    o_nu = o_mu + np_ * nh * nv
+    return (
+        o_nu + nh * np_ * nv,
+        lambda a, s: a * nw + s,
+        lambda i, j, s: o_om + (i * np_ + j) * nw + s,
+        lambda i, a, s: o_mu + (i * nh + a) * nv + s,
+        lambda a, i, s: o_nu + (a * np_ + i) * nv + s,
+    )
 
 
 def brute_xmod_h2(x, r) -> tuple[int, int, int]:
@@ -268,15 +298,6 @@ def brute_xmod_h2(x, r) -> tuple[int, int, int]:
     vl, vr = r.v_mod.left, r.v_mod.right
     wl, wr = r.w_mod.left, r.w_mod.right
     trl, trr = r.tr_l, r.tr_r
-
-    o_om = nh * nw
-    o_mu = o_om + np_ * np_ * nw
-    o_nu = o_mu + np_ * nh * nv
-    dim_c2 = o_nu + nh * np_ * nv
-    i_psi = lambda a, s: a * nw + s
-    i_om = lambda i, j, s: o_om + (i * np_ + j) * nw + s
-    i_mu = lambda i, a, s: o_mu + (i * nh + a) * nv + s
-    i_nu = lambda a, i, s: o_nu + (a * np_ + i) * nv + s
 
     p_n1 = nw * np_
     dim_c1 = p_n1 + nv * nh
@@ -325,6 +346,24 @@ def brute_xmod_h2(x, r) -> tuple[int, int, int]:
                     row[i_n1(s, b)] -= hr[a][i][b]
                 d1_rows.append(row)
 
+    z2 = _xc2_layout(np_, nh, nv, nw)[0] - brute_rank(brute_xmod_d2_rows(x, r))
+    b2 = brute_rank(d1_rows)
+    h2 = z2 - b2
+    return z2, b2, h2
+
+
+def brute_xmod_d2_rows(x, r) -> list[list[Fraction]]:
+    """The cocycle families xcoc1-xcoc7 as rows over the C2 unknowns."""
+    np_, nh = x.pdim, x.hdim
+    nv, nw = r.vdim, r.wdim
+    mul = x.p_alg.mul
+    hl, hr = x.h_mod.left, x.h_mod.right
+    f = x.f_map.entries          # f[j][a]
+    phi = r.phi.entries          # phi[s][t]
+    vl, vr = r.v_mod.left, r.v_mod.right
+    wl, wr = r.w_mod.left, r.w_mod.right
+    trl, trr = r.tr_l, r.tr_r
+    dim_c2, i_psi, i_om, i_mu, i_nu = _xc2_layout(np_, nh, nv, nw)
     d2_rows = []
     for i in range(np_):
         for a in range(nh):
@@ -406,8 +445,4 @@ def brute_xmod_h2(x, r) -> tuple[int, int, int]:
                     for t in range(nv):
                         row[i_mu(i, a, t)] -= vr[t][j][s]
                     d2_rows.append(row)
-
-    z2 = dim_c2 - brute_rank(d2_rows)
-    b2 = brute_rank(d1_rows)
-    h2 = z2 - b2
-    return z2, b2, h2
+    return d2_rows

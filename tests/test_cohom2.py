@@ -3,7 +3,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from brute_oracle import brute_h2
+from brute_oracle import brute_d2_rows, brute_h2
 
 from assoc2.algebra2 import TwoTermComplex
 from assoc2.cohom2 import (
@@ -21,9 +21,16 @@ from assoc2.cohom2 import (
 )
 from assoc2.cochain import Cochain, CochainComplex, Layout, assemble
 from assoc2.exactlin import Matrix, kernel_basis, rank
-from assoc2.fixtures import algebra_fixtures, direct_sum_algebra, fix_d, fix_l3, fix_u, fix_z
+from assoc2.fixtures import algebra_fixtures, direct_sum_algebra, fix_2d, fix_d, fix_l3, fix_m, fix_u, fix_w, fix_z
+from assoc2.integral import twin
 from assoc2.rep2 import adjoint_representation, trivial_representation
-from assoc2.sampling import random_cochain1, random_cochain2, random_transport
+from assoc2.sampling import (
+    random_cochain1,
+    random_cochain2,
+    random_transport,
+    random_unimodular,
+    transport_algebra,
+)
 from assoc2.tensorops import tflat, unit, zeros2
 
 F = Fraction
@@ -210,6 +217,42 @@ def test_second_cohomology_matches_brute_oracle():
         assert len(res.representatives) == res.dim_h2
         for rep in res.representatives:
             assert all(x == 0 for x in d2_residual(g, r, rep))
+
+
+def non_integral_transport(rng, g):
+    """g moved along a random change of basis that doubles degree 0: a
+    product of degree-0 basis vectors gets the factor 1/2, so the copy of an
+    algebra with an odd such product has no integer twin."""
+    double = random_unimodular(rng, g.dim0).scale(F(2))
+    return transport_algebra(g, double, random_unimodular(rng, g.dim1))
+
+
+def assert_same_row_space(cx, oracle_rows, label):
+    """The d2 assembled from cx's evaluator and the oracle's rows have the
+    same rref.  d1 is replaced by zero, so that pairs on which
+    d2 . d1 != 0 are compared as well."""
+    d2 = assemble(CochainComplex(cx.c1, cx.c2, lambda c: cx.c2.zero(), cx.d2, cx.not_a_complex)).d2
+    oracle = Matrix(tuple(tuple(row) for row in oracle_rows), cx.c2.dim)
+    assert d2.shape == oracle.shape and d2.rref() == oracle.rref(), label
+
+
+def test_d2_has_the_row_space_of_the_oracle_families():
+    """d2 is read off the axioms of the standard total; the oracle writes
+    coc01-coc08 out by index.  Integral and non-integral transported sums,
+    adjoint and trivial coefficients, pairs refused for d2 . d1 != 0
+    (W+U adjoint, D+U trivial) among them."""
+    complexes = (TwoTermComplex(1, 1, Matrix.zero(1, 1)), TwoTermComplex(1, 1, Matrix.identity(1)))
+    sums = ((fix_u, fix_l3), (fix_w, fix_u), (fix_d, fix_u), (fix_m, fix_d), (fix_2d,))
+    for seed, blocks in enumerate(sums, start=1):
+        base = blocks[0]()
+        for block in blocks[1:]:
+            base = direct_sum_algebra(base, block())
+        rng = random.Random(seed)
+        integral, fractional = random_transport(rng, base), non_integral_transport(rng, base)
+        assert twin(integral) is not None and twin(fractional) is None
+        for g in (integral, fractional):
+            for r in (adjoint_representation(g), *(trivial_representation(g, v) for v in complexes)):
+                assert_same_row_space(cochain_complex(g, r), brute_d2_rows(g, r), (seed, r.complex))
 
 
 def _greedy_representatives(mats):

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from brute_oracle import brute_xmod_h2
-from test_cohom2 import counted, unit_cochain_assembly
+from brute_oracle import brute_xmod_d2_rows, brute_xmod_h2
+from test_cohom2 import assert_same_row_space, counted, non_integral_transport, unit_cochain_assembly
 
 from assoc2.algebra2 import AssocAlgebra, Bimodule, check_algebra
 from assoc2.cochain import Inequivalence, assemble
 from assoc2.exactlin import Matrix, kernel_basis
+from assoc2.integral import twin
 from assoc2.fixtures import (
     algebra_fixtures,
     direct_sum_algebra,
@@ -194,6 +195,26 @@ def test_second_cohomology_matches_oracle():
         assert (res.dim_z2, res.dim_b2, res.dim_h2) == brute_xmod_h2(x, adj), name
         for rep in res.representatives:
             assert all(v == 0 for v in xmod_d2_residual(x, adj, rep))
+
+
+def test_d2_has_the_row_space_of_the_oracle_families():
+    """xcoc1-xcoc7 read off the crossed-module axioms of the standard total
+    against the oracle's rows, on crossed modules from 1/1 to 3/3, integral
+    and non-integral, with adjoint and trivial coefficients."""
+    cases = dict(xmod_fixtures())
+    sums = ((fix_u, fix_d), (fix_d, fix_w), (fix_z, fix_d, fix_u), (fix_w, fix_u, fix_d))
+    for seed, blocks in enumerate(sums, start=1):
+        g = blocks[0]()
+        for block in blocks[1:]:
+            g = direct_sum_algebra(g, block())
+        rng = random.Random(seed)
+        cases[f"{seed} plain"] = algebra_to_crossed_module(g)
+        cases[f"{seed} transported"] = algebra_to_crossed_module(random_transport(rng, g))
+        cases[f"{seed} non-integral"] = algebra_to_crossed_module(non_integral_transport(rng, g))
+        assert twin(cases[f"{seed} non-integral"]) is None
+    for name, x in cases.items():
+        for r in (xmod_adjoint(x), xmod_trivial_representation(x, 1, 2), xmod_trivial_representation(x, 2, 1)):
+            assert_same_row_space(xmod_cochain_complex(x, r), brute_xmod_d2_rows(x, r), (name, r.vdim, r.wdim))
 
 
 def test_zero_crossed_module_h2_is_whole_space():
