@@ -17,7 +17,8 @@ kernel part of the axioms (a)-(f) of that total on base tuples, read off
 
 Flattening, the assembled matrices, H2 and coboundary solves come from the
 engine in ``cochain``; ``cochain_complex`` hands it this theory's block
-layout (bit-exact, shared with the file formats):
+layout, ``cochain_layouts`` (bit-exact; ``fileio`` reads and writes the
+cochain files through the same layouts):
   Cochain1 = [ phi row-major | phi1 row-major | chi by (x, y, out) ]
   Cochain2 = [ psi | omega | mu | nu | theta ], each by input indices then
   output index.
@@ -64,12 +65,10 @@ class Cochain2(Cochain):
     theta: tuple  # g0 x g0 x g0 -> V1
 
 
-def cochain_complex(g: TwoTermAlgebra, r: Representation2) -> CochainComplex:
-    """Degrees 1 and 2 of the complex of (g, r) for the shared engine; the
-    evaluators run on the integer twins of g and r when they have them."""
-    n0, n1, m0, m1 = g.dim0, g.dim1, r.dim0, r.dim1
-    g, r = on_integers(g), on_integers(r)
-    return CochainComplex(
+def cochain_layouts(n0: int, n1: int, m0: int, m1: int) -> tuple[Layout, Layout]:
+    """The block layouts of one- and two-cochains on a pair (g, r) of dims
+    (n0, n1) and (m0, m1)."""
+    return (
         Layout(Cochain1, {"phi": ((n0,), m0), "phi1": ((n1,), m1), "chi": ((n0, n0), m1)}),
         Layout(
             Cochain2,
@@ -81,6 +80,15 @@ def cochain_complex(g: TwoTermAlgebra, r: Representation2) -> CochainComplex:
                 "theta": ((n0, n0, n0), m1),
             },
         ),
+    )
+
+
+def cochain_complex(g: TwoTermAlgebra, r: Representation2) -> CochainComplex:
+    """Degrees 1 and 2 of the complex of (g, r) for the shared engine; the
+    evaluators run on the integer twins of g and r when they have them."""
+    g, r = on_integers(g), on_integers(r)
+    return CochainComplex(
+        *cochain_layouts(g.dim0, g.dim1, r.dim0, r.dim1),
         lambda c: d1_apply(g, r, c),
         lambda c: d2_residual(g, r, c),
         "d2 . d1 != 0: representation is not compatible with the complex",

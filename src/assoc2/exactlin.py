@@ -23,6 +23,7 @@ are all its outputs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,17 +32,23 @@ Vector = tuple  # tuple of scalars (Fraction in the exact-linear-algebra API)
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or "p") with the sign on the numerator."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        d = int(den)
-        if d <= 0:
-            raise ValueError(f"denominator must be positive in {text!r}")
-        return Fraction(int(num), d)
-    return Fraction(int(text))
+    """Parse "p/q" (or "p") in ASCII digits, ``-?[0-9]+(/[0-9]+)?``, with the
+    sign on the numerator and q > 0.  Text that ``int`` cannot read fails
+    with ``int``'s own message; text that it reads but the grammar does not
+    allow (underscores, other digits, a plus sign, spaces) fails after."""
+    stripped = text.strip()
+    num, slash, den = stripped.partition("/")
+    d = int(den) if slash else 1
+    if d <= 0:
+        raise ValueError(f"denominator must be positive in {stripped!r}")
+    n = int(num)
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not of the form p or p/q in ASCII digits: {text!r}")
+    return Fraction(n, d)
 
 
 def format_rational(q: Fraction) -> str:

@@ -22,6 +22,7 @@ from .algebra2 import (
     Homomorphism2,
     TwoTermAlgebra,
     TwoTermComplex,
+    check_algebra,
     check_homomorphism,
     require_algebra,
 )
@@ -169,8 +170,9 @@ def build_extension(
     if r.complex != h:
         raise ValueError("representation does not act on the given kernel complex")
     total = extension_total(g, r, c)
-    families_report(total_cocycle_families(total, g)).require("not a two-cocycle")
-    require_algebra(total)
+    if not check_algebra(total).passed:  # exactly when c is not a cocycle
+        families_report(total_cocycle_families(total, g)).require("not a two-cocycle")
+        require_algebra(total)
     return Extension2.standard(total, g)
 
 

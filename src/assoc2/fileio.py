@@ -12,7 +12,26 @@ One flat schema for all kinds::
 Entries are sparse: omitted entries are zero, duplicate index tuples are
 forbidden, out-of-range indices are schema errors.  Serialization is
 deterministic (entries sorted by index tuple, zero entries dropped), so
-identical values produce byte-identical files.
+identical values produce byte-identical files.  A value is a JSON integer
+or a string ``p`` or ``p/q`` in ASCII digits, ``-?[0-9]+(/[0-9]+)?``, with
+q > 0 (``exactlin.parse_rational``).
+
+Each kind is one entry of the table ``KINDS``: the names of its integer
+dims, the names of any index lists among its dims, and a function from its
+integer dims to its tensors in read order, each a ``TensorSpec`` given as
+(name, shape[, attribute path[, optional]]).  The path names the array's
+attribute when it is not the attribute of that name; an optional tensor
+may be left out of a document and is then read as None.  A tensor with two
+axes is a ``Matrix`` (rows, cols), any other a nested tuple.  The cochain kinds take
+their blocks from the theory's ``Layout`` (``cohom2.cochain_layouts``,
+``xmod.xmod_cochain_layouts``): a block with one input is the matrix
+(out, in), one with several the tensor (inputs..., out).  The extension
+kinds take the algebra or crossed-module tensors twice, under the prefixes
+``total_`` and ``base_``.  ``_read`` builds a document's arrays from its
+entry and ``_write`` dumps an object through the same entry, so a loader
+only checks its dims and assembles the arrays, and a dumper only names
+its dims.  A document that names a tensor its kind does not have is
+refused before any tensor is read.
 
 Loading builds dense tensors from the declared dimensions, so a document
 may declare at most ``MAX_CELLS`` dense cells over all its tensors; one
@@ -24,7 +43,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import prod
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .algebra2 import (
     AssocAlgebra,
@@ -34,33 +56,17 @@ from .algebra2 import (
     TwoTermAlgebra,
     TwoTermComplex,
 )
-from .cohom2 import Cochain1, Cochain2
+from .cohom2 import Cochain1, Cochain2, cochain_layouts
 from .deform2 import NijenhuisCandidate
 from .exactlin import Matrix, format_rational, parse_rational
 from .ext2 import Extension2
 from .rep2 import Representation2
-from .xmod import CrossedModule, XCochain1, XCochain2, XModExtension, XModRepresentation
+from .xmod import CrossedModule, XCochain1, XCochain2, XModExtension, XModRepresentation, xmod_cochain_layouts
 
 FORMAT_VERSION = "1"
 
 # dense tensor cells one document may declare, summed over its tensors
 MAX_CELLS = 1_000_000
-
-KINDS = (
-    "algebra2",
-    "complex2",
-    "representation2",
-    "cochain1",
-    "cochain2",
-    "homomorphism2",
-    "derivation2",
-    "nijenhuis",
-    "crossed_module",
-    "xmod_representation",
-    "xmod_cochain",
-    "extension2",
-    "xmod_extension",
-)
 
 
 class SchemaError(ValueError):
@@ -136,6 +142,116 @@ def entries_from_array(arr, shape: tuple[int, ...]) -> list:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the kinds: dims and tensors, each written once
+# ---------------------------------------------------------------------------
+
+def _algebra(n0, n1):
+    return [("d", (n0, n1), "complex.diff"), ("l2_00", (n0, n0, n0)), ("l2_01", (n0, n1, n1)),
+            ("l2_10", (n1, n0, n1)), ("l3", (n0, n0, n0, n1))]
+
+
+def _crossed_module(p, h):
+    return [("mul", (p, p, p), "p_alg.mul"), ("left", (p, h, h), "h_mod.left"),
+            ("right", (h, p, h), "h_mod.right"), ("f", (p, h), "f_map")]
+
+
+def _map_triple(letter):
+    """x0 : g0 -> g0', x1 : g1 -> g1' and x2 : g0 x g0 -> g1' of a map, a
+    derivation or a candidate; g' = g unless its dims are given."""
+
+    def tensors(s0, s1, *target):
+        d0, d1 = target or (s0, s1)
+        return [(letter + "0", (d0, s0)), (letter + "1", (d1, s1)), (letter + "2", (s0, s0, d1))]
+
+    return tensors
+
+
+def _blocks(layout):
+    return [(name, (out, *inputs) if len(inputs) == 1 else (*inputs, out)) for name, inputs, out in layout.shapes]
+
+
+def _cochain2(*dims):
+    blocks = _blocks(cochain_layouts(*dims)[1])
+    # theta2, a deformation's t^2 term of l3, is optional and shaped as theta
+    return blocks + [("theta2", blocks[-1][1], "", True)]
+
+
+def _xmod_cochain(p, h, v, w, degree):
+    if degree not in (1, 2):
+        raise SchemaError(f"unsupported cochain degree {degree}")
+    return _blocks(xmod_cochain_layouts(p, h, v, w)[degree - 1])
+
+
+def _extension(part):
+    """``part``'s tensors for the total and for the base, prefixed, then the
+    projections and splittings."""
+
+    def tensors(t0, t1, b0, b1):
+        return [
+            (f"{prefix}_{t.name}", t.shape, f"{prefix}.{t.path or t.name}")
+            for prefix, dims in (("total", (t0, t1)), ("base", (b0, b1)))
+            for t in _specs(part, dims)
+        ] + [("p0", (b0, t0)), ("p1", (b1, t1)), ("sigma0", (t0, b0)), ("sigma1", (t1, b1))]
+
+    return tensors
+
+
+class TensorSpec(NamedTuple):
+    name: str
+    shape: tuple[int, ...]
+    path: str = ""  # the attribute holding the array, when it is not ``name``
+    optional: bool = False
+
+
+@lru_cache(maxsize=256)  # documents and dumps repeat a few shapes; cochain layouts are not free to build
+def _specs(tensors, dims) -> tuple[TensorSpec, ...]:
+    return tuple(TensorSpec(*t) for t in tensors(*dims))
+
+
+class Kind(NamedTuple):
+    dims: tuple[str, ...]
+    tensors: Callable  # the integer dims -> [(name, shape[, path[, optional]])]
+    index_lists: tuple[str, ...] = ()  # kernel indices below the first two dims
+
+
+_COEFFICIENTS = ("alg0", "alg1", "v0", "v1")
+
+KINDS = {
+    "algebra2": Kind(("dim0", "dim1"), _algebra),
+    "complex2": Kind(("dim0", "dim1"), lambda n0, n1: [("d", (n0, n1), "diff")]),
+    "representation2": Kind(
+        _COEFFICIENTS,
+        lambda a0, a1, m0, m1: [
+            ("dv", (m0, m1), "complex.diff"), ("l0v0", (a0, m0, m0)), ("l0v1", (a0, m1, m1)),
+            ("r0v0", (m0, a0, m0)), ("r0v1", (m1, a0, m1)), ("l1", (a1, m0, m1)), ("r1", (m0, a1, m1)),
+            ("tl", (a0, a0, m0, m1)), ("tm", (a0, m0, a0, m1)), ("tr", (m0, a0, a0, m1)),
+        ],
+    ),
+    "cochain1": Kind(_COEFFICIENTS, lambda *dims: _blocks(cochain_layouts(*dims)[0])),
+    "cochain2": Kind(_COEFFICIENTS, _cochain2),
+    "homomorphism2": Kind(("src0", "src1", "dst0", "dst1"), _map_triple("f")),
+    "derivation2": Kind(("dim0", "dim1"), _map_triple("d")),
+    "nijenhuis": Kind(("dim0", "dim1"), _map_triple("n")),
+    "crossed_module": Kind(("p", "h"), _crossed_module),
+    "xmod_representation": Kind(
+        ("p", "h", "v", "w"),
+        lambda p, h, v, w: [
+            ("v_left", (p, v, v), "v_mod.left"), ("v_right", (v, p, v), "v_mod.right"),
+            ("w_left", (p, w, w), "w_mod.left"), ("w_right", (w, p, w), "w_mod.right"),
+            ("phi", (w, v)), ("tr_l", (h, w, v)), ("tr_r", (w, h, v)),
+        ],
+    ),
+    "xmod_cochain": Kind(("p", "h", "v", "w", "degree"), _xmod_cochain),
+    "extension2": Kind(("total0", "total1", "base0", "base1"), _extension(_algebra), ("sub0", "sub1")),
+    "xmod_extension": Kind(("totalp", "totalh", "basep", "baseh"), _extension(_crossed_module), ("subw", "subv")),
+}
+
+
+# ---------------------------------------------------------------------------
+# documents
+# ---------------------------------------------------------------------------
+
 def _record(doc, key) -> dict:
     if key not in doc:
         raise SchemaError(f"missing required key {key!r}")
@@ -152,26 +268,24 @@ class _Tensors:
         self.entries = _record(doc, "tensors")
         self.cells = 0
 
-    def __contains__(self, name) -> bool:
-        return name in self.entries
-
-    def tensor(self, name, shape) -> tuple:
+    def read(self, name, shape):
         self.cells += prod(shape)
         if self.cells > MAX_CELLS:
             raise SchemaError(
                 f"tensor {name!r} of shape {shape}: the declared dimensions need more than "
                 f"{MAX_CELLS} dense cells"
             )
-        return array_from_entries(name, shape, self.entries.get(name, []))
-
-    def matrix(self, name, shape) -> Matrix:
-        return Matrix(self.tensor(name, shape), shape[1])
+        arr = array_from_entries(name, shape, self.entries.get(name, []))
+        return Matrix(arr, shape[1]) if len(shape) == 2 else arr
 
 
-def _dims(doc, *names) -> tuple[int, ...]:
+def _dims(doc, kind) -> tuple[int, ...]:
+    """The integer dims of a document of ``kind``, in table order."""
+    if doc.get("kind") != kind:
+        raise SchemaError(f"expected kind {kind!r}, found {doc.get('kind')!r}")
     dims = _record(doc, "dims")
     out = []
-    for n in names:
+    for n in KINDS[kind].dims:
         v = dims.get(n)
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise SchemaError(f"dims[{n!r}] must be a nonnegative integer")
@@ -180,18 +294,48 @@ def _dims(doc, *names) -> tuple[int, ...]:
 
 
 def _index_list(doc, name, bound) -> tuple[int, ...]:
-    v = doc.get("dims", {}).get(name)
-    if not isinstance(v, list) or not all(isinstance(i, int) and 0 <= i < bound for i in v):
+    v = doc["dims"].get(name)
+    if not isinstance(v, list) or not all(type(i) is int and 0 <= i < bound for i in v):
         raise SchemaError(f"dims[{name!r}] must be a list of indices below {bound}")
     if len(set(v)) != len(v):
         raise SchemaError(f"dims[{name!r}] contains duplicates")
     return tuple(v)
 
 
+def _read(doc, kind, *dims) -> list:
+    """The arrays of ``kind``'s tensors on its integer ``dims``, in table
+    order; an optional tensor the document leaves out is None."""
+    t = _Tensors(doc)
+    specs = _specs(KINDS[kind].tensors, dims)
+    names = [s.name for s in specs]
+    unknown = sorted(set(t.entries) - set(names))
+    if unknown:
+        raise SchemaError(f"unknown tensor {unknown[0]!r} for kind {kind!r}; its tensors are {', '.join(names)}")
+    return [t.read(s.name, s.shape) if s.name in t.entries or not s.optional else None for s in specs]
+
+
+def _write(kind, obj, dims) -> dict:
+    """The document of ``obj``, which holds every tensor at its path (an
+    optional one may be None); ``dims`` are its dims and index lists in
+    table order."""
+    entry = KINDS[kind]
+    tensors = {}
+    for s in _specs(entry.tensors, dims[: len(entry.dims)]):
+        arr = reduce(getattr, (s.path or s.name).split("."), obj)
+        if arr is not None:
+            tensors[s.name] = entries_from_array(arr.entries if isinstance(arr, Matrix) else arr, s.shape)
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": kind,
+        "dims": dict(zip(entry.dims + entry.index_lists, dims)),
+        "tensors": {k: v for k, v in sorted(tensors.items()) if v},
+    }
+
+
 def parse_document(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer literal past int's digit limit
         raise SchemaError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise SchemaError("not valid JSON: nested deeper than the parser's recursion limit") from None
@@ -200,469 +344,186 @@ def parse_document(text: str) -> dict:
     if doc.get("format_version") != FORMAT_VERSION:
         raise SchemaError(f"unsupported format_version {doc.get('format_version')!r}")
     kind = doc.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
     _record(doc, "tensors")
     return doc
-
-
-def _document(kind: str, dims: dict, tensors: dict) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "dims": dims,
-        "tensors": {k: v for k, v in sorted(tensors.items()) if v},
-    }
 
 
 def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _expect_kind(doc, kind):
-    if doc.get("kind") != kind:
-        raise SchemaError(f"expected kind {kind!r}, found {doc.get('kind')!r}")
-
-
 # ---------------------------------------------------------------------------
 # two-term algebras and friends
 # ---------------------------------------------------------------------------
 
+def _algebra_of(dims, arrays) -> TwoTermAlgebra:
+    d, *products = arrays
+    return TwoTermAlgebra(TwoTermComplex(*dims, d), *products)
+
+
 def load_algebra(doc) -> TwoTermAlgebra:
-    _expect_kind(doc, "algebra2")
-    n0, n1 = _dims(doc, "dim0", "dim1")
-    t = _Tensors(doc)
-    return TwoTermAlgebra(
-        TwoTermComplex(n0, n1, t.matrix("d", (n0, n1))),
-        t.tensor("l2_00", (n0, n0, n0)),
-        t.tensor("l2_01", (n0, n1, n1)),
-        t.tensor("l2_10", (n1, n0, n1)),
-        t.tensor("l3", (n0, n0, n0, n1)),
-    )
+    dims = _dims(doc, "algebra2")
+    return _algebra_of(dims, _read(doc, "algebra2", *dims))
 
 
 def dump_algebra(g: TwoTermAlgebra) -> dict:
-    n0, n1 = g.dim0, g.dim1
-    return _document(
-        "algebra2",
-        {"dim0": n0, "dim1": n1},
-        {
-            "d": entries_from_array(g.complex.diff.entries, (n0, n1)),
-            "l2_00": entries_from_array(g.l2_00, (n0, n0, n0)),
-            "l2_01": entries_from_array(g.l2_01, (n0, n1, n1)),
-            "l2_10": entries_from_array(g.l2_10, (n1, n0, n1)),
-            "l3": entries_from_array(g.l3, (n0, n0, n0, n1)),
-        },
-    )
+    return _write("algebra2", g, (g.dim0, g.dim1))
 
 
 def load_complex(doc) -> TwoTermComplex:
-    _expect_kind(doc, "complex2")
-    n0, n1 = _dims(doc, "dim0", "dim1")
-    return TwoTermComplex(n0, n1, _Tensors(doc).matrix("d", (n0, n1)))
+    dims = _dims(doc, "complex2")
+    return TwoTermComplex(*dims, *_read(doc, "complex2", *dims))
 
 
 def dump_complex(v: TwoTermComplex) -> dict:
-    return _document(
-        "complex2",
-        {"dim0": v.dim0, "dim1": v.dim1},
-        {"d": entries_from_array(v.diff.entries, (v.dim0, v.dim1))},
-    )
+    return _write("complex2", v, (v.dim0, v.dim1))
 
 
 def load_representation(doc, g: TwoTermAlgebra) -> Representation2:
-    _expect_kind(doc, "representation2")
-    a0, a1, m0, m1 = _dims(doc, "alg0", "alg1", "v0", "v1")
+    a0, a1, m0, m1 = dims = _dims(doc, "representation2")
     if (a0, a1) != (g.dim0, g.dim1):
         raise SchemaError(f"representation is over an algebra of dims {(a0, a1)}, got {(g.dim0, g.dim1)}")
-    t = _Tensors(doc)
-    return Representation2(
-        algebra=g,
-        complex=TwoTermComplex(m0, m1, t.matrix("dv", (m0, m1))),
-        l0v0=t.tensor("l0v0", (a0, m0, m0)),
-        l0v1=t.tensor("l0v1", (a0, m1, m1)),
-        r0v0=t.tensor("r0v0", (m0, a0, m0)),
-        r0v1=t.tensor("r0v1", (m1, a0, m1)),
-        l1=t.tensor("l1", (a1, m0, m1)),
-        r1=t.tensor("r1", (m0, a1, m1)),
-        tl=t.tensor("tl", (a0, a0, m0, m1)),
-        tm=t.tensor("tm", (a0, m0, a0, m1)),
-        tr=t.tensor("tr", (m0, a0, a0, m1)),
-    )
+    dv, *actions = _read(doc, "representation2", *dims)
+    return Representation2(g, TwoTermComplex(m0, m1, dv), *actions)
 
 
 def dump_representation(r: Representation2) -> dict:
-    g = r.algebra
-    a0, a1, m0, m1 = g.dim0, g.dim1, r.dim0, r.dim1
-    return _document(
-        "representation2",
-        {"alg0": a0, "alg1": a1, "v0": m0, "v1": m1},
-        {
-            "dv": entries_from_array(r.complex.diff.entries, (m0, m1)),
-            "l0v0": entries_from_array(r.l0v0, (a0, m0, m0)),
-            "l0v1": entries_from_array(r.l0v1, (a0, m1, m1)),
-            "r0v0": entries_from_array(r.r0v0, (m0, a0, m0)),
-            "r0v1": entries_from_array(r.r0v1, (m1, a0, m1)),
-            "l1": entries_from_array(r.l1, (a1, m0, m1)),
-            "r1": entries_from_array(r.r1, (m0, a1, m1)),
-            "tl": entries_from_array(r.tl, (a0, a0, m0, m1)),
-            "tm": entries_from_array(r.tm, (a0, m0, a0, m1)),
-            "tr": entries_from_array(r.tr, (m0, a0, a0, m1)),
-        },
-    )
+    return _write("representation2", r, (r.algebra.dim0, r.algebra.dim1, r.dim0, r.dim1))
 
 
-def _check_coeff_dims(doc, g, r):
-    a0, a1, m0, m1 = _dims(doc, "alg0", "alg1", "v0", "v1")
-    if (a0, a1) != (g.dim0, g.dim1) or (m0, m1) != (r.dim0, r.dim1):
+def _coefficients(doc, kind, g, r) -> tuple[int, ...]:
+    dims = _dims(doc, kind)
+    if dims != (g.dim0, g.dim1, r.dim0, r.dim1):
         raise SchemaError("cochain dims do not match the algebra/representation pair")
-    return a0, a1, m0, m1
+    return dims
 
 
 def load_cochain1(doc, g: TwoTermAlgebra, r: Representation2) -> Cochain1:
-    _expect_kind(doc, "cochain1")
-    a0, a1, m0, m1 = _check_coeff_dims(doc, g, r)
-    t = _Tensors(doc)
-    return Cochain1(
-        t.matrix("phi", (m0, a0)),
-        t.matrix("phi1", (m1, a1)),
-        t.tensor("chi", (a0, a0, m1)),
-    )
+    return Cochain1(*_read(doc, "cochain1", *_coefficients(doc, "cochain1", g, r)))
 
 
 def dump_cochain1(c: Cochain1, g: TwoTermAlgebra, r: Representation2) -> dict:
-    a0, a1, m0, m1 = g.dim0, g.dim1, r.dim0, r.dim1
-    return _document(
-        "cochain1",
-        {"alg0": a0, "alg1": a1, "v0": m0, "v1": m1},
-        {
-            "phi": entries_from_array(c.phi.entries, (m0, a0)),
-            "phi1": entries_from_array(c.phi1.entries, (m1, a1)),
-            "chi": entries_from_array(c.chi, (a0, a0, m1)),
-        },
-    )
+    return _write("cochain1", c, (g.dim0, g.dim1, r.dim0, r.dim1))
 
 
 def load_cochain2(doc, g: TwoTermAlgebra, r: Representation2):
     """Returns (Cochain2, optional theta2 tensor)."""
-    _expect_kind(doc, "cochain2")
-    a0, a1, m0, m1 = _check_coeff_dims(doc, g, r)
-    t = _Tensors(doc)
-    c = Cochain2(
-        t.matrix("psi", (m0, a1)),
-        t.tensor("omega", (a0, a0, m0)),
-        t.tensor("mu", (a0, a1, m1)),
-        t.tensor("nu", (a1, a0, m1)),
-        t.tensor("theta", (a0, a0, a0, m1)),
-    )
-    theta2 = t.tensor("theta2", (a0, a0, a0, m1)) if "theta2" in t else None
-    return c, theta2
+    *blocks, theta2 = _read(doc, "cochain2", *_coefficients(doc, "cochain2", g, r))
+    return Cochain2(*blocks), theta2
 
 
 def dump_cochain2(c: Cochain2, g: TwoTermAlgebra, r: Representation2, theta2=None) -> dict:
-    a0, a1, m0, m1 = g.dim0, g.dim1, r.dim0, r.dim1
-    tensors = {
-        "psi": entries_from_array(c.psi.entries, (m0, a1)),
-        "omega": entries_from_array(c.omega, (a0, a0, m0)),
-        "mu": entries_from_array(c.mu, (a0, a1, m1)),
-        "nu": entries_from_array(c.nu, (a1, a0, m1)),
-        "theta": entries_from_array(c.theta, (a0, a0, a0, m1)),
-    }
-    if theta2 is not None:
-        tensors["theta2"] = entries_from_array(theta2, (a0, a0, a0, m1))
-    return _document("cochain2", {"alg0": a0, "alg1": a1, "v0": m0, "v1": m1}, tensors)
+    return _write("cochain2", SimpleNamespace(**vars(c), theta2=theta2), (g.dim0, g.dim1, r.dim0, r.dim1))
 
 
 def load_homomorphism(doc, src: TwoTermAlgebra, dst: TwoTermAlgebra) -> Homomorphism2:
-    _expect_kind(doc, "homomorphism2")
-    s0, s1, d0, d1 = _dims(doc, "src0", "src1", "dst0", "dst1")
-    if (s0, s1) != (src.dim0, src.dim1) or (d0, d1) != (dst.dim0, dst.dim1):
+    dims = _dims(doc, "homomorphism2")
+    if dims != (src.dim0, src.dim1, dst.dim0, dst.dim1):
         raise SchemaError("homomorphism dims do not match source/target algebras")
-    t = _Tensors(doc)
-    return Homomorphism2(
-        src,
-        dst,
-        t.matrix("f0", (d0, s0)),
-        t.matrix("f1", (d1, s1)),
-        t.tensor("f2", (s0, s0, d1)),
-    )
+    return Homomorphism2(src, dst, *_read(doc, "homomorphism2", *dims))
 
 
 def dump_homomorphism(h: Homomorphism2) -> dict:
-    s0, s1 = h.source.dim0, h.source.dim1
-    d0, d1 = h.target.dim0, h.target.dim1
-    return _document(
-        "homomorphism2",
-        {"src0": s0, "src1": s1, "dst0": d0, "dst1": d1},
-        {
-            "f0": entries_from_array(h.f0.entries, (d0, s0)),
-            "f1": entries_from_array(h.f1.entries, (d1, s1)),
-            "f2": entries_from_array(h.f2, (s0, s0, d1)),
-        },
-    )
+    return _write("homomorphism2", h, (h.source.dim0, h.source.dim1, h.target.dim0, h.target.dim1))
 
 
 def load_derivation(doc, g: TwoTermAlgebra) -> HomotopyDerivation:
-    _expect_kind(doc, "derivation2")
-    n0, n1 = _dims(doc, "dim0", "dim1")
-    if (n0, n1) != (g.dim0, g.dim1):
+    dims = _dims(doc, "derivation2")
+    if dims != (g.dim0, g.dim1):
         raise SchemaError("derivation dims do not match the algebra")
-    t = _Tensors(doc)
-    return HomotopyDerivation(
-        g, t.matrix("d0", (n0, n0)), t.matrix("d1", (n1, n1)), t.tensor("d2", (n0, n0, n1))
-    )
+    return HomotopyDerivation(g, *_read(doc, "derivation2", *dims))
 
 
 def load_nijenhuis(doc, dims: tuple[int, int]) -> NijenhuisCandidate:
-    _expect_kind(doc, "nijenhuis")
-    n0, n1 = _dims(doc, "dim0", "dim1")
-    if (n0, n1) != dims:
+    if _dims(doc, "nijenhuis") != dims:
         raise SchemaError("candidate dims do not match the structure")
-    t = _Tensors(doc)
-    return NijenhuisCandidate(
-        t.matrix("n0", (n0, n0)), t.matrix("n1", (n1, n1)), t.tensor("n2", (n0, n0, n1))
-    )
+    return NijenhuisCandidate(*_read(doc, "nijenhuis", *dims))
 
 
 def dump_nijenhuis(n: NijenhuisCandidate) -> dict:
-    n0, n1 = n.n0.rows, n.n1.rows
-    return _document(
-        "nijenhuis",
-        {"dim0": n0, "dim1": n1},
-        {
-            "n0": entries_from_array(n.n0.entries, (n0, n0)),
-            "n1": entries_from_array(n.n1.entries, (n1, n1)),
-            "n2": entries_from_array(n.n2, (n0, n0, n1)),
-        },
-    )
+    return _write("nijenhuis", n, (n.n0.rows, n.n1.rows))
 
 
 # ---------------------------------------------------------------------------
 # crossed modules
 # ---------------------------------------------------------------------------
 
+def _crossed_module_of(dims, arrays) -> CrossedModule:
+    p, h = dims
+    mul, left, right, f = arrays
+    alg = AssocAlgebra(p, mul)
+    return CrossedModule(alg, Bimodule(alg, h, left, right), f)
+
+
 def load_crossed_module(doc) -> CrossedModule:
-    _expect_kind(doc, "crossed_module")
-    p, h = _dims(doc, "p", "h")
-    t = _Tensors(doc)
-    alg = AssocAlgebra(p, t.tensor("mul", (p, p, p)))
-    mod = Bimodule(alg, h, t.tensor("left", (p, h, h)), t.tensor("right", (h, p, h)))
-    return CrossedModule(alg, mod, t.matrix("f", (p, h)))
+    dims = _dims(doc, "crossed_module")
+    return _crossed_module_of(dims, _read(doc, "crossed_module", *dims))
 
 
 def dump_crossed_module(x: CrossedModule) -> dict:
-    p, h = x.pdim, x.hdim
-    return _document(
-        "crossed_module",
-        {"p": p, "h": h},
-        {
-            "mul": entries_from_array(x.p_alg.mul, (p, p, p)),
-            "left": entries_from_array(x.h_mod.left, (p, h, h)),
-            "right": entries_from_array(x.h_mod.right, (h, p, h)),
-            "f": entries_from_array(x.f_map.entries, (p, h)),
-        },
-    )
+    return _write("crossed_module", x, (x.pdim, x.hdim))
 
 
 def load_xmod_representation(doc, x: CrossedModule) -> XModRepresentation:
-    _expect_kind(doc, "xmod_representation")
-    p, h, v, w = _dims(doc, "p", "h", "v", "w")
+    p, h, v, w = dims = _dims(doc, "xmod_representation")
     if (p, h) != (x.pdim, x.hdim):
         raise SchemaError("representation dims do not match the crossed module")
-    t = _Tensors(doc)
+    v_left, v_right, w_left, w_right, *rest = _read(doc, "xmod_representation", *dims)
     return XModRepresentation(
-        xm=x,
-        v_mod=Bimodule(x.p_alg, v, t.tensor("v_left", (p, v, v)), t.tensor("v_right", (v, p, v))),
-        w_mod=Bimodule(x.p_alg, w, t.tensor("w_left", (p, w, w)), t.tensor("w_right", (w, p, w))),
-        phi=t.matrix("phi", (w, v)),
-        tr_l=t.tensor("tr_l", (h, w, v)),
-        tr_r=t.tensor("tr_r", (w, h, v)),
+        x, Bimodule(x.p_alg, v, v_left, v_right), Bimodule(x.p_alg, w, w_left, w_right), *rest
     )
 
 
 def dump_xmod_representation(r: XModRepresentation) -> dict:
-    p, h, v, w = r.xm.pdim, r.xm.hdim, r.vdim, r.wdim
-    return _document(
-        "xmod_representation",
-        {"p": p, "h": h, "v": v, "w": w},
-        {
-            "v_left": entries_from_array(r.v_mod.left, (p, v, v)),
-            "v_right": entries_from_array(r.v_mod.right, (v, p, v)),
-            "w_left": entries_from_array(r.w_mod.left, (p, w, w)),
-            "w_right": entries_from_array(r.w_mod.right, (w, p, w)),
-            "phi": entries_from_array(r.phi.entries, (w, v)),
-            "tr_l": entries_from_array(r.tr_l, (h, w, v)),
-            "tr_r": entries_from_array(r.tr_r, (w, h, v)),
-        },
-    )
+    return _write("xmod_representation", r, (r.xm.pdim, r.xm.hdim, r.vdim, r.wdim))
 
 
 def load_xmod_cochain(doc, x: CrossedModule, r: XModRepresentation):
-    _expect_kind(doc, "xmod_cochain")
-    p, h, v, w, degree = _dims(doc, "p", "h", "v", "w", "degree")
-    if (p, h, v, w) != (x.pdim, x.hdim, r.vdim, r.wdim):
+    dims = _dims(doc, "xmod_cochain")
+    if dims[:4] != (x.pdim, x.hdim, r.vdim, r.wdim):
         raise SchemaError("cochain dims do not match the crossed module/representation pair")
-    t = _Tensors(doc)
-    if degree == 1:
-        return XCochain1(t.matrix("n0", (w, p)), t.matrix("n1", (v, h)))
-    if degree == 2:
-        return XCochain2(
-            t.matrix("psi", (w, h)),
-            t.tensor("omega", (p, p, w)),
-            t.tensor("mu", (p, h, v)),
-            t.tensor("nu", (h, p, v)),
-        )
-    raise SchemaError(f"unsupported cochain degree {degree}")
+    blocks = _read(doc, "xmod_cochain", *dims)
+    return (XCochain1, XCochain2)[dims[4] - 1](*blocks)
 
 
 def dump_xmod_cochain2(c: XCochain2, x: CrossedModule, r: XModRepresentation) -> dict:
-    p, h, v, w = x.pdim, x.hdim, r.vdim, r.wdim
-    return _document(
-        "xmod_cochain",
-        {"p": p, "h": h, "v": v, "w": w, "degree": 2},
-        {
-            "psi": entries_from_array(c.psi.entries, (w, h)),
-            "omega": entries_from_array(c.omega, (p, p, w)),
-            "mu": entries_from_array(c.mu, (p, h, v)),
-            "nu": entries_from_array(c.nu, (h, p, v)),
-        },
-    )
+    return _write("xmod_cochain", c, (x.pdim, x.hdim, r.vdim, r.wdim, 2))
 
 
 def dump_xmod_cochain1(c: XCochain1, x: CrossedModule, r: XModRepresentation) -> dict:
-    p, h, v, w = x.pdim, x.hdim, r.vdim, r.wdim
-    return _document(
-        "xmod_cochain",
-        {"p": p, "h": h, "v": v, "w": w, "degree": 1},
-        {
-            "n0": entries_from_array(c.n0.entries, (w, p)),
-            "n1": entries_from_array(c.n1.entries, (v, h)),
-        },
-    )
+    return _write("xmod_cochain", c, (x.pdim, x.hdim, r.vdim, r.wdim, 1))
 
 
 # ---------------------------------------------------------------------------
 # extensions
 # ---------------------------------------------------------------------------
 
+def _extension_of(doc, kind, part_of, cls):
+    t0, t1, b0, b1 = dims = _dims(doc, kind)
+    subs = [_index_list(doc, name, bound) for name, bound in zip(KINDS[kind].index_lists, (t0, t1))]
+    arrays = _read(doc, kind, *dims)
+    k = (len(arrays) - 4) // 2  # the total's tensors, the base's, then p0, p1, sigma0, sigma1
+    return cls(part_of((t0, t1), arrays[:k]), part_of((b0, b1), arrays[k:-4]), *subs, *arrays[-4:])
+
+
+def _extension_doc(kind, e) -> dict:
+    dims = (e.total.dim0, e.total.dim1, e.base.dim0, e.base.dim1, list(e.sub0), list(e.sub1))
+    return _write(kind, e, dims)
+
+
 def load_extension(doc) -> Extension2:
-    _expect_kind(doc, "extension2")
-    t0, t1, b0, b1 = _dims(doc, "total0", "total1", "base0", "base1")
-    sub0 = _index_list(doc, "sub0", t0)
-    sub1 = _index_list(doc, "sub1", t1)
-    t = _Tensors(doc)
-    total = TwoTermAlgebra(
-        TwoTermComplex(t0, t1, t.matrix("total_d", (t0, t1))),
-        t.tensor("total_l2_00", (t0, t0, t0)),
-        t.tensor("total_l2_01", (t0, t1, t1)),
-        t.tensor("total_l2_10", (t1, t0, t1)),
-        t.tensor("total_l3", (t0, t0, t0, t1)),
-    )
-    base = TwoTermAlgebra(
-        TwoTermComplex(b0, b1, t.matrix("base_d", (b0, b1))),
-        t.tensor("base_l2_00", (b0, b0, b0)),
-        t.tensor("base_l2_01", (b0, b1, b1)),
-        t.tensor("base_l2_10", (b1, b0, b1)),
-        t.tensor("base_l3", (b0, b0, b0, b1)),
-    )
-    return Extension2(
-        total,
-        base,
-        sub0,
-        sub1,
-        t.matrix("p0", (b0, t0)),
-        t.matrix("p1", (b1, t1)),
-        t.matrix("sigma0", (t0, b0)),
-        t.matrix("sigma1", (t1, b1)),
-    )
+    return _extension_of(doc, "extension2", _algebra_of, Extension2)
 
 
 def dump_extension(e: Extension2) -> dict:
-    t0, t1 = e.total.dim0, e.total.dim1
-    b0, b1 = e.base.dim0, e.base.dim1
-    return _document(
-        "extension2",
-        {
-            "total0": t0,
-            "total1": t1,
-            "base0": b0,
-            "base1": b1,
-            "sub0": list(e.sub0),
-            "sub1": list(e.sub1),
-        },
-        {
-            "total_d": entries_from_array(e.total.complex.diff.entries, (t0, t1)),
-            "total_l2_00": entries_from_array(e.total.l2_00, (t0, t0, t0)),
-            "total_l2_01": entries_from_array(e.total.l2_01, (t0, t1, t1)),
-            "total_l2_10": entries_from_array(e.total.l2_10, (t1, t0, t1)),
-            "total_l3": entries_from_array(e.total.l3, (t0, t0, t0, t1)),
-            "base_d": entries_from_array(e.base.complex.diff.entries, (b0, b1)),
-            "base_l2_00": entries_from_array(e.base.l2_00, (b0, b0, b0)),
-            "base_l2_01": entries_from_array(e.base.l2_01, (b0, b1, b1)),
-            "base_l2_10": entries_from_array(e.base.l2_10, (b1, b0, b1)),
-            "base_l3": entries_from_array(e.base.l3, (b0, b0, b0, b1)),
-            "p0": entries_from_array(e.p0.entries, (b0, t0)),
-            "p1": entries_from_array(e.p1.entries, (b1, t1)),
-            "sigma0": entries_from_array(e.sigma0.entries, (t0, b0)),
-            "sigma1": entries_from_array(e.sigma1.entries, (t1, b1)),
-        },
-    )
+    return _extension_doc("extension2", e)
 
 
 def load_xmod_extension(doc) -> XModExtension:
-    _expect_kind(doc, "xmod_extension")
-    tp, th, bp, bh = _dims(doc, "totalp", "totalh", "basep", "baseh")
-    subw = _index_list(doc, "subw", tp)
-    subv = _index_list(doc, "subv", th)
-    t = _Tensors(doc)
-
-    def xm(prefix, p, h):
-        alg = AssocAlgebra(p, t.tensor(prefix + "mul", (p, p, p)))
-        mod = Bimodule(
-            alg, h, t.tensor(prefix + "left", (p, h, h)), t.tensor(prefix + "right", (h, p, h))
-        )
-        return CrossedModule(alg, mod, t.matrix(prefix + "f", (p, h)))
-
-    return XModExtension(
-        xm("total_", tp, th),
-        xm("base_", bp, bh),
-        subw,
-        subv,
-        t.matrix("p0", (bp, tp)),
-        t.matrix("p1", (bh, th)),
-        t.matrix("sigma0", (tp, bp)),
-        t.matrix("sigma1", (th, bh)),
-    )
+    return _extension_of(doc, "xmod_extension", _crossed_module_of, XModExtension)
 
 
 def dump_xmod_extension(e: XModExtension) -> dict:
-    tp, th = e.total.pdim, e.total.hdim
-    bp, bh = e.base.pdim, e.base.hdim
-
-    def xm(prefix, x, p, h):
-        return {
-            prefix + "mul": entries_from_array(x.p_alg.mul, (p, p, p)),
-            prefix + "left": entries_from_array(x.h_mod.left, (p, h, h)),
-            prefix + "right": entries_from_array(x.h_mod.right, (h, p, h)),
-            prefix + "f": entries_from_array(x.f_map.entries, (p, h)),
-        }
-
-    tensors = xm("total_", e.total, tp, th) | xm("base_", e.base, bp, bh)
-    tensors |= {
-        "p0": entries_from_array(e.p0.entries, (bp, tp)),
-        "p1": entries_from_array(e.p1.entries, (bh, th)),
-        "sigma0": entries_from_array(e.sigma0.entries, (tp, bp)),
-        "sigma1": entries_from_array(e.sigma1.entries, (th, bh)),
-    }
-    return _document(
-        "xmod_extension",
-        {
-            "totalp": tp,
-            "totalh": th,
-            "basep": bp,
-            "baseh": bh,
-            "subw": list(e.sub0),
-            "subv": list(e.sub1),
-        },
-        tensors,
-    )
+    return _extension_doc("xmod_extension", e)

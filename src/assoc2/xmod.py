@@ -305,18 +305,25 @@ class XCochain2(Cochain):
     nu: tuple     # h x p -> V
 
 
-def xmod_cochain_complex(x: CrossedModule, r: XModRepresentation) -> CochainComplex:
-    """Degrees 1 and 2 of the complex of (x, r) for the shared engine:
-    [ n0 row-major | n1 row-major ] and [ psi | omega | mu | nu ]; the
-    evaluators run on the integer twins of x and r when they have them."""
-    np_, nh, nv, nw = x.pdim, x.hdim, r.vdim, r.wdim
-    x, r = on_integers(x), on_integers(r)
-    return CochainComplex(
+def xmod_cochain_layouts(np_: int, nh: int, nv: int, nw: int) -> tuple[Layout, Layout]:
+    """The block layouts of one- and two-cochains on a pair (x, r) of dims
+    (p, h) and (v, w), shared with the file formats: [ n0 row-major | n1
+    row-major ] and [ psi | omega | mu | nu ]."""
+    return (
         Layout(XCochain1, {"n0": ((np_,), nw), "n1": ((nh,), nv)}),
         Layout(
             XCochain2,
             {"psi": ((nh,), nw), "omega": ((np_, np_), nw), "mu": ((np_, nh), nv), "nu": ((nh, np_), nv)},
         ),
+    )
+
+
+def xmod_cochain_complex(x: CrossedModule, r: XModRepresentation) -> CochainComplex:
+    """Degrees 1 and 2 of the complex of (x, r) for the shared engine; the
+    evaluators run on the integer twins of x and r when they have them."""
+    x, r = on_integers(x), on_integers(r)
+    return CochainComplex(
+        *xmod_cochain_layouts(x.pdim, x.hdim, r.vdim, r.wdim),
         lambda c: xmod_d1_apply(x, r, c),
         lambda c: xmod_d2_residual(x, r, c),
         "d2 . d1 != 0 for this crossed-module representation",
@@ -612,8 +619,9 @@ def xmod_build_extension(
     require_crossed_module(x)
     require_xmod_representation(r)
     total = xmod_extension_total(x, r, c)
-    families_report(total_xcocycle_families(total, x)).require("not a two-cocycle")
-    require_crossed_module(total)
+    if not check_crossed_module(total).passed:  # exactly when c is not a cocycle
+        families_report(total_xcocycle_families(total, x)).require("not a two-cocycle")
+        require_crossed_module(total)
     return XModExtension.standard(total, x)
 
 

@@ -10,6 +10,11 @@ that is meant to alter a report, with
 
     PYTHONPATH=src python tests/test_cli_reports.py
 
+``documents.json`` pins the bytes ``fileio.dumps`` writes for every dumper,
+on seeded structures whose dimensions all differ, and the exact
+``SchemaError`` text each loader gives on a fixed list of malformed
+variants of a valid document.
+
 The counting test wraps the residual generators behind every checker and
 asserts that each command evaluates each loaded structure's axioms once,
 and counts how often ``ext equiv`` extracts an induced representation.
@@ -27,9 +32,19 @@ from fractions import Fraction
 from pathlib import Path
 
 from assoc2 import algebra2, cli, cohom2, ext2, fileio, rep2, xmod
-from assoc2.algebra2 import identity_homomorphism
+from assoc2.algebra2 import (
+    AssocAlgebra,
+    Bimodule,
+    Homomorphism2,
+    TwoTermAlgebra,
+    TwoTermComplex,
+    identity_homomorphism,
+)
+from assoc2.cohom2 import Cochain1, Cochain2
+from assoc2.deform2 import NijenhuisCandidate
 from assoc2.exactlin import Matrix
 from assoc2.fixtures import fix_u, fix_x, fixture_file
+from assoc2.rep2 import Representation2
 from assoc2.sampling import random_cochain1, random_xcochain2
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -219,6 +234,164 @@ def corrupted_reports(tmp: Path) -> dict:
     return run.results
 
 
+# ---------------------------------------------------------------------------
+# documents: dumped bytes and loader messages
+# ---------------------------------------------------------------------------
+
+_VALUES = (0, 0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), 5)
+
+
+def _rand(rng, *shape):
+    """A seeded tensor of ``shape``, about a third of its cells zero; a
+    Matrix when ``shape`` has two axes."""
+    def build(dims):
+        if not dims:
+            return Fraction(rng.choice(_VALUES))
+        return tuple(build(dims[1:]) for _ in range(dims[0]))
+
+    arr = build(shape)
+    return Matrix(arr, shape[1]) if len(shape) == 2 else arr
+
+
+def _random_algebra(rng, n0, n1):
+    return TwoTermAlgebra(
+        TwoTermComplex(n0, n1, _rand(rng, n0, n1)),
+        _rand(rng, n0, n0, n0), _rand(rng, n0, n1, n1), _rand(rng, n1, n0, n1), _rand(rng, n0, n0, n0, n1),
+    )
+
+
+def _random_crossed_module(rng, p, h):
+    alg = AssocAlgebra(p, _rand(rng, p, p, p))
+    return xmod.CrossedModule(alg, Bimodule(alg, h, _rand(rng, p, h, h), _rand(rng, h, p, h)), _rand(rng, p, h))
+
+
+def _documents():
+    """(name, dumped document, loader, loader arguments): seeded structures
+    whose dimensions all differ, so a transposed axis changes the bytes."""
+    rng = random.Random(9)
+    a0, a1, m0, m1 = 2, 3, 1, 4
+    g = _random_algebra(rng, a0, a1)
+    r = Representation2(
+        g, TwoTermComplex(m0, m1, _rand(rng, m0, m1)),
+        _rand(rng, a0, m0, m0), _rand(rng, a0, m1, m1), _rand(rng, m0, a0, m0), _rand(rng, m1, a0, m1),
+        _rand(rng, a1, m0, m1), _rand(rng, m0, a1, m1),
+        _rand(rng, a0, a0, m0, m1), _rand(rng, a0, m0, a0, m1), _rand(rng, m0, a0, a0, m1),
+    )
+    c1 = Cochain1(_rand(rng, m0, a0), _rand(rng, m1, a1), _rand(rng, a0, a0, m1))
+    c2 = Cochain2(
+        _rand(rng, m0, a1), _rand(rng, a0, a0, m0), _rand(rng, a0, a1, m1), _rand(rng, a1, a0, m1),
+        _rand(rng, a0, a0, a0, m1),
+    )
+    dst = _random_algebra(rng, 4, 1)
+    hom = Homomorphism2(g, dst, _rand(rng, 4, a0), _rand(rng, 1, a1), _rand(rng, a0, a0, 1))
+    nij = NijenhuisCandidate(_rand(rng, a0, a0), _rand(rng, a1, a1), _rand(rng, a0, a0, a1))
+    p, h, v, w = 2, 3, 4, 1
+    x = _random_crossed_module(rng, p, h)
+    xr = xmod.XModRepresentation(
+        x,
+        Bimodule(x.p_alg, v, _rand(rng, p, v, v), _rand(rng, v, p, v)),
+        Bimodule(x.p_alg, w, _rand(rng, p, w, w), _rand(rng, w, p, w)),
+        _rand(rng, w, v), _rand(rng, h, w, v), _rand(rng, w, h, v),
+    )
+    xc1 = xmod.XCochain1(_rand(rng, w, p), _rand(rng, v, h))
+    xc2 = xmod.XCochain2(_rand(rng, w, h), _rand(rng, p, p, w), _rand(rng, p, h, v), _rand(rng, h, p, v))
+    ext = ext2.Extension2(
+        _random_algebra(rng, 3, 4), _random_algebra(rng, 2, 1), (2,), (0, 3),
+        _rand(rng, 2, 3), _rand(rng, 1, 4), _rand(rng, 3, 2), _rand(rng, 4, 1),
+    )
+    xext = xmod.XModExtension(
+        _random_crossed_module(rng, 3, 2), _random_crossed_module(rng, 1, 2), (0, 2), (),
+        _rand(rng, 1, 3), _rand(rng, 2, 2), _rand(rng, 3, 1), _rand(rng, 2, 2),
+    )
+    theta2 = _rand(rng, a0, a0, a0, m1)
+    nij_doc = fileio.dump_nijenhuis(nij)
+    der_tensors = {"d" + k[1:]: e for k, e in nij_doc["tensors"].items()}
+    der_doc = {**nij_doc, "kind": "derivation2", "tensors": der_tensors}
+    return [
+        ("algebra", fileio.dump_algebra(g), fileio.load_algebra, ()),
+        ("complex", fileio.dump_complex(r.complex), fileio.load_complex, ()),
+        ("representation", fileio.dump_representation(r), fileio.load_representation, (g,)),
+        ("cochain1", fileio.dump_cochain1(c1, g, r), fileio.load_cochain1, (g, r)),
+        ("cochain2", fileio.dump_cochain2(c2, g, r), fileio.load_cochain2, (g, r)),
+        ("cochain2 theta2", fileio.dump_cochain2(c2, g, r, theta2=theta2), fileio.load_cochain2, (g, r)),
+        ("homomorphism", fileio.dump_homomorphism(hom), fileio.load_homomorphism, (g, dst)),
+        ("derivation", der_doc, fileio.load_derivation, (_random_algebra(rng, a0, a1),)),
+        ("nijenhuis", nij_doc, fileio.load_nijenhuis, ((a0, a1),)),
+        ("crossed module", fileio.dump_crossed_module(x), fileio.load_crossed_module, ()),
+        ("xmod representation", fileio.dump_xmod_representation(xr), fileio.load_xmod_representation, (x,)),
+        ("xmod cochain1", fileio.dump_xmod_cochain1(xc1, x, xr), fileio.load_xmod_cochain, (x, xr)),
+        ("xmod cochain2", fileio.dump_xmod_cochain2(xc2, x, xr), fileio.load_xmod_cochain, (x, xr)),
+        ("extension", fileio.dump_extension(ext), fileio.load_extension, ()),
+        ("xmod extension", fileio.dump_xmod_extension(xext), fileio.load_xmod_extension, ()),
+    ]
+
+
+def _variants(doc: dict):
+    """(name, copy of ``doc`` with one fault) for a fixed list of faults.
+    Every variant keeps the tensor names of ``doc``; a dimension one larger
+    still loads where it matches no other structure, except ``degree``,
+    which would rename the tensors of an ``xmod_cochain``."""
+    def edit(change):
+        bad = json.loads(json.dumps(doc))
+        change(bad)
+        return bad
+
+    yield "wrong kind", edit(lambda d: d.update(kind="complex2" if d["kind"] == "algebra2" else "algebra2"))
+    yield "no dims", edit(lambda d: d.pop("dims"))
+    yield "dims not an object", edit(lambda d: d.update(dims=[]))
+    yield "no tensors", edit(lambda d: d.pop("tensors"))
+    yield "tensors not an object", edit(lambda d: d.update(tensors=[]))
+    for key in sorted(doc["dims"]):
+        if isinstance(doc["dims"][key], list):
+            for name, value in (("not a list", 0), ("out of range", [99]), ("negative", [-1]),
+                                ("float", [0.0]), ("duplicate", [0, 0])):
+                yield f"dims[{key}] {name}", edit(lambda d: d["dims"].update({key: value}))
+            continue
+        yield f"dims[{key}] missing", edit(lambda d: d["dims"].pop(key))
+        values = {"negative": -1, "bool": True, "float": 1.5, "string": "2", "10^4": 10**4, "10^9": 10**9}
+        if key != "degree":
+            values["one more"] = doc["dims"][key] + 1
+        for name, value in values.items():
+            yield f"dims[{key}] {name}", edit(lambda d: d["dims"].update({key: value}))
+    yield "every tensor not a list", edit(lambda d: d["tensors"].update({t: {} for t in d["tensors"]}))
+    for t in sorted(doc["tensors"]):
+        yield f"{t} not a list", edit(lambda d: d["tensors"].update({t: 0}))
+    first = sorted(doc["tensors"])[0]
+    entry = doc["tensors"][first][0]
+    faults = {
+        "entry not an object": [0],
+        "entry with an extra key": {**entry, "x": 1},
+        "entry without value": {"indices": entry["indices"]},
+        "indices not a list": {**entry, "indices": 0},
+        "indices too short": {**entry, "indices": entry["indices"][:-1]},
+        "indices too long": {**entry, "indices": entry["indices"] + [0]},
+        "index a bool": {**entry, "indices": [True] + entry["indices"][1:]},
+        "index negative": {**entry, "indices": [-1] + entry["indices"][1:]},
+        "index out of range": {**entry, "indices": [99] + entry["indices"][1:]},
+    }
+    for value in ("x", "", "1/0", "1/-2", "1/2/3", "1.5", "0x10", "a/2", 0.5, None, True, []):
+        faults[f"value {json.dumps(value)}"] = {**entry, "value": value}
+    for name, bad_entry in faults.items():
+        yield f"{first}: {name}", edit(lambda d: d["tensors"][first].__setitem__(0, bad_entry))
+    yield f"{first}: duplicate indices", edit(lambda d: d["tensors"][first].append(dict(entry)))
+
+
+def document_reports(tmp: Path) -> dict:
+    del tmp  # documents are compared as strings, nothing is written
+    results = {}
+    for name, doc, loader, args in _documents():
+        results[f"dump {name}"] = fileio.dumps(doc)
+        loader(fileio.parse_document(fileio.dumps(doc)), *args)  # the valid document loads
+        for variant, bad in _variants(doc):
+            try:
+                loader(bad, *args)
+                outcome = "loaded"
+            except fileio.SchemaError as exc:
+                outcome = str(exc)
+            results[f"load {name}: {variant}"] = outcome
+    return results
+
+
 def _assert_matches_golden(results: dict, name: str) -> None:
     golden = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
     assert sorted(results) == sorted(golden)
@@ -232,6 +405,10 @@ def test_readme_examples_match_golden_reports(tmp_path):
 
 def test_corrupted_inputs_match_golden_reports(tmp_path):
     _assert_matches_golden(corrupted_reports(tmp_path), "corrupted.json")
+
+
+def test_documents_match_golden_bytes_and_messages(tmp_path):
+    _assert_matches_golden(document_reports(tmp_path), "documents.json")
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +468,38 @@ def test_each_structure_is_checked_once_per_loaded_object(monkeypatch, tmp_path)
         assert counts == expected, (argv, counts)
 
 
+def test_building_an_extension_evaluates_the_total_once(monkeypatch):
+    """The total's axioms decide the cocycle test; the cocycle families are
+    read off them only to report a failure."""
+    calls = []
+
+    def counted(original):
+        return lambda total, *args, **kwargs: calls.append(total) or original(total, *args, **kwargs)
+
+    g, x = fix_u(), fix_x()
+    r, xr = rep2.adjoint_representation(g), xmod.xmod_adjoint(x)
+    c = cohom2.second_cohomology(g, r).representatives[0]
+    xc = xmod.xmod_second_cohomology(x, xr).representatives[0]
+    builds = [
+        (lambda: ext2.build_extension(g, r.complex, r, c),
+         [(algebra2, "algebra_residuals"), (cohom2, "algebra_residuals")]),
+        (lambda: xmod.xmod_build_extension(x, xr, xc), [(xmod, "crossed_module_residuals")]),
+    ]
+    for build, generators in builds:
+        for module, attr in generators:
+            monkeypatch.setattr(module, attr, counted(getattr(module, attr)))
+        calls.clear()
+        total = build().total  # the base and the representation were checked above
+        assert calls == [total]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for name, build in (("readme.json", readme_reports), ("corrupted.json", corrupted_reports)):
+        for name, build in (
+            ("readme.json", readme_reports),
+            ("corrupted.json", corrupted_reports),
+            ("documents.json", document_reports),
+        ):
             path = Path(tmp) / name.removesuffix(".json")
             path.mkdir()
             text = json.dumps(build(path), indent=1, sort_keys=True) + "\n"

@@ -266,3 +266,16 @@ def test_rational_format():
     assert parse_rational("7/2") == F(7, 2)
     with pytest.raises(ValueError):
         parse_rational("1/-2")
+
+
+def test_parse_rational_reads_ascii_digits_only():
+    assert [parse_rational(t) for t in ("-0", "007", "-12/18")] == [0, 7, F(-2, 3)]
+    # int() reads all of these; the grammar -?[0-9]+(/[0-9]+)? does not
+    for text in ("1_0", "\u0661", "\u0663/2", "+3", " 3", "3\n", "1/+2", "1/ 2", "\uff13"):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            parse_rational(text)
+    # what int() refuses keeps int()'s message
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        parse_rational("1/2/3")
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        parse_rational("1/0")

@@ -241,6 +241,19 @@ def test_cli_huge_dimensions_exit_two_fast(capsys, tmp_path):
     assert str(path) in err and str(fileio.MAX_CELLS) in err
 
 
+def test_cli_integer_literal_past_the_digit_limit_exits_two(capsys, tmp_path):
+    # json.loads raises a plain ValueError here, which used to reach the
+    # command's failure report (exit 1) instead of the input-error path
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"format_version": "1", "kind": "algebra2", "dims": {"dim0": 1, "dim1": 1}, '
+        '"tensors": {"d": [{"indices": [0, 0], "value": ' + "1" * 5000 + "}]}}"
+    )
+    code, out, err = _run(capsys, "check", "algebra", str(path))
+    assert code == 2 and out == ""
+    assert str(path) in err and "not valid JSON" in err
+
+
 def test_cli_deeply_nested_json_exits_two(capsys, tmp_path):
     # well-formed JSON nested past the decoder's recursion limit, 10 KB
     path = tmp_path / "deep.json"
@@ -248,6 +261,84 @@ def test_cli_deeply_nested_json_exits_two(capsys, tmp_path):
     code, out, err = _run(capsys, "check", "algebra", str(path))
     assert code == 2 and out == ""
     assert str(path) in err and "nested deeper" in err
+
+
+def test_cli_refuses_unknown_tensor_names(capsys, tmp_path):
+    # a misspelt "l2_00" used to load as an all-zero l2_00 and pass the check
+    doc = json.loads(fixture_file("fix_u.json").read_text())
+    doc["tensors"]["l2_0O"] = doc["tensors"].pop("l2_00")
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "check", "algebra", str(path))
+    assert code == 2 and out == ""
+    assert str(path) in err and "unknown tensor 'l2_0O' for kind 'algebra2'" in err
+    # refused before any tensor is read: neither the malformed d nor the cell ceiling speaks first
+    doc["tensors"]["d"] = "not a list"
+    doc["dims"]["dim1"] = 10**9
+    with pytest.raises(fileio.SchemaError, match="unknown tensor 'l2_0O'"):
+        fileio.load_algebra(doc)
+
+
+def test_cli_kind_of_another_json_type_exits_two(capsys, tmp_path):
+    # a list or an object cannot be looked up in the kind table
+    doc = json.loads(fixture_file("fix_u.json").read_text())
+    for kind in ([], {}, ["algebra2"], 2, None, True):
+        doc["kind"] = kind
+        path = tmp_path / "kind.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "check", "algebra", str(path))
+        assert code == 2 and out == "", kind
+        assert err.startswith(f"error: {path}: ") and f"unknown kind {kind!r}" in err, kind
+
+
+def test_optional_and_degree_dependent_tensor_names():
+    g, x = fix_u(), fix_x()
+    r, xr = adjoint_representation(g), xmod_adjoint(x)
+    theta = ((((F(3),),),),)
+    c, theta2 = fileio.load_cochain2(fileio.dump_cochain2(zero_cochain2(g, r), g, r, theta2=theta), g, r)
+    assert c == zero_cochain2(g, r) and theta2 == theta
+    one = fileio.dump_xmod_cochain1(xmod.XCochain1(Matrix.identity(1), Matrix.identity(1)), x, xr)
+    assert isinstance(fileio.load_xmod_cochain(one, x, xr), xmod.XCochain1)
+    two = {**one, "dims": {**one["dims"], "degree": 2}}
+    with pytest.raises(fileio.SchemaError, match="unknown tensor 'n0' for kind 'xmod_cochain'"):
+        fileio.load_xmod_cochain(two, x, xr)
+    with pytest.raises(fileio.SchemaError, match="unknown tensor 'theta2' for kind 'xmod_cochain'"):
+        fileio.load_xmod_cochain({**two, "tensors": {"theta2": []}}, x, xr)
+
+
+def test_cli_index_lists_refuse_booleans(capsys, tmp_path):
+    # JSON true is not the index 1
+    g, x = fix_u(), fix_x()
+    r, xr = adjoint_representation(g), xmod_adjoint(x)
+    docs = {
+        "sub0": (fileio.dump_extension(build_extension(g, r.complex, r, zero_cochain2(g, r))), ("ext",)),
+        "subw": (
+            fileio.dump_xmod_extension(xmod_build_extension(x, xr, xmod_zero_cochain2(x, xr))),
+            ("xmod", "ext"),
+        ),
+    }
+    for key, (doc, command) in docs.items():
+        assert doc["dims"][key] == [1]
+        doc["dims"][key] = [True]
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, *command, "extract", str(path))
+        assert code == 2 and out == "", key
+        assert str(path) in err and f"dims[{key!r}] must be a list of indices below 2" in err
+
+
+def test_values_follow_the_ascii_grammar(capsys, tmp_path):
+    doc = json.loads(fixture_file("fix_u.json").read_text())
+    for value in ("1_0", "\u0661", "+1", " 1", "1 ", "1/+2", "1/ 2", "\uff11"):
+        doc["tensors"]["d"] = [{"indices": [0, 0], "value": value}]
+        path = tmp_path / "value.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "check", "algebra", str(path))
+        assert code == 2 and out == "", value
+        assert str(path) in err and "bad rational" in err, value
+    # JSON integers keep loading
+    doc["tensors"]["d"] = [{"indices": [0, 0], "value": -2}]
+    assert fileio.load_algebra(doc).complex.diff.entries == ((F(-2),),)
 
 
 # ---------------------------------------------------------------------------
