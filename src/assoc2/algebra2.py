@@ -25,11 +25,45 @@ parameter).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
+from typing import NamedTuple
 
 from .exactlin import Matrix, kernel_basis, solve
 from .integral import integral_report, twin_field
 from .report import CheckReport, checked, checked_field, report_from
 from .tensorops import bil, tri, unit, vadd, vsub, vzero, tensor2, zeros2, zeros3
+
+
+class Tuples(NamedTuple):
+    """Which basis tuples a residual generator visits.  A structure on
+    (base + kernel) coordinates, base first, has its kernel coordinates of
+    degree k from ``cuts[k]`` on; the selection is the tuples with exactly
+    ``kernel`` (0 or 1) kernel arguments.  Base tuples give d2 and the
+    cocycle checks, one-kernel tuples the representation checks.  The
+    generators' default, ``None``, visits every tuple: the base tuples for
+    cuts equal to the dims."""
+
+    cuts: tuple[int, ...]
+    kernel: int
+
+    def of(self, dims, *degrees):
+        """The selected index tuples over slots of the given degrees, the
+        dims of each degree being ``dims``; base tuples in lexicographic
+        order."""
+        base = [range(self.cuts[k]) for k in degrees]
+        if not self.kernel:
+            return product(*base)
+        return chain.from_iterable(
+            product(*base[:pos], range(self.cuts[k], dims[k]), *base[pos + 1 :]) for pos, k in enumerate(degrees)
+        )
+
+    def split(self, dims, *degrees):
+        """(prefix over slots of ``degrees``, selection of the slots after
+        it) for each prefix of a selected tuple."""
+        for used in range(self.kernel + 1):
+            rest = self._replace(kernel=self.kernel - used)
+            for prefix in self._replace(kernel=used).of(dims, *degrees):
+                yield prefix, rest
 
 
 # ---------------------------------------------------------------------------
@@ -65,52 +99,28 @@ def check_associative(a: AssocAlgebra) -> CheckReport:
     return report_from(_assoc_residuals(a))
 
 
-def _assoc_residuals(a: AssocAlgebra, top: int | None = None):
-    """Associativity on the triples of the first ``top`` basis vectors
-    (of all of them by default)."""
+def _assoc_residuals(a: AssocAlgebra, tuples: Tuples | None = None):
+    """Associativity on the basis triples ``tuples`` selects (all of them
+    by default)."""
     n = a.dim
-    top = n if top is None else top
-    for i in range(top):
-        for j in range(top):
-            uv = a.mul[i][j]
-            for k in range(top):
-                lhs = bil(a.mul, uv, unit(n, k))
-                rhs = bil(a.mul, unit(n, i), a.mul[j][k])
-                yield "assoc", (i, j, k), lhs, rhs
+    for i, j, k in (tuples or Tuples((n,), 0)).of((n,), 0, 0, 0):
+        yield "assoc", (i, j, k), bil(a.mul, a.mul[i][j], unit(n, k)), bil(a.mul, unit(n, i), a.mul[j][k])
 
 
 def check_bimodule(m: Bimodule) -> CheckReport:
     return report_from(_bimodule_residuals(m))
 
 
-def _bimodule_residuals(m: Bimodule, ranges: tuple[int, int] | None = None):
-    """The bimodule identities on all tuples, or with ``ranges`` = (ka, km)
-    on those of the first ka basis vectors of the algebra and km of m."""
+def _bimodule_residuals(m: Bimodule, tuples: Tuples | None = None):
+    """The bimodule identities on the tuples ``tuples`` selects (all of
+    them by default), the algebra in degree 0 and m in degree 1."""
     a = m.algebra
-    n, md = a.dim, m.dim
-    ka, km = ranges or (n, md)
-    for i in range(ka):
-        for j in range(ka):
-            xy = a.mul[i][j]
-            for p in range(km):
-                yield (
-                    "left",
-                    (i, j, p),
-                    bil(m.left, xy, unit(md, p)),
-                    bil(m.left, unit(n, i), m.left[j][p]),
-                )
-                yield (
-                    "middle",
-                    (i, p, j),
-                    bil(m.left, unit(n, i), m.right[p][j]),
-                    bil(m.right, m.left[i][p], unit(n, j)),
-                )
-                yield (
-                    "right",
-                    (p, i, j),
-                    bil(m.right, unit(md, p), xy),
-                    bil(m.right, m.right[p][i], unit(n, j)),
-                )
+    dims = n, md = a.dim, m.dim
+    for i, j, p in (tuples or Tuples(dims, 0)).of(dims, 0, 0, 1):
+        x, y, u = unit(n, i), unit(n, j), unit(md, p)
+        yield "left", (i, j, p), bil(m.left, a.mul[i][j], u), bil(m.left, x, m.left[j][p])
+        yield "middle", (i, p, j), bil(m.left, x, m.right[p][j]), bil(m.right, m.left[i][p], y)
+        yield "right", (p, i, j), bil(m.right, u, a.mul[i][j]), bil(m.right, m.right[p][i], y)
 
 
 # ---------------------------------------------------------------------------
@@ -270,63 +280,46 @@ def zero_algebra(dim0: int, dim1: int) -> TwoTermAlgebra:
     )
 
 
-def algebra_residuals(g: TwoTermAlgebra, ranges: tuple[int, int] | None = None):
-    """Yield (condition, basis tuple, lhs, rhs) for (a)-(f) on all tuples,
-    or with ``ranges`` = (k0, k1) on the tuples of the first k0 basis
-    vectors of degree 0 and the first k1 of degree 1 only."""
-    n0, n1 = g.dim0, g.dim1
-    k0, k1 = ranges or (n0, n1)
-    d = g.complex.diff
-    e = [unit(n0, i) for i in range(k0)]
-    f = [unit(n1, p) for p in range(k1)]
-    dcol = [d.col(p) for p in range(k1)]
+# the degrees of each axiom's arguments, in the order of its basis tuple
+SLOTS = {
+    "a": (0, 1), "b": (1, 0), "c": (1, 1), "d": (0, 0, 0),
+    "e1": (0, 0, 1), "e2": (0, 1, 0), "e3": (1, 0, 0), "f": (0, 0, 0, 0),
+}
 
-    for i in range(k0):
-        for p in range(k1):
-            yield "a", (i, p), d @ g.l2_01[i][p], g.m00(e[i], dcol[p])
-            yield "b", (p, i), d @ g.l2_10[p][i], g.m00(dcol[p], e[i])
-    for p in range(k1):
-        for q in range(k1):
-            yield "c", (p, q), g.m01(dcol[p], f[q]), g.m10(f[p], dcol[q])
-    for i in range(k0):
-        for j in range(k0):
-            xy = g.l2_00[i][j]
-            for k in range(k0):
-                yield (
-                    "d",
-                    (i, j, k),
-                    d @ g.l3[i][j][k],
-                    vsub(g.m00(xy, e[k]), g.m00(e[i], g.l2_00[j][k])),
-                )
-            for p in range(k1):
-                yield (
-                    "e1",
-                    (i, j, p),
-                    g.l3v(e[i], e[j], dcol[p]),
-                    vsub(g.m01(xy, f[p]), g.m01(e[i], g.l2_01[j][p])),
-                )
-                yield (
-                    "e2",
-                    (i, p, j),
-                    g.l3v(e[i], dcol[p], e[j]),
-                    vsub(g.m10(g.l2_01[i][p], e[j]), g.m01(e[i], g.l2_10[p][j])),
-                )
-                yield (
-                    "e3",
-                    (p, i, j),
-                    g.l3v(dcol[p], e[i], e[j]),
-                    vsub(g.m10(g.l2_10[p][i], e[j]), g.m10(f[p], xy)),
-                )
-    for i in range(k0):
-        for j in range(k0):
-            for k in range(k0):
-                for t in range(k0):
-                    lhs = vadd(g.m01(e[i], g.l3[j][k][t]), g.m10(g.l3[i][j][k], e[t]))
-                    rhs = vadd(
-                        g.l3v(g.l2_00[i][j], e[k], e[t]),
-                        vsub(g.l3v(e[i], e[j], g.l2_00[k][t]), g.l3v(e[i], g.l2_00[j][k], e[t])),
-                    )
-                    yield "f", (i, j, k, t), lhs, rhs
+
+def algebra_residuals(g: TwoTermAlgebra, tuples: Tuples | None = None):
+    """Yield (condition, basis tuple, lhs, rhs) for (a)-(f) on the basis
+    tuples ``tuples`` selects (all of them by default)."""
+    dims = n0, n1 = g.dim0, g.dim1
+    tuples = tuples or Tuples(dims, 0)
+    d = g.complex.diff
+    e = [unit(n0, i) for i in range(n0)]
+    f = [unit(n1, p) for p in range(n1)]
+    dcol = [d.col(p) for p in range(n1)]
+
+    for i, p in tuples.of(dims, 0, 1):
+        yield "a", (i, p), d @ g.l2_01[i][p], g.m00(e[i], dcol[p])
+        yield "b", (p, i), d @ g.l2_10[p][i], g.m00(dcol[p], e[i])
+    for p, q in tuples.of(dims, 1, 1):
+        yield "c", (p, q), g.m01(dcol[p], f[q]), g.m10(f[p], dcol[q])
+    for (i, j), rest in tuples.split(dims, 0, 0):
+        xy = g.l2_00[i][j]
+        for (k,) in rest.of(dims, 0):
+            yield "d", (i, j, k), d @ g.l3[i][j][k], vsub(g.m00(xy, e[k]), g.m00(e[i], g.l2_00[j][k]))
+        for (p,) in rest.of(dims, 1):
+            yield "e1", (i, j, p), g.l3v(e[i], e[j], dcol[p]), vsub(g.m01(xy, f[p]), g.m01(e[i], g.l2_01[j][p]))
+            yield (
+                "e2", (i, p, j), g.l3v(e[i], dcol[p], e[j]),
+                vsub(g.m10(g.l2_01[i][p], e[j]), g.m01(e[i], g.l2_10[p][j])),
+            )
+            yield "e3", (p, i, j), g.l3v(dcol[p], e[i], e[j]), vsub(g.m10(g.l2_10[p][i], e[j]), g.m10(f[p], xy))
+    for i, j, k, t in tuples.of(dims, 0, 0, 0, 0):
+        lhs = vadd(g.m01(e[i], g.l3[j][k][t]), g.m10(g.l3[i][j][k], e[t]))
+        rhs = vadd(
+            g.l3v(g.l2_00[i][j], e[k], e[t]),
+            vsub(g.l3v(e[i], e[j], g.l2_00[k][t]), g.l3v(e[i], g.l2_00[j][k], e[t])),
+        )
+        yield "f", (i, j, k, t), lhs, rhs
 
 
 def check_algebra(g: TwoTermAlgebra) -> CheckReport:

@@ -28,23 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra2 import TwoTermAlgebra, TwoTermComplex, algebra_residuals, require_algebra
-from .cochain import (
-    CoboundaryMatrices,
-    Cochain,
-    CochainComplex,
-    CohomologyResult,
-    Layout,
-    assemble,
-    cohomology,
-    primitive,
-)
+from .algebra2 import TwoTermAlgebra, TwoTermComplex, Tuples, algebra_residuals, require_algebra
+from .cochain import CoboundaryMatrices, Cochain, CochainComplex, CohomologyResult, Layout, assemble, cohomology
+from .cochain import primitive
 from .exactlin import Matrix
-from .extension import cocycle_families, families_report, stacked, total_bilinear, total_matrix
+from .extension import as_is, families_report, kernel_residuals, stacked, swapped, tail_parts, total_bilinear
+from .extension import total_matrix
 from .integral import on_integers
 from .rep2 import Representation2, require_representation
 from .report import CheckReport
-from .tensorops import bil, tri, unit, vadd, vsub, tensor2, tensor3, zeros2
+from .tensorops import bil, tri, unit, vadd, vsub, tensor2, tensor3
 
 
 @dataclass
@@ -172,16 +165,12 @@ def d1_apply(g: TwoTermAlgebra, r: Representation2, c: Cochain1) -> Cochain2:
 
 
 # the kernel part of each axiom of the standard total on a base tuple:
-# (cocycle family, sign, degree of the axiom's values); see ``extension``
+# (cocycle family, orientation, degree of the values), the family being
+# lhs - rhs of the oriented sides; see ``extension``
 FAMILIES = {
-    "a": ("coc01", -1, 0),
-    "b": ("coc02", -1, 0),
-    "c": ("coc03", -1, 1),
-    "d": ("coc04", -1, 0),
-    "e1": ("coc05", -1, 1),
-    "e2": ("coc06", -1, 1),
-    "e3": ("coc07", -1, 1),
-    "f": ("coc08", 1, 1),
+    "a": ("coc01", swapped, 0), "b": ("coc02", swapped, 0), "c": ("coc03", swapped, 1),
+    "d": ("coc04", swapped, 0), "e1": ("coc05", swapped, 1), "e2": ("coc06", swapped, 1),
+    "e3": ("coc07", swapped, 1), "f": ("coc08", as_is, 1),
 }
 
 
@@ -195,7 +184,7 @@ def extension_total(g: TwoTermAlgebra, r: Representation2, c: Cochain2) -> TwoTe
     # l3 with first argument fixed is bilinear: from a base vector it is
     # l3 + theta, tl and tm; from a kernel vector tr on base arguments only
     l3 = tuple(total_bilinear(g.l3[i], c.theta[i], r.tl[i], r.tm[i], (deg0, deg0, deg1)) for i in range(n0))
-    zero = zeros2(n0, n0, n1), zeros2(n0, m0, m1), zeros2(m0, n0, m1)
+    zero = (((0,) * n1,) * n0,) * n0, (((0,) * m1,) * m0,) * n0, (((0,) * m1,) * n0,) * m0
     l3 += tuple(total_bilinear(zero[0], r.tr[s], zero[1], zero[2], (deg0, deg0, deg1)) for s in range(m0))
     return TwoTermAlgebra(
         TwoTermComplex(n0 + m0, n1 + m1, total_matrix(g.complex.diff, c.psi, r.complex.diff)),
@@ -206,12 +195,18 @@ def extension_total(g: TwoTermAlgebra, r: Representation2, c: Cochain2) -> TwoTe
     )
 
 
+def semidirect_product(g: TwoTermAlgebra, r: Representation2) -> TwoTermAlgebra:
+    """g + V, the standard total of the zero cochain, unchecked; its zero
+    blocks are ``int``."""
+    return extension_total(g, r, on_integers(cochain_layouts(g.dim0, g.dim1, r.dim0, r.dim1)[1].zero()))
+
+
 def total_cocycle_families(total: TwoTermAlgebra, g: TwoTermAlgebra):
-    """Yield (family, basis tuple, residual) for coc01-coc08: the kernel
-    part of the axioms (a)-(f) of ``total``, a standard total over g, on
-    g's basis tuples."""
+    """Yield (family, basis tuple, lhs, rhs) for coc01-coc08, whose
+    residual is lhs - rhs: the kernel part of the axioms (a)-(f) of
+    ``total``, a standard total over g, on g's basis tuples."""
     cuts = (g.dim0, g.dim1)
-    return cocycle_families(algebra_residuals(total, ranges=cuts), FAMILIES, cuts)
+    return kernel_residuals(algebra_residuals(total, tuples=Tuples(cuts, 0)), FAMILIES, tail_parts(cuts))
 
 
 def d2_residual(g: TwoTermAlgebra, r: Representation2, c: Cochain2) -> tuple:

@@ -44,11 +44,17 @@ def parse_rational(text: str) -> Fraction:
     num, slash, den = stripped.partition("/")
     d = int(den) if slash else 1
     if d <= 0:
-        raise ValueError(f"denominator must be positive in {stripped!r}")
+        raise ValueError(f"denominator must be positive in {clipped(repr(stripped))}")
     n = int(num)
     if not _RATIONAL.fullmatch(text):
-        raise ValueError(f"not of the form p or p/q in ASCII digits: {text!r}")
+        raise ValueError(f"not of the form p or p/q in ASCII digits: {clipped(repr(text))}")
     return Fraction(n, d)
+
+
+def clipped(text: str, limit: int = 40) -> str:
+    """``text`` for a message, cut to its first ``limit`` characters when
+    it is longer, so a long input value does not fill the message."""
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
 def format_rational(q: Fraction) -> str:

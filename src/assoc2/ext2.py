@@ -18,28 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra2 import (
-    Homomorphism2,
-    TwoTermAlgebra,
-    TwoTermComplex,
-    check_algebra,
-    check_homomorphism,
-    require_algebra,
-)
+from .algebra2 import Homomorphism2, TwoTermAlgebra, TwoTermComplex, check_algebra, check_homomorphism
+from .algebra2 import homomorphism_residuals, require_algebra
 from .cochain import Inequivalence  # noqa: F401  (check_equivalence's certificate)
-from .cohom2 import (
-    Cochain1,
-    Cochain2,
-    assemble_matrices,
-    cochain_complex,
-    extension_total,
-    total_cocycle_families,
-)
+from .cohom2 import Cochain1, Cochain2, assemble_matrices, cochain_complex, cochain_layouts, extension_total
+from .cohom2 import total_cocycle_families
 from .exactlin import Matrix
-from .extension import SplitExtension, families_report
+from .extension import SplitExtension, families_report, kernel_residuals, placed, swapped
+from .integral import on_integers
 from .rep2 import Representation2, require_representation
 from .report import CheckReport
-from .tensorops import bil, unit, vsub, vzero, tensor2, tensor3, zeros2
+from .tensorops import bil, unit, vzero, tensor2, tensor3, zeros2
 
 
 class Extension2(SplitExtension):
@@ -128,33 +117,24 @@ def extract_representation(e: Extension2) -> Representation2:
     )
 
 
-def extract_cocycle(e: Extension2) -> Cochain2:
-    """The failure of the stored splitting to be a homomorphism."""
-    require_extension(e)
-    g = e.base
-    n0, n1 = g.dim0, g.dim1
-    t = e.total
-    s0 = [e.sigma0.col(i) for i in range(n0)]
-    s1 = [e.sigma1.col(p) for p in range(n1)]
+# the kernel part of each condition on the splitting (sigma0, sigma1, 0)
+# as a homomorphism from the base to the total: (block of the cocycle,
+# orientation, degree of the values); the block is rhs - lhs
+EXTRACTED = {
+    "i": ("psi", swapped, 0), "ii": ("omega", swapped, 0), "iii1": ("mu", swapped, 1),
+    "iii2": ("nu", swapped, 1), "iv": ("theta", swapped, 1),
+}
 
-    psi = Matrix.from_cols(
-        [e.restrict0(vsub(t.d(s1[p]), e.sigma0 @ g.complex.diff.col(p))) for p in range(n1)],
-        e.hdim0,
-    )
-    omega = tensor2(
-        n0, n0, lambda i, j: e.restrict0(vsub(t.m00(s0[i], s0[j]), e.sigma0 @ g.l2_00[i][j]))
-    )
-    mu = tensor2(
-        n0, n1, lambda i, p: e.restrict1(vsub(t.m01(s0[i], s1[p]), e.sigma1 @ g.l2_01[i][p]))
-    )
-    nu = tensor2(
-        n1, n0, lambda p, i: e.restrict1(vsub(t.m10(s1[p], s0[i]), e.sigma1 @ g.l2_10[p][i]))
-    )
-    theta = tensor3(
-        n0, n0, n0,
-        lambda i, j, k: e.restrict1(vsub(t.l3v(s0[i], s0[j], s0[k]), e.sigma1 @ g.l3[i][j][k])),
-    )
-    return Cochain2(psi, omega, mu, nu, theta)
+
+def extract_cocycle(e: Extension2) -> Cochain2:
+    """The failure of the stored splitting to be a homomorphism: the kernel
+    part of the homomorphism residuals of (sigma0, sigma1, 0), evaluated
+    over ℤ when the extension is integral."""
+    require_extension(e)
+    g, t = e.base, e.total
+    sigma = on_integers(Homomorphism2(g, t, e.sigma0, e.sigma1, zeros2(g.dim0, g.dim0, t.dim1)))
+    residuals = kernel_residuals(homomorphism_residuals(sigma), EXTRACTED, (e.restrict0, e.restrict1))
+    return placed(residuals, cochain_layouts(g.dim0, g.dim1, e.hdim0, e.hdim1)[1])
 
 
 def build_extension(

@@ -26,19 +26,26 @@ exactly when c is a cocycle, and on base tuples the kernel part of each
 axiom's residual is, up to a fixed sign, one cocycle family evaluated on
 c (the tables are ``cohom2.FAMILIES`` and ``xmod.XFAMILIES``).  So d2 and
 the cocycle checks are read off the axiom evaluators, on a total whose
-cochain entries may be the linear forms of matrix assembly.
+cochain entries may be the linear forms of matrix assembly.  On tuples
+with one kernel argument the total of the zero cochain, the semidirect
+product, gives the representation axioms (``rep2.REPRESENTATION``,
+``xmod.XREPRESENTATION``), and the homomorphism residuals of a splitting
+give the extracted cocycle.  ``kernel_residuals`` does the relabelling for
+all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import itemgetter
 
-from .cochain import Inequivalence, cohomologous
+from .cochain import Cochain, Inequivalence, Layout, cohomologous
 from .exactlin import Matrix, rank
 from .integral import integral_report, twin_field
 from .report import CheckReport, checked, checked_field, report_from
-from .tensorops import ZERO, tflat, unit, vadd, vsub, vzero
+from .tensorops import tflat, unit, vadd, vsub, vzero
 
 
 def _incl(v, sub, n):
@@ -55,8 +62,9 @@ def _coordinate_projection(n: int, total: int) -> Matrix:
 def total_matrix(base: Matrix, twist: Matrix, kernel: Matrix) -> Matrix:
     """The block matrix [[base, 0], [twist, kernel]] of a map from
     (B + K) to (C + L): base on B to C, twist on B to L, kernel on K to L.
-    The entries are kept as they are: ``int`` on twins, forms in twist."""
-    pad = (ZERO,) * kernel.cols
+    The entries are kept as they are: ``int`` on twins, forms in twist; the
+    zero block is ``int``, which every evaluator skips at once."""
+    pad = (0,) * kernel.cols
     rows = tuple(row + pad for row in base.entries) + tuple(t + k for t, k in zip(twist.entries, kernel.entries))
     return Matrix.as_given(rows, base.cols + kernel.cols)
 
@@ -64,9 +72,10 @@ def total_matrix(base: Matrix, twist: Matrix, kernel: Matrix) -> Matrix:
 def total_bilinear(base, twist, left, right, dims) -> tuple:
     """The bilinear tensor on (A + M) x (B + N) -> (C + P) with base + twist
     on (A, B) (to C and P), left on (A, N) and right on (M, B) (to P), and
-    zero on (M, N); ``dims`` is ((A, M), (B, N), (C, P)) by dimension."""
+    ``int`` zero on (M, N) and in C off (A, B); ``dims`` is ((A, M), (B, N),
+    (C, P)) by dimension."""
     (na, ma), (nb, mb), (nc, mc) = dims
-    pad, none = (ZERO,) * nc, (ZERO,) * (nc + mc)
+    pad, none = (0,) * nc, (0,) * (nc + mc)
     top = tuple(
         tuple(base[i][j] + twist[i][j] for j in range(nb)) + tuple(pad + left[i][s] for s in range(mb))
         for i in range(na)
@@ -74,25 +83,65 @@ def total_bilinear(base, twist, left, right, dims) -> tuple:
     return top + tuple(tuple(pad + right[s][j] for j in range(nb)) + (none,) * mb for s in range(ma))
 
 
-def cocycle_families(residuals, table: dict, cuts: tuple[int, int]):
-    """Yield (family, basis tuple, residual vector) from the axiom residuals
-    of a standard total on base tuples: ``table`` maps each condition to its
-    family, its sign and the degree of its values, and ``cuts`` are the base
-    dimensions, where the kernel part of a value starts."""
+def as_is(lhs, rhs):
+    return lhs, rhs
+
+
+def swapped(lhs, rhs):
+    return rhs, lhs
+
+
+def tail_parts(cuts) -> tuple:
+    """The kernel part in degrees 0 and 1 of a vector of a standard total
+    whose base dims are ``cuts``: its coordinates from the cut on."""
+    return tuple(itemgetter(slice(cut, None)) for cut in cuts)
+
+
+def kernel_residuals(residuals, table: dict, parts):
+    """Yield (label, basis tuple, lhs, rhs) for each residual whose key
+    ``table`` lists as (label, orientation, degree of the values): both
+    sides cut to their kernel part ``parts[degree]``, then oriented by
+    ``orientation(lhs, rhs)``.  The key is the residual's condition."""
     for condition, where, lhs, rhs in residuals:
-        family, sign, degree = table[condition]
-        cut = cuts[degree]
-        lhs, rhs = lhs[cut:], rhs[cut:]
-        yield family, where, vsub(lhs, rhs) if sign > 0 else vsub(rhs, lhs)
+        entry = table.get(condition)
+        if entry is not None:
+            label, orientation, degree = entry
+            part = parts[degree]
+            yield (label, where, *orientation(part(lhs), part(rhs)))
+
+
+def by_kernel_position(residuals, slots: dict, cuts):
+    """The residuals of a standard total on tuples with exactly one kernel
+    argument, keyed by (condition, position of that argument), with the
+    argument renumbered from 0 in the kernel; ``slots`` gives the degree of
+    each argument of each condition, ``cuts`` the base dims."""
+    for condition, where, lhs, rhs in residuals:
+        for pos, deg in enumerate(slots[condition]):
+            if where[pos] >= cuts[deg]:
+                break
+        yield (condition, pos), where[:pos] + (where[pos] - cuts[deg],) + where[pos + 1 :], lhs, rhs
 
 
 def stacked(families) -> tuple:
-    """The residual vectors of ``cocycle_families``, concatenated."""
-    return tuple(x for _, _, res in families for x in res)
+    """The residual vectors lhs - rhs of ``kernel_residuals``, concatenated."""
+    return tuple(x for _, _, lhs, rhs in families for x in vsub(lhs, rhs))
 
 
 def families_report(families) -> CheckReport:
-    return report_from((family, where, res, vzero(len(res))) for family, where, res in families)
+    return report_from((family, where, vsub(lhs, rhs), vzero(len(lhs))) for family, where, lhs, rhs in families)
+
+
+def placed(residuals, layout: Layout) -> Cochain:
+    """The two-cochain of ``layout`` whose block named by each residual's
+    label holds lhs - rhs at the residual's basis tuple, over ``Fraction``:
+    values are placed by basis tuple, whatever order they come in."""
+    values = {(label, where): vsub(lhs, rhs) for label, where, lhs, rhs in residuals}
+    return layout.unflatten(
+        Fraction(x)
+        for name, inputs, _ in layout.shapes
+        for where in product(*map(range, inputs))
+        for x in values[name, where]
+    )
 
 
 @dataclass

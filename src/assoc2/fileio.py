@@ -58,7 +58,7 @@ from .algebra2 import (
 )
 from .cohom2 import Cochain1, Cochain2, cochain_layouts
 from .deform2 import NijenhuisCandidate
-from .exactlin import Matrix, format_rational, parse_rational
+from .exactlin import Matrix, clipped, format_rational, parse_rational
 from .ext2 import Extension2
 from .rep2 import Representation2
 from .xmod import CrossedModule, XCochain1, XCochain2, XModExtension, XModRepresentation, xmod_cochain_layouts
@@ -121,7 +121,8 @@ def array_from_entries(name: str, shape: tuple[int, ...], entries) -> tuple:
         try:
             value = parse_rational(str(entry["value"]))
         except (ValueError, TypeError) as exc:
-            raise SchemaError(f"tensor {name!r} entry {pos}: bad rational {entry['value']!r}: {exc}") from None
+            value, reason = clipped(repr(entry["value"])), clipped(str(exc), 150)
+            raise SchemaError(f"tensor {name!r} entry {pos}: bad rational {value}: {reason}") from None
         _set_entry(arr, key, value)
     return _freeze(arr)
 

@@ -8,19 +8,26 @@ l1 : g1 x V0 -> V1 and r1 : V0 x g1 -> V1, and three trilinear actions
     tm : g0 x V0 x g0 -> V1      written x |> u <| y
     tr : V0 x g0 x g0 -> V1      written u <| (x,y)
 
-subject to sixteen compatibility axioms, labelled R01-R16 in the order
-checked below.  The adjoint representation puts V = g with every action a
-product sort and every trilinear action equal to l3.
+subject to sixteen compatibility axioms, labelled R01-R16.  They are not
+written out here: the data is a representation exactly when the
+semidirect product g + V (``cohom2.semidirect_product``, the standard
+total of the zero cochain) is a two-term algebra on the basis tuples with
+one argument in V, and R01-R16 are the V part of the axioms (d)-(f) there,
+relabelled through the table ``REPRESENTATION`` (CONVENTIONS.md,
+"Representations are the semidirect product's axioms").  The adjoint
+representation puts V = g with every action a product sort and every
+trilinear action equal to l3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra2 import TwoTermAlgebra, TwoTermComplex, require_algebra
+from .algebra2 import SLOTS, TwoTermAlgebra, TwoTermComplex, Tuples, algebra_residuals, require_algebra
+from .extension import as_is, by_kernel_position, kernel_residuals, swapped, tail_parts
 from .integral import integral_report, twin_field
 from .report import CheckReport, checked, checked_field
-from .tensorops import bil, tri, unit, vadd, vsub, zeros2, zeros3
+from .tensorops import vneg, zeros2, zeros3
 
 
 @dataclass
@@ -88,160 +95,38 @@ def trivial_representation(g: TwoTermAlgebra, v: TwoTermComplex) -> Representati
     )
 
 
+def _swapped_negating(lhs, rhs):
+    """The orientation of R09-R12: sides swapped and the new lhs negated,
+    against the semidirect product's sign (CONVENTIONS.md, the R09-R12
+    sign caveat)."""
+    return vneg(rhs), lhs
+
+
+# (axiom of g + V, position of its kernel argument) -> (label, orientation,
+# degree of the values).  (a)-(c) on these tuples are the compatibilities
+# of dv with the actions, which the checker does not test: no entry.
+REPRESENTATION = {
+    ("d", 2): ("R01", swapped, 0), ("e1", 2): ("R02", swapped, 1),
+    ("e2", 2): ("R03", swapped, 1), ("e3", 2): ("R04", swapped, 1),
+    ("d", 1): ("R05", swapped, 0), ("e2", 1): ("R06", swapped, 1),
+    ("e1", 1): ("R07", swapped, 1), ("e3", 1): ("R08", swapped, 1),
+    ("d", 0): ("R09", _swapped_negating, 0), ("e3", 0): ("R10", _swapped_negating, 1),
+    ("e1", 0): ("R11", _swapped_negating, 1), ("e2", 0): ("R12", _swapped_negating, 1),
+    ("f", 1): ("R13", as_is, 1), ("f", 2): ("R14", as_is, 1),
+    ("f", 3): ("R15", as_is, 1), ("f", 0): ("R16", as_is, 1),
+}
+
+
 def representation_residuals(r: Representation2):
+    """R01-R16: the kernel part of the axioms of the semidirect product
+    g + V on the basis tuples with one kernel argument, relabelled through
+    ``REPRESENTATION`` with that argument numbered in V."""
+    from .cohom2 import semidirect_product  # cohom2 imports this module
+
     g = r.algebra
-    n0, n1 = g.dim0, g.dim1
-    m0, m1 = r.dim0, r.dim1
-    e = [unit(n0, i) for i in range(n0)]
-    fv = [unit(n1, p) for p in range(n1)]
-    u = [unit(m0, s) for s in range(m0)]
-    w = [unit(m1, s) for s in range(m1)]
-    dg = [g.complex.diff.col(p) for p in range(n1)]
-    dv = r.complex.diff
-
-    # left-action block
-    for i in range(n0):
-        for j in range(n0):
-            xy = g.l2_00[i][j]
-            for s in range(m0):
-                yield (
-                    "R01",
-                    (i, j, s),
-                    vsub(bil(r.l0v0, xy, u[s]), bil(r.l0v0, e[i], r.l0v0[j][s])),
-                    dv @ r.tl[i][j][s],
-                )
-            for s in range(m1):
-                yield (
-                    "R02",
-                    (i, j, s),
-                    vsub(bil(r.l0v1, xy, w[s]), bil(r.l0v1, e[i], r.l0v1[j][s])),
-                    tri(r.tl, e[i], e[j], dv.col(s)),
-                )
-    for i in range(n0):
-        for p in range(n1):
-            xa = g.l2_01[i][p]
-            ax = g.l2_10[p][i]
-            for s in range(m0):
-                yield (
-                    "R03",
-                    (i, p, s),
-                    vsub(bil(r.l1, xa, u[s]), bil(r.l0v1, e[i], r.l1[p][s])),
-                    tri(r.tl, e[i], dg[p], u[s]),
-                )
-                yield (
-                    "R04",
-                    (p, i, s),
-                    vsub(bil(r.l1, ax, u[s]), bil(r.l1, fv[p], r.l0v0[i][s])),
-                    tri(r.tl, dg[p], e[i], u[s]),
-                )
-
-    # mixed block
-    for i in range(n0):
-        for j in range(n0):
-            for s in range(m0):
-                yield (
-                    "R05",
-                    (i, s, j),
-                    vsub(bil(r.r0v0, r.l0v0[i][s], e[j]), bil(r.l0v0, e[i], r.r0v0[s][j])),
-                    dv @ r.tm[i][s][j],
-                )
-            for s in range(m1):
-                yield (
-                    "R06",
-                    (i, s, j),
-                    vsub(bil(r.r0v1, r.l0v1[i][s], e[j]), bil(r.l0v1, e[i], r.r0v1[s][j])),
-                    tri(r.tm, e[i], dv.col(s), e[j]),
-                )
-    for i in range(n0):
-        for p in range(n1):
-            for s in range(m0):
-                yield (
-                    "R07",
-                    (i, s, p),
-                    vsub(bil(r.r1, r.l0v0[i][s], fv[p]), bil(r.l0v1, e[i], r.r1[s][p])),
-                    tri(r.tm, e[i], u[s], dg[p]),
-                )
-                yield (
-                    "R08",
-                    (p, s, i),
-                    vsub(bil(r.r0v1, r.l1[p][s], e[i]), bil(r.l1, fv[p], r.r0v0[s][i])),
-                    tri(r.tm, dg[p], u[s], e[i]),
-                )
-
-    # right-action block
-    for i in range(n0):
-        for j in range(n0):
-            xy = g.l2_00[i][j]
-            for s in range(m0):
-                yield (
-                    "R09",
-                    (s, i, j),
-                    vsub(bil(r.r0v0, u[s], xy), bil(r.r0v0, r.r0v0[s][i], e[j])),
-                    dv @ r.tr[s][i][j],
-                )
-            for s in range(m1):
-                yield (
-                    "R10",
-                    (s, i, j),
-                    vsub(bil(r.r0v1, w[s], xy), bil(r.r0v1, r.r0v1[s][i], e[j])),
-                    tri(r.tr, dv.col(s), e[i], e[j]),
-                )
-    for i in range(n0):
-        for p in range(n1):
-            xa = g.l2_01[i][p]
-            ax = g.l2_10[p][i]
-            for s in range(m0):
-                yield (
-                    "R11",
-                    (s, i, p),
-                    vsub(bil(r.r1, u[s], xa), bil(r.r1, r.r0v0[s][i], fv[p])),
-                    tri(r.tr, u[s], e[i], dg[p]),
-                )
-                yield (
-                    "R12",
-                    (s, p, i),
-                    vsub(bil(r.r1, u[s], ax), bil(r.r0v1, r.r1[s][p], e[i])),
-                    tri(r.tr, u[s], dg[p], e[i]),
-                )
-
-    # trilinear compatibility block
-    for i in range(n0):
-        for s in range(m0):
-            for j in range(n0):
-                for k in range(n0):
-                    yz = g.l2_00[j][k]
-                    # R13: x|>(u<|(y,z)) + (x|>u<|y)<|z
-                    #      = (x|>u)<|(y,z) - x|>(u<|y)<|z + x|>u<|(y.z)
-                    lhs = vadd(bil(r.l0v1, e[i], r.tr[s][j][k]), bil(r.r0v1, r.tm[i][s][j], e[k]))
-                    rhs = vadd(
-                        vsub(tri(r.tr, r.l0v0[i][s], e[j], e[k]), tri(r.tm, e[i], r.r0v0[s][j], e[k])),
-                        tri(r.tm, e[i], u[s], yz),
-                    )
-                    yield "R13", (i, s, j, k), lhs, rhs
-                    # R14: x|>(y|>u<|z) + ((x,y)|>u)<|z
-                    #      = (x.y)|>u<|z - x|>(y|>u)<|z + (x,y)|>(u<|z)
-                    lhs = vadd(bil(r.l0v1, e[i], r.tm[j][s][k]), bil(r.r0v1, r.tl[i][j][s], e[k]))
-                    rhs = vadd(
-                        vsub(tri(r.tm, g.l2_00[i][j], u[s], e[k]), tri(r.tm, e[i], r.l0v0[j][s], e[k])),
-                        tri(r.tl, e[i], e[j], r.r0v0[s][k]),
-                    )
-                    yield "R14", (i, j, s, k), lhs, rhs
-                    # R15: x|>((y,z)|>u) + l3(x,y,z)|>u
-                    #      = (x.y,z)|>u - (x,y.z)|>u + (x,y)|>(z|>u)
-                    lhs = vadd(bil(r.l0v1, e[i], r.tl[j][k][s]), bil(r.l1, g.l3[i][j][k], u[s]))
-                    rhs = vadd(
-                        vsub(tri(r.tl, g.l2_00[i][j], e[k], u[s]), tri(r.tl, e[i], yz, u[s])),
-                        tri(r.tl, e[i], e[j], r.l0v0[k][s]),
-                    )
-                    yield "R15", (i, j, k, s), lhs, rhs
-                    # R16: u<|l3(x,y,z) + (u<|(x,y))<|z
-                    #      = (u<|x)<|(y,z) - u<|(x.y,z) + u<|(x,y.z)
-                    lhs = vadd(bil(r.r1, u[s], g.l3[i][j][k]), bil(r.r0v1, r.tr[s][i][j], e[k]))
-                    rhs = vadd(
-                        vsub(tri(r.tr, r.r0v0[s][i], e[j], e[k]), tri(r.tr, u[s], g.l2_00[i][j], e[k])),
-                        tri(r.tr, u[s], e[i], yz),
-                    )
-                    yield "R16", (s, i, j, k), lhs, rhs
+    cuts = (g.dim0, g.dim1)
+    residuals = algebra_residuals(semidirect_product(g, r), tuples=Tuples(cuts, 1))
+    return kernel_residuals(by_kernel_position(residuals, SLOTS, cuts), REPRESENTATION, tail_parts(cuts))
 
 
 def check_representation(r: Representation2) -> CheckReport:

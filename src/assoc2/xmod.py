@@ -14,37 +14,25 @@ coboundary solves) is the shared engine in ``cochain``, fed by
 families xcoc1-xcoc7 are the kernel part of the crossed-module axioms of
 the standard total (``xmod_extension_total``, shared with
 ``xmod_build_extension``) on base tuples, relabelled by ``XFAMILIES``.
+Nor are the representation axioms: they are the same axioms of the
+semidirect product on tuples with one kernel argument (``XREPRESENTATION``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra2 import (
-    AssocAlgebra,
-    Bimodule,
-    TwoTermAlgebra,
-    TwoTermComplex,
-    _assoc_residuals,
-    _bimodule_residuals,
-    require_algebra,
-)
-from .cochain import (
-    CoboundaryMatrices,
-    Cochain,
-    CochainComplex,
-    CohomologyResult,
-    Layout,
-    assemble,
-    cohomology,
-    primitive,
-)
+from .algebra2 import AssocAlgebra, Bimodule, TwoTermAlgebra, TwoTermComplex, Tuples, require_algebra
+from .algebra2 import _assoc_residuals, _bimodule_residuals
+from .cochain import CoboundaryMatrices, Cochain, CochainComplex, CohomologyResult, Layout, assemble, cohomology
+from .cochain import primitive
 from .exactlin import Matrix
-from .extension import SplitExtension, cocycle_families, families_report, stacked, total_bilinear, total_matrix
+from .extension import SplitExtension, as_is, by_kernel_position, families_report, kernel_residuals, placed
+from .extension import stacked, swapped, tail_parts, total_bilinear, total_matrix
 from .integral import integral_report, on_integers, twin_field
 from .poly import GeneratesVerdict, T, generates_verdict, identity_report
 from .report import CheckReport, checked, checked_field, report_from
-from .tensorops import bil, unit, vadd, vsub, vzero, tensor2, tzip, zeros2
+from .tensorops import bil, unit, vadd, vsub, vzero, tensor2, tzip, zeros2, zeros3
 
 
 @dataclass
@@ -67,45 +55,31 @@ class CrossedModule:
     dim0, dim1 = pdim, hdim
 
 
-def crossed_module_residuals(x: CrossedModule, structure: bool = True, ranges: tuple[int, int] | None = None):
-    """All defining identities on basis tuples, or with ``ranges`` =
-    (kp, kh) on the tuples of the first kp basis vectors of p and the first
-    kh of h only.
+# the degrees of each axiom's arguments, in the order of its basis tuple
+XSLOTS = {
+    "assoc": (0, 0, 0), "left": (0, 0, 1), "middle": (0, 1, 0), "right": (1, 0, 0),
+    "equiv-l": (0, 1), "equiv-r": (1, 0), "peiffer": (1, 1),
+}
 
-    With ``structure`` the associativity of p and the bimodule axioms of h
-    are included; they are preconditions of the definition but take part in
-    deformed-structure checks on an equal footing.
-    """
-    kp, kh = ranges or (x.pdim, x.hdim)
-    if structure:
-        yield from _assoc_residuals(x.p_alg, kp)
-        yield from _bimodule_residuals(x.h_mod, ranges)
-    np_, nh = x.pdim, x.hdim
-    e = [unit(np_, i) for i in range(kp)]
-    fb = [unit(nh, a) for a in range(kh)]
-    fcol = [x.f_map.col(a) for a in range(kh)]
-    for i in range(kp):
-        for a in range(kh):
-            yield (
-                "equiv-l",
-                (i, a),
-                x.f_map @ x.h_mod.left[i][a],
-                x.p_alg.product(e[i], fcol[a]),
-            )
-            yield (
-                "equiv-r",
-                (a, i),
-                x.f_map @ x.h_mod.right[a][i],
-                x.p_alg.product(fcol[a], e[i]),
-            )
-    for a in range(kh):
-        for b in range(kh):
-            yield (
-                "peiffer",
-                (a, b),
-                bil(x.h_mod.left, fcol[a], fb[b]),
-                bil(x.h_mod.right, fb[a], fcol[b]),
-            )
+
+def crossed_module_residuals(x: CrossedModule, tuples: Tuples | None = None):
+    """The defining identities on the basis tuples ``tuples`` selects (all
+    of them by default), p in degree 0 and h in degree 1: the
+    associativity of p and the bimodule axioms of h, which are
+    preconditions of the definition but take part in deformed-structure
+    checks on an equal footing, then equivariance and Peiffer."""
+    dims = (x.pdim, x.hdim)
+    tuples = tuples or Tuples(dims, 0)
+    yield from _assoc_residuals(x.p_alg, tuples)
+    yield from _bimodule_residuals(x.h_mod, tuples)
+    e = [unit(x.pdim, i) for i in range(x.pdim)]
+    fb = [unit(x.hdim, a) for a in range(x.hdim)]
+    fcol = [x.f_map.col(a) for a in range(x.hdim)]
+    for i, a in tuples.of(dims, 0, 1):
+        yield "equiv-l", (i, a), x.f_map @ x.h_mod.left[i][a], x.p_alg.product(e[i], fcol[a])
+        yield "equiv-r", (a, i), x.f_map @ x.h_mod.right[a][i], x.p_alg.product(fcol[a], e[i])
+    for a, b in tuples.of(dims, 1, 1):
+        yield "peiffer", (a, b), bil(x.h_mod.left, fcol[a], fb[b]), bil(x.h_mod.right, fb[a], fcol[b])
 
 
 def check_crossed_module(x: CrossedModule) -> CheckReport:
@@ -132,8 +106,6 @@ def algebra_to_crossed_module(g: TwoTermAlgebra) -> CrossedModule:
 
 
 def crossed_module_to_algebra(x: CrossedModule) -> TwoTermAlgebra:
-    from .algebra2 import zeros3
-
     return TwoTermAlgebra(
         TwoTermComplex(x.pdim, x.hdim, x.f_map),
         x.p_alg.mul,
@@ -167,72 +139,29 @@ class XModRepresentation:
         return self.w_mod.dim
 
 
-def xmod_representation_residuals(r: XModRepresentation, structure: bool = True):
-    x = r.xm
-    np_, nh = x.pdim, x.hdim
-    nv, nw = r.vdim, r.wdim
-    if structure:
-        for cond, where, lhs, rhs in _bimodule_residuals(r.v_mod):
-            yield "V-" + cond, where, lhs, rhs
-        for cond, where, lhs, rhs in _bimodule_residuals(r.w_mod):
-            yield "W-" + cond, where, lhs, rhs
-    e = [unit(np_, i) for i in range(np_)]
-    ha = [unit(nh, a) for a in range(nh)]
-    vv = [unit(nv, s) for s in range(nv)]
-    ww = [unit(nw, s) for s in range(nw)]
-    fcol = [x.f_map.col(a) for a in range(nh)]
-    phicol = [r.phi.col(s) for s in range(nv)]
+# (axiom of (h + V, p + W), position of its kernel argument) -> (label,
+# orientation, degree of the values)
+XREPRESENTATION = {
+    ("equiv-l", 0): ("XR03", as_is, 0), ("equiv-l", 1): ("XR01", as_is, 0),
+    ("equiv-r", 0): ("XR02", as_is, 0), ("equiv-r", 1): ("XR04", as_is, 0),
+    ("peiffer", 0): ("XR06", as_is, 1), ("peiffer", 1): ("XR05", as_is, 1),
+    ("left", 0): ("XR08", as_is, 1), ("left", 1): ("XR07", as_is, 1), ("left", 2): ("V-left", as_is, 1),
+    ("middle", 0): ("XR10", swapped, 1), ("middle", 1): ("V-middle", as_is, 1),
+    ("middle", 2): ("XR09", swapped, 1),
+    ("right", 0): ("V-right", as_is, 1), ("right", 1): ("XR12", swapped, 1), ("right", 2): ("XR11", swapped, 1),
+    ("assoc", 0): ("W-right", swapped, 0), ("assoc", 1): ("W-middle", swapped, 0),
+    ("assoc", 2): ("W-left", as_is, 0),
+}
 
-    for i in range(np_):
-        for s in range(nv):
-            yield "XR01", (i, s), r.phi @ r.v_mod.left[i][s], bil(r.w_mod.left, e[i], phicol[s])
-            yield "XR02", (s, i), r.phi @ r.v_mod.right[s][i], bil(r.w_mod.right, phicol[s], e[i])
-    for a in range(nh):
-        for s in range(nw):
-            yield "XR03", (s, a), r.phi @ r.tr_r[s][a], bil(r.w_mod.right, ww[s], fcol[a])
-            yield "XR04", (a, s), r.phi @ r.tr_l[a][s], bil(r.w_mod.left, fcol[a], ww[s])
-        for s in range(nv):
-            yield "XR05", (a, s), bil(r.v_mod.left, fcol[a], vv[s]), bil(r.tr_l, ha[a], phicol[s])
-            yield "XR06", (s, a), bil(r.tr_r, phicol[s], ha[a]), bil(r.v_mod.right, vv[s], fcol[a])
-    for i in range(np_):
-        for a in range(nh):
-            for s in range(nw):
-                yield (
-                    "XR07",
-                    (i, s, a),
-                    bil(r.tr_r, r.w_mod.left[i][s], ha[a]),
-                    bil(r.v_mod.left, e[i], r.tr_r[s][a]),
-                )
-                yield (
-                    "XR08",
-                    (s, i, a),
-                    bil(r.tr_r, r.w_mod.right[s][i], ha[a]),
-                    bil(r.tr_r, ww[s], x.h_mod.left[i][a]),
-                )
-                yield (
-                    "XR09",
-                    (i, a, s),
-                    bil(r.tr_l, x.h_mod.left[i][a], ww[s]),
-                    bil(r.v_mod.left, e[i], r.tr_l[a][s]),
-                )
-                yield (
-                    "XR10",
-                    (s, a, i),
-                    bil(r.v_mod.right, r.tr_r[s][a], e[i]),
-                    bil(r.tr_r, ww[s], x.h_mod.right[a][i]),
-                )
-                yield (
-                    "XR11",
-                    (a, i, s),
-                    bil(r.tr_l, x.h_mod.right[a][i], ww[s]),
-                    bil(r.tr_l, ha[a], r.w_mod.left[i][s]),
-                )
-                yield (
-                    "XR12",
-                    (a, s, i),
-                    bil(r.v_mod.right, r.tr_l[a][s], e[i]),
-                    bil(r.tr_l, ha[a], r.w_mod.right[s][i]),
-                )
+
+def xmod_representation_residuals(r: XModRepresentation):
+    """XR01-XR12 and the bimodule axioms of V and W: the kernel part of the
+    crossed-module axioms of the semidirect product on the basis tuples
+    with one kernel argument, relabelled through ``XREPRESENTATION`` with
+    that argument numbered in V or W."""
+    cuts = (r.xm.pdim, r.xm.hdim)
+    residuals = crossed_module_residuals(semidirect_product(r.xm, r), tuples=Tuples(cuts, 1))
+    return kernel_residuals(by_kernel_position(residuals, XSLOTS, cuts), XREPRESENTATION, tail_parts(cuts))
 
 
 def check_xmod_representation(r: XModRepresentation) -> CheckReport:
@@ -280,9 +209,10 @@ def xmod_trivial_representation(x: CrossedModule, nv: int, nw: int) -> XModRepre
 # ---------------------------------------------------------------------------
 
 def semidirect_product(x: CrossedModule, r: XModRepresentation) -> CrossedModule:
-    """(h + V, p + W, f + phi) with the action-twisted products: the total
-    of the extension by the zero cocycle."""
-    return xmod_build_extension(x, r, xmod_zero_cochain2(x, r)).total
+    """(h + V, p + W, f + phi) with the action-twisted products: the
+    standard total of the zero cochain, unchecked; its zero blocks are
+    ``int``."""
+    return xmod_extension_total(x, r, on_integers(xmod_cochain_layouts(x.pdim, x.hdim, r.vdim, r.wdim)[1].zero()))
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +305,12 @@ def xmod_d1_apply(x: CrossedModule, r: XModRepresentation, c: XCochain1) -> XCoc
 
 
 # the kernel part of each axiom of the standard total on a base tuple:
-# (cocycle family, sign, degree of the axiom's values); see ``extension``
+# (cocycle family, orientation, degree of the values), the family being
+# lhs - rhs of the oriented sides; see ``extension``
 XFAMILIES = {
-    "equiv-l": ("xcoc1", 1, 0),
-    "equiv-r": ("xcoc2", 1, 0),
-    "peiffer": ("xcoc3", 1, 1),
-    "assoc": ("xcoc4", -1, 0),
-    "left": ("xcoc5", -1, 1),
-    "right": ("xcoc6", 1, 1),
-    "middle": ("xcoc7", 1, 1),
+    "equiv-l": ("xcoc1", as_is, 0), "equiv-r": ("xcoc2", as_is, 0), "peiffer": ("xcoc3", as_is, 1),
+    "assoc": ("xcoc4", swapped, 0), "left": ("xcoc5", swapped, 1), "right": ("xcoc6", as_is, 1),
+    "middle": ("xcoc7", as_is, 1),
 }
 
 
@@ -400,11 +327,11 @@ def xmod_extension_total(x: CrossedModule, r: XModRepresentation, c: XCochain2) 
 
 
 def total_xcocycle_families(total: CrossedModule, x: CrossedModule):
-    """Yield (family, basis tuple, residual) for xcoc1-xcoc7: the kernel
-    part of the crossed-module axioms of ``total``, a standard total over
-    x, on x's basis tuples."""
+    """Yield (family, basis tuple, lhs, rhs) for xcoc1-xcoc7, whose
+    residual is lhs - rhs: the kernel part of the crossed-module axioms of
+    ``total``, a standard total over x, on x's basis tuples."""
     cuts = (x.pdim, x.hdim)
-    return cocycle_families(crossed_module_residuals(total, ranges=cuts), XFAMILIES, cuts)
+    return kernel_residuals(crossed_module_residuals(total, tuples=Tuples(cuts, 0)), XFAMILIES, tail_parts(cuts))
 
 
 def xmod_d2_residual(x: CrossedModule, r: XModRepresentation, c: XCochain2) -> tuple:
@@ -589,27 +516,21 @@ def xmod_extract_representation(e: XModExtension) -> XModRepresentation:
     return XModRepresentation(b, v_mod, w_mod, phi, tr_l, tr_r)
 
 
+# as ``ext2.EXTRACTED``, for the strict homomorphism (sigma0, sigma1)
+XEXTRACTED = {
+    "hom-f": ("psi", as_is, 0), "hom-alg": ("omega", swapped, 0),
+    "hom-left": ("mu", swapped, 1), "hom-right": ("nu", swapped, 1),
+}
+
+
 def xmod_extract_cocycle(e: XModExtension) -> XCochain2:
+    """The failure of the stored splitting to be a homomorphism, read off
+    its homomorphism residuals as in ``ext2.extract_cocycle``."""
     require_xmod_extension(e)
     b = e.base
-    nP, nH = b.pdim, b.hdim
-    t = e.total
-    s0 = [e.sigma0.col(i) for i in range(nP)]
-    s1 = [e.sigma1.col(a) for a in range(nH)]
-    psi = Matrix.from_cols(
-        [e.restrict0(vsub(t.f_map @ s1[a], e.sigma0 @ b.f_map.col(a))) for a in range(nH)],
-        e.hdim0,
-    )
-    omega = tensor2(
-        nP, nP, lambda i, j: e.restrict0(vsub(t.p_alg.product(s0[i], s0[j]), e.sigma0 @ b.p_alg.mul[i][j]))
-    )
-    mu = tensor2(
-        nP, nH, lambda i, a: e.restrict1(vsub(bil(t.h_mod.left, s0[i], s1[a]), e.sigma1 @ b.h_mod.left[i][a]))
-    )
-    nu = tensor2(
-        nH, nP, lambda a, i: e.restrict1(vsub(bil(t.h_mod.right, s1[a], s0[i]), e.sigma1 @ b.h_mod.right[a][i]))
-    )
-    return XCochain2(psi, omega, mu, nu)
+    sigma = on_integers((b, e.total, e.sigma0, e.sigma1))
+    residuals = kernel_residuals(xmod_homomorphism_residuals(*sigma), XEXTRACTED, (e.restrict0, e.restrict1))
+    return placed(residuals, xmod_cochain_layouts(b.pdim, b.hdim, e.hdim1, e.hdim0)[1])
 
 
 def xmod_build_extension(

@@ -10,6 +10,10 @@ that is meant to alter a report, with
 
     PYTHONPATH=src python tests/test_cli_reports.py
 
+``representations.json`` pins the full ``check rep`` and ``check xmod-rep``
+reports on seeded corruptions of representations of direct sums, each
+condition label at some kernel index above 0.
+
 ``documents.json`` pins the bytes ``fileio.dumps`` writes for every dumper,
 on seeded structures whose dimensions all differ, and the exact
 ``SchemaError`` text each loader gives on a fixed list of malformed
@@ -17,7 +21,8 @@ variants of a valid document.
 
 The counting test wraps the residual generators behind every checker and
 asserts that each command evaluates each loaded structure's axioms once,
-and counts how often ``ext equiv`` extracts an induced representation.
+and counts how often ``ext equiv`` extracts an induced representation and
+evaluates a splitting to extract a cocycle.
 """
 
 from __future__ import annotations
@@ -43,9 +48,9 @@ from assoc2.algebra2 import (
 from assoc2.cohom2 import Cochain1, Cochain2
 from assoc2.deform2 import NijenhuisCandidate
 from assoc2.exactlin import Matrix
-from assoc2.fixtures import fix_u, fix_x, fixture_file
+from assoc2.fixtures import direct_sum_algebra, fix_2d, fix_d, fix_l3, fix_m, fix_u, fix_w, fix_x, fixture_file
 from assoc2.rep2 import Representation2
-from assoc2.sampling import random_cochain1, random_xcochain2
+from assoc2.sampling import random_cochain1, random_transport, random_xcochain2
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -235,6 +240,53 @@ def corrupted_reports(tmp: Path) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# representations: seeded corruptions of adjoint and trivial coefficients
+# ---------------------------------------------------------------------------
+
+def _corrupt(rng, doc: dict, edits: int) -> dict:
+    """``doc`` with ``edits`` seeded tensor entries moved by 1, -1 or 1/2."""
+    kind = fileio.KINDS[doc["kind"]]
+    tensors = kind.tensors(*(doc["dims"][k] for k in kind.dims))
+    for _ in range(edits):
+        name, shape = rng.choice(tensors)[:2]
+        doc = _edit(doc, name, [rng.randrange(n) for n in shape], rng.choice(("1", "-1", "1/2")))
+    return doc
+
+
+def _representation_cases():
+    """(name, structure document, representation, seed, edits) in both
+    theories: adjoint and trivial coefficients of sums, one of them
+    transported, the trivial ones of a dimension other than the base's."""
+    mu = direct_sum_algebra(fix_m(), fix_u())
+    tw = random_transport(random.Random(3), direct_sum_algebra(fix_w(), fix_l3()))
+    uw = xmod.algebra_to_crossed_module(direct_sum_algebra(fix_u(), fix_w()))
+    ud = xmod.algebra_to_crossed_module(random_transport(random.Random(5), direct_sum_algebra(fix_u(), fix_d())))
+    v21 = TwoTermComplex(2, 1, Matrix(((Fraction(1),), (Fraction(-1),)), 1))
+    alg, xm = fileio.dump_algebra, fileio.dump_crossed_module
+    return [
+        ("adjoint M+U", alg(mu), rep2.adjoint_representation(mu), 18, 3),
+        ("adjoint T(W+L3)", alg(tw), rep2.adjoint_representation(tw), 187, 4),
+        ("trivial 2/1 of 2D", alg(fix_2d()), rep2.trivial_representation(fix_2d(), v21), 191, 4),
+        ("adjoint U+W", xm(uw), xmod.xmod_adjoint(uw), 100, 4),
+        ("adjoint T(U+D)", xm(ud), xmod.xmod_adjoint(ud), 75, 4),
+        ("trivial 3/2 of U+W", xm(uw), xmod.xmod_trivial_representation(uw, 3, 2), 145, 4),
+    ]
+
+
+def representation_reports(tmp: Path) -> dict:
+    run = _Runner(tmp)
+    for name, base, r, seed, edits in _representation_cases():
+        xm = base["kind"] == "crossed_module"
+        doc = (fileio.dump_xmod_representation if xm else fileio.dump_representation)(r)
+        slug = name.replace(" ", "_").replace("/", "-")
+        bad = _corrupt(random.Random(seed), doc, edits)
+        files = _write(tmp, f"base_{slug}", base), _write(tmp, f"rep_{slug}", bad)
+        what = "xmod-rep" if xm else "rep"
+        run(f"check {what} {name}", "check", what, *files)
+    return run.results
+
+
+# ---------------------------------------------------------------------------
 # documents: dumped bytes and loader messages
 # ---------------------------------------------------------------------------
 
@@ -407,6 +459,16 @@ def test_corrupted_inputs_match_golden_reports(tmp_path):
     _assert_matches_golden(corrupted_reports(tmp_path), "corrupted.json")
 
 
+def test_representation_checks_match_golden_reports(tmp_path):
+    results = representation_reports(tmp_path)
+    _assert_matches_golden(results, "representations.json")
+    # every condition label of both theories is pinned
+    reports = [json.loads(out) for case, (_, out, _) in results.items() if case.endswith("[json]")]
+    labels = {v["condition_id"] for report in reports for v in report["violations"]}
+    expected = {f"R{k:02}" for k in range(1, 17)} | {f"XR{k:02}" for k in range(1, 13)}
+    assert labels == expected | {f"{m}-{s}" for m in "VW" for s in ("left", "middle", "right")}
+
+
 def test_documents_match_golden_bytes_and_messages(tmp_path):
     _assert_matches_golden(document_reports(tmp_path), "documents.json")
 
@@ -418,6 +480,7 @@ def test_documents_match_golden_bytes_and_messages(tmp_path):
 GENERATORS = [
     (algebra2, "algebra_residuals", "algebra"),
     (algebra2, "homomorphism_residuals", "hom"),
+    (ext2, "homomorphism_residuals", "hom"),
     (rep2, "representation_residuals", "rep"),
     (ext2, "extension_residuals", "ext"),
     (xmod, "crossed_module_residuals", "xmod"),
@@ -439,9 +502,10 @@ def test_each_structure_is_checked_once_per_loaded_object(monkeypatch, tmp_path)
         original = getattr(module, attr)
 
         def counted(*args, _original=original, _key=key, **kwargs):
-            # a generator run with ``ranges`` evaluates d2 on the base tuples
-            # of a standard total, not the axioms of a loaded structure
-            if "ranges" not in kwargs:
+            # a generator run with ``tuples`` evaluates a standard total or a
+            # semidirect product (d2, cocycle and representation checks) on
+            # part of its tuples, not the axioms of a loaded structure
+            if "tuples" not in kwargs:
                 counts[_key] = counts.get(_key, 0) + 1
             return _original(*args, **kwargs)
 
@@ -451,16 +515,18 @@ def test_each_structure_is_checked_once_per_loaded_object(monkeypatch, tmp_path)
     c2, xc2 = _two_term_inputs(tmp_path), _xmod_inputs(tmp_path)
     ext = _Runner(tmp_path).witness("ext", "ext", "build", u, urep, c2["h2"])
     xext = _Runner(tmp_path).witness("xext", "xmod", "ext", "build", x, xrep, xc2["h2"])
-    # (argv, exit code, evaluations of each generator): one per loaded object
+    # (argv, exit code, evaluations of each generator): one per loaded
+    # object, and one homomorphism evaluation of each extension's splitting,
+    # whose kernel part is the extracted cocycle
     table = [
         (["cohomology", u, urep], 0, {"algebra": 1, "rep": 1}),
         (["cocycle", "reduce", u, urep, c2["cob"]], 0, {"algebra": 1, "rep": 1}),
-        (["ext", "extract", ext], 0, {"algebra": 2, "hom": 1, "ext": 1, "ext-rep": 1}),
-        (["ext", "equiv", ext, ext], 0, {"algebra": 4, "hom": 3, "rep": 1, "ext": 2, "ext-rep": 2}),
+        (["ext", "extract", ext], 0, {"algebra": 2, "hom": 2, "ext": 1, "ext-rep": 1}),
+        (["ext", "equiv", ext, ext], 0, {"algebra": 4, "hom": 5, "rep": 1, "ext": 2, "ext-rep": 2}),
         (["xmod", "cohomology", x, xrep], 0, {"xmod": 1, "xrep": 1}),
         (["xmod", "cocycle", "reduce", x, xrep, xc2["cob"]], 0, {"xmod": 1, "xrep": 1}),
-        (["xmod", "ext", "extract", xext], 0, {"xmod": 2, "xhom": 1, "xext": 1, "xext-rep": 1}),
-        (["xmod", "ext", "equiv", xext, xext], 0, {"xmod": 4, "xrep": 1, "xhom": 3, "xext": 2, "xext-rep": 2}),
+        (["xmod", "ext", "extract", xext], 0, {"xmod": 2, "xhom": 2, "xext": 1, "xext-rep": 1}),
+        (["xmod", "ext", "equiv", xext, xext], 0, {"xmod": 4, "xrep": 1, "xhom": 5, "xext": 2, "xext-rep": 2}),
     ]
     for argv, code, expected in table:
         counts.clear()
@@ -498,6 +564,7 @@ if __name__ == "__main__":
         for name, build in (
             ("readme.json", readme_reports),
             ("corrupted.json", corrupted_reports),
+            ("representations.json", representation_reports),
             ("documents.json", document_reports),
         ):
             path = Path(tmp) / name.removesuffix(".json")

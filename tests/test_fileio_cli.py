@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -339,6 +340,22 @@ def test_values_follow_the_ascii_grammar(capsys, tmp_path):
     # JSON integers keep loading
     doc["tensors"]["d"] = [{"indices": [0, 0], "value": -2}]
     assert fileio.load_algebra(doc).complex.diff.entries == ((F(-2),),)
+
+
+def test_long_bad_values_give_a_short_message_fast(capsys, tmp_path):
+    # each value is 5000 characters long; the message quotes a prefix of it
+    doc = json.loads(fixture_file("fix_u.json").read_text())
+    for value in ("1" * 5000, "+" + "1" * 4999, "1_" * 2500, "x" * 5000, "1/" + "0" * 4998, [1] * 1667):
+        doc["tensors"]["l3"] = [{"indices": [0, 0, 0, 0], "value": value}]
+        path = tmp_path / "value.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = _run(capsys, "check", "algebra", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        line = err.strip()
+        assert line.startswith("error:") and "\n" not in line and len(line) < 400, line[:100]
+        assert str(path) in line and "tensor 'l3'" in line and "bad rational" in line
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@ import random
 
 from fractions import Fraction
 
-from assoc2.algebra2 import TwoTermComplex, check_algebra
+import pytest
+
+from assoc2.algebra2 import TwoTermAlgebra, TwoTermComplex, check_algebra
+from assoc2.cohom2 import semidirect_product, zero_cochain2
 from assoc2.exactlin import Matrix
+from assoc2.ext2 import build_extension
 from assoc2.fixtures import algebra_fixtures, fix_u, fix_z
 from assoc2.rep2 import (
     Representation2,
@@ -11,8 +15,9 @@ from assoc2.rep2 import (
     check_representation,
     trivial_representation,
 )
+from assoc2.report import PreconditionError
 from assoc2.sampling import random_transport
-from assoc2.tensorops import tensor3
+from assoc2.tensorops import tensor3, zeros2, zeros3
 
 F = Fraction
 
@@ -40,6 +45,15 @@ def test_trivial_representation_passes_any_coefficient_differential():
         for dv in (Matrix.zero(1, 1), Matrix.identity(1)):
             r = trivial_representation(g, TwoTermComplex(1, 1, dv))
             assert check_representation(r).passed
+
+
+def test_trivial_representation_with_an_empty_degree_passes():
+    # with V0 = 0 and V1 != 0 the trilinear actions have an empty axis; R02,
+    # R06 and R10 used to compare a zero vector of V1 with an empty one
+    for g in (fix_u(), algebra_fixtures()["FIX-2D"]):
+        for m0, m1 in ((0, 1), (1, 0), (0, 2), (0, 0)):
+            r = trivial_representation(g, TwoTermComplex(m0, m1, Matrix.zero(m0, m1)))
+            assert check_representation(r).passed, (m0, m1)
 
 
 def test_adjoint_of_random_transports():
@@ -112,3 +126,50 @@ def test_zero_algebra_rep_conditions_constrain_actions():
     )
     report = check_representation(bad)
     assert "R02" in report.by_condition()
+
+
+# R09-R12 are the axioms (d), (e3), (e1), (e2) of the semidirect product g + V
+# with the kernel argument first, but with the sign of one side flipped
+# (CONVENTIONS.md, "The R09-R12 sign caveat").  The two tests below state
+# the properties a representation checker should have; both fail on it.
+
+def _adjoint_rejected_algebra() -> TwoTermAlgebra:
+    """Basis (e, n | a): d a = n, e.e = e, e.n = 2n, e.a = 2a,
+    l3(e, e, n) = -2a, every other product 0."""
+    return TwoTermAlgebra(
+        TwoTermComplex(2, 1, Matrix(((F(0),), (F(1),)), 1)),
+        (((F(1), F(0)), (F(0), F(2))), ((F(0), F(0)), (F(0), F(0)))),
+        (((F(2),),), ((F(0),),)),
+        (((F(0),), (F(0),)),),
+        tensor3(2, 2, 2, lambda i, j, k: (F(-2) if (i, j, k) == (0, 0, 1) else F(0),)),
+    )
+
+
+def test_adjoint_rejected_algebra_has_a_semidirect_product():
+    """g + g is a two-term algebra, so g's adjoint is a representation."""
+    g = _adjoint_rejected_algebra()
+    assert check_algebra(g).passed
+    assert check_algebra(semidirect_product(g, adjoint_representation(g))).passed
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="R09 at (0, 0, 1): the R09-R12 sign caveat of CONVENTIONS.md"
+)
+def test_adjoint_of_a_valid_algebra_passes():
+    assert check_representation(adjoint_representation(_adjoint_rejected_algebra())).passed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=PreconditionError,
+    reason="(d) at (1, 0, 0) of the total: the R09-R12 sign caveat of CONVENTIONS.md",
+)
+def test_a_passing_representation_has_a_semidirect_product():
+    g = fix_u()
+    r = Representation2(
+        g, TwoTermComplex(1, 1, Matrix(((F(1),),), 1)),
+        zeros2(1, 1, 1), zeros2(1, 1, 1), (((F(2),),),), (((F(2),),),), zeros2(1, 1, 1), zeros2(1, 1, 1),
+        zeros3(1, 1, 1, 1), zeros3(1, 1, 1, 1), ((((F(-2),),),),),
+    )
+    assert check_representation(r).passed
+    build_extension(g, r.complex, r, zero_cochain2(g, r))

@@ -102,8 +102,10 @@ def test_adjoint_representation_passes():
 
 def test_zero_dimensional_representation_passes():
     x = fix_x()
-    r = xmod_trivial_representation(x, 0, 0)
-    assert check_xmod_representation(r).passed
+    # with W = 0 and V != 0 the pairings have an empty axis; XR05 and XR06
+    # used to compare a zero vector of V with an empty one and fail
+    for nv, nw in ((0, 0), (1, 0), (0, 1), (2, 0)):
+        assert check_xmod_representation(xmod_trivial_representation(x, nv, nw)).passed, (nv, nw)
 
 
 def test_zeroed_pairing_fails_on_peiffer_variant():
