@@ -344,10 +344,6 @@ class Homomorphism2:
     f1: Matrix  # g1 -> g1'
     f2: tuple   # g0 x g0 -> g1'
 
-    def is_strict(self) -> bool:
-        n0 = self.source.dim0
-        return all(all(x == 0 for x in self.f2[i][j]) for i in range(n0) for j in range(n0))
-
 
 def identity_homomorphism(g: TwoTermAlgebra) -> Homomorphism2:
     return Homomorphism2(

@@ -76,6 +76,18 @@ def cochain_layouts(n0: int, n1: int, m0: int, m1: int) -> tuple[Layout, Layout]
     )
 
 
+def complex_shape(base: tuple[int, int], coefficients: tuple[int, int]) -> tuple[int, int, int]:
+    """(dim C1, dim C2, rows of d2) on a pair whose base and coefficients
+    have the given dims by degree, counted without evaluating anything: d2
+    has a row per base tuple of coc01-coc08 ((i, p), (p, i) and (i, j, k)
+    in V0; (p, q), three of shape (i, j, p) and (i, j, k, t) in V1) and
+    coordinate of their values."""
+    (n0, n1), (m0, m1) = base, coefficients
+    c1, c2 = cochain_layouts(n0, n1, m0, m1)
+    rows = (2 * n0 * n1 + n0**3) * m0 + (n1 * n1 + 3 * n0 * n0 * n1 + n0**4) * m1
+    return c1.dim, c2.dim, rows
+
+
 def cochain_complex(g: TwoTermAlgebra, r: Representation2) -> CochainComplex:
     """Degrees 1 and 2 of the complex of (g, r) for the shared engine; the
     evaluators run on the integer twins of g and r when they have them."""

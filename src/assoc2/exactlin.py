@@ -2,13 +2,19 @@
 
 Every cohomology dimension, kernel, and equivalence witness in this package
 reduces to rank / kernel / solve on matrices with ``Fraction`` entries.
-The cochain matrices are very sparse, so elimination works on each
-matrix's sparse row view: rows are inserted, sparsest first, into a
-reduced echelon basis keyed by leading column.  The reduced row echelon
-form is unique, so the result does not depend on that row order.  There
-is no floating point anywhere, and results that the contract cares about
-(solutions, kernel vectors) are re-verified by exact multiplication, over
-the nonzero entries, before they are returned.
+All of them read one elimination, ``_eliminate``, the reduced row echelon
+form of a matrix's sparse row view.  Each row is scaled to integers and
+reduced, sparsest first, into an echelon basis keyed by leading column,
+modulo word-size primes from the fixed tuple ``PRIMES``.  The rows are
+lifted to Q by CRT and rational reconstruction, and the lift is accepted
+only after an exact proof over the integers that it is the rref
+(``_certified``); when no prime gives one, the same loop runs over
+``Fraction``.  The reduced row echelon form is unique, so the result
+depends neither on the path nor on the row order.  There is no floating
+point anywhere, and results that the contract cares about are re-verified
+exactly before they are returned: kernel vectors and solutions by
+multiplying back over the integers, the independence of a kernel basis by
+its unit pattern.
 
 Scalar contract: ``Matrix`` doubles as a container for entries from other
 commutative rings (polynomials in a deformation parameter, see
@@ -18,7 +24,7 @@ and ``Matrix @ vector`` is ring-generic like the tensor evaluators: it
 skips zeros by truthiness, and an empty sum is the zero of the matrix's own
 scalars.  Elimination is not generic: its inputs (``rref``, ``rank``,
 ``kernel_basis``, ``solve``) are ``Fraction`` matrices and vectors, and so
-are all its outputs.
+are all its outputs; integers and residues stay inside it.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 Vector = tuple  # tuple of scalars (Fraction in the exact-linear-algebra API)
 
@@ -81,8 +88,10 @@ class Matrix:
     ``entries`` is the dense record, a tuple of row tuples.  Elimination
     reads the sparse row view ``sparse_rows()``: one dict
     ``{column: nonzero entry}`` per row, handed in by ``from_sparse`` or
-    built from ``entries`` on first use, then cached.  Neither is ever
-    mutated, so matrices may share them.
+    built from ``entries`` on first use, then cached.  A matrix made by
+    ``from_sparse`` builds ``entries`` on first use instead (``__getattr__``
+    runs only while the slot is unset, so a read of it costs nothing
+    after).  Neither is ever mutated, so matrices may share them.
     """
 
     __slots__ = ("rows", "cols", "entries", "_sparse")
@@ -119,8 +128,14 @@ class Matrix:
         m = Matrix.__new__(Matrix)
         m._sparse = tuple(rows)
         m.rows, m.cols = len(m._sparse), cols
-        m.entries = tuple(_dense_row(terms, cols) for terms in m._sparse)
         return m
+
+    def __getattr__(self, name):
+        """The dense record of a ``from_sparse`` matrix, on its first read."""
+        if name != "entries":
+            raise AttributeError(name)
+        self.entries = tuple(_dense_row(terms, self.cols) for terms in self._sparse)
+        return self.entries
 
     def sparse_rows(self) -> tuple[dict, ...]:
         """Per row, the dict ``{column: entry}`` of its nonzero entries."""
@@ -223,9 +238,178 @@ class Matrix:
         return Matrix.from_sparse(tuple(reduced) + zero_rows, self.cols), pivots
 
 
+# the ten largest primes below 2**61, tried in this order
+PRIMES = tuple(2**61 - k for k in (1, 31, 45, 229, 259, 283, 339, 391, 403, 465))
+
+
 def _eliminate(rows) -> tuple[list[dict], tuple[int, ...]]:
     """The nonzero rows of the reduced row echelon form, in pivot order, and
-    their pivot columns.  Rows are reduced on copies; ``rows`` is not touched.
+    their pivot columns.  ``rows`` is not touched.
+
+    Each row is scaled to integers, which leaves the rref as it is, and
+    reduced modulo the primes of ``PRIMES`` in turn (``_rref_mod``).  Only
+    primes whose pivot tuple equals the best one seen so far are combined:
+    a prime that divides a minor the rref depends on gives fewer pivots,
+    or at equal rank an elementwise larger tuple, and is skipped.  After
+    each combined prime the rows are lifted to Q by CRT and rational
+    reconstruction (``_lift``), and the lift is accepted only when
+    ``_certified`` proves it is the rref over Q.  If no prime gives a
+    certified lift, the rref is computed over ``Fraction``
+    (``_eliminate_over_q``).
+    """
+    ints = [_integral(row)[1] for row in sorted(rows, key=len) if row]
+    best, residues, modulus = None, None, 1
+    for p in PRIMES:
+        reduced = _rref_mod(ints, p)
+        pivots = tuple(sorted(reduced))
+        if best is None or _better(pivots, best):
+            best, residues, modulus = pivots, reduced, p
+        elif pivots == best:
+            residues = _crt(residues, modulus, reduced, p)
+            modulus *= p
+        else:
+            continue
+        lifted = _lift(residues, modulus)
+        if lifted is not None and _certified(ints, lifted):
+            return [lifted[c] for c in best], best
+    return _eliminate_over_q(rows)
+
+
+def _integral(row: dict) -> tuple[int, dict]:
+    """(s, s * row) for the least s > 0 that makes every entry an integer."""
+    s = lcm(*(x.denominator for x in row.values()))
+    if s == 1:
+        return 1, {k: x.numerator for k, x in row.items()}
+    return s, {k: x.numerator * (s // x.denominator) for k, x in row.items()}
+
+
+def _better(pivots: tuple, best: tuple) -> bool:
+    """Whether a prime with these pivots is luckier than one with ``best``:
+    more pivots, or as many and each no further right.  The pivots over Q
+    are the best tuple any prime can give."""
+    if len(pivots) != len(best):
+        return len(pivots) > len(best)
+    return pivots != best and all(a <= b for a, b in zip(pivots, best))
+
+
+def _rref_mod(rows: list[dict], p: int) -> dict[int, dict]:
+    """The reduced rows of the integer ``rows`` modulo p, keyed by pivot
+    column, each without its leading 1: the insertion loop of
+    ``_eliminate_over_q`` over the integers mod p."""
+    basis: dict[int, dict] = {}
+    for row in rows:
+        row = {k: x for k, v in row.items() if (x := v % p)}
+        for c in [k for k in row if k in basis]:
+            _axpy_mod(row, p - row.pop(c), basis[c], p)
+        if not row:
+            continue
+        lead = min(row)
+        inv = pow(row.pop(lead), -1, p)
+        new = {k: v * inv % p for k, v in row.items()}
+        for other in basis.values():
+            x = other.pop(lead, 0)
+            if x:
+                _axpy_mod(other, p - x, new, p)
+        basis[lead] = new
+    return basis
+
+
+def _axpy_mod(row: dict, f: int, other: dict, p: int) -> None:
+    """row += f * other mod p, in place, dropping entries that cancel; the
+    leading 1 that ``other`` leaves out is cleared by the caller."""
+    for k, v in other.items():
+        x = row.get(k)
+        if x is None:
+            row[k] = f * v % p
+        else:
+            x = (x + f * v) % p
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+
+
+def _crt(residues: dict, m: int, reduced: dict, p: int) -> dict:
+    """The rows mod m * p that are ``residues`` mod m and ``reduced`` mod p."""
+    inv = pow(m, -1, p)
+    out = {}
+    for c, old in residues.items():
+        new = reduced[c]
+        out[c] = {k: (x := old.get(k, 0)) + m * ((new.get(k, 0) - x) * inv % p) for k in old.keys() | new.keys()}
+    return out
+
+
+def _lift(residues: dict, m: int) -> dict[int, dict] | None:
+    """The rows with rational entries n/d, |n| and d at most sqrt(m/2),
+    congruent to ``residues`` mod m, with the leading 1 put back; None when
+    some entry has no such rational.  Each row keeps the least common
+    denominator of its entries so far: an entry that it turns into a small
+    integer mod m needs no extended Euclid."""
+    half = m // 2
+    bound = isqrt(half)
+    lifted = {}
+    for c, row in residues.items():
+        den, out = 1, {c: ONE}
+        for k, r in row.items():
+            if not r:
+                continue
+            t = r * den % m
+            if t > half:
+                t -= m
+            if -bound <= t <= bound and den <= bound:
+                out[k] = Fraction(t, den)
+                continue
+            q = _reconstruct(r, m, bound)
+            if q is None:
+                return None
+            out[k] = q
+            den = lcm(den, q.denominator)
+        lifted[c] = out
+    return lifted
+
+
+def _reconstruct(r: int, m: int, bound: int) -> Fraction | None:
+    """The rational n/d with |n|, d <= bound and n = r d mod m, by the
+    extended Euclidean algorithm stopped halfway (Wang 1981), or None."""
+    r0, r1, s0, s1 = m, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if not s1 or abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _certified(ints: list[dict], lifted: dict[int, dict]) -> bool:
+    """Whether the lifted rows R are the rref of the integer rows, proved
+    over the integers.  Each R_c has a 1 at its pivot c and a 0 at every
+    other pivot.  If every row a equals sum_c a[c] R_c, the row space of
+    the input lies in that of R, so rank_Q <= len(R) = rank_p <= rank_Q;
+    then both spaces are equal, and a basis of that shape is its rref.  The
+    check runs on R scaled by the common denominator s, without the pivot
+    columns, where it holds by that shape: s a = sum_c a[c] s R_c."""
+    s = lcm(*(x.denominator for row in lifted.values() for x in row.values()))
+    scaled = {}
+    for c, row in lifted.items():
+        if row.get(c) != 1 or any(k in lifted for k in row if k != c):
+            return False
+        scaled[c] = {k: x.numerator * (s // x.denominator) for k, x in row.items() if k != c}
+    for a in ints:
+        acc = {}
+        for c, x in a.items():
+            r = scaled.get(c)
+            if r is None:
+                acc[c] = acc.get(c, 0) - s * x
+            else:
+                for k, v in r.items():
+                    acc[k] = acc.get(k, 0) + x * v
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _eliminate_over_q(rows) -> tuple[list[dict], tuple[int, ...]]:
+    """``_eliminate`` over ``Fraction``, the fallback of the modular path.
 
     The basis, keyed by pivot column, is kept in reduced form: each basis
     row leads with a 1 at its pivot and is zero at every other pivot.
@@ -268,27 +452,40 @@ def _axpy(row: dict, f, other: dict) -> None:
                 del row[k]
 
 
-def _times(m: Matrix, vectors) -> list[dict]:
-    """Per row i of m, ``{t: (m @ vectors[t])[i]}`` over the vectors that
-    meet the row; products are taken over nonzero entries only."""
-    by_col = [{} for _ in range(m.cols)]
+def _products(rows, vectors) -> list[dict]:
+    """Per integer row, ``{t: row . vectors[t]}`` over the integer vectors
+    that meet it (sparse dicts both); products over nonzero entries only."""
+    by_col: dict[int, dict] = {}
     for t, v in enumerate(vectors):
-        for j, x in enumerate(v):
-            if x:
-                by_col[j][t] = x
+        for j, x in v.items():
+            by_col.setdefault(j, {})[t] = x
     out = []
-    for row in m.sparse_rows():
+    for row in rows:
         acc = {}
         for j, x in row.items():
-            for t, y in by_col[j].items():
-                acc[t] = acc.get(t, ZERO) + x * y
+            for t, y in by_col.get(j, {}).items():
+                acc[t] = acc.get(t, 0) + x * y
         out.append(acc)
     return out
 
 
+def _unit_pattern(basis) -> bool:
+    """Whether each vector has a coordinate that is 1 in it and 0 in every
+    other vector, an exact proof of independence: in a vanishing
+    combination, that coordinate reads the vector's own coefficient."""
+    used = [0] * len(basis[0])
+    for v in basis:
+        for j, x in enumerate(v):
+            if x:
+                used[j] += 1
+    return all(any(x == 1 and used[j] == 1 for j, x in enumerate(v)) for v in basis)
+
+
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace given by an explicit (verified independent) basis."""
+    """A subspace given by an explicit basis, verified independent: by the
+    unit pattern of ``_unit_pattern`` when it has one (kernel bases do),
+    else by its rank."""
 
     ambient_dim: int
     basis: tuple[Vector, ...]
@@ -297,7 +494,7 @@ class Subspace:
         for v in self.basis:
             if len(v) != self.ambient_dim:
                 raise ValueError("basis vector has wrong length")
-        if self.basis:
+        if self.basis and not _unit_pattern(self.basis):
             if rank(Matrix(self.basis, self.ambient_dim)) != len(self.basis):
                 raise ValueError("basis vectors are linearly dependent")
 
@@ -315,20 +512,21 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """A basis of ``{v : m v = 0}``; each vector is re-checked exactly."""
+    """A basis of ``{v : m v = 0}``, one vector per free column f, with a 1
+    at f and 0 at the other free columns.  The vectors are re-checked
+    exactly: scaled to integers, times m's rows scaled to integers."""
     red, pivots = m.rref()
     pivot_set = set(pivots)
-    free = {c: [ZERO] * m.cols for c in range(m.cols) if c not in pivot_set}
+    free = {c: {c: ONE} for c in range(m.cols) if c not in pivot_set}
     for p, row in zip(pivots, red.sparse_rows()):
         for f, x in row.items():
             if f != p:
                 free[f][p] = -x
-    for f, v in free.items():
-        v[f] = ONE
-    basis = tuple(tuple(v) for v in free.values())
-    if any(x for acc in _times(m, basis) for x in acc.values()):
+    vectors = list(free.values())
+    products = _products([_integral(row)[1] for row in m.sparse_rows()], [_integral(v)[1] for v in vectors])
+    if any(x for acc in products for x in acc.values()):
         raise AssertionError("kernel vector failed exact re-multiplication")
-    return Subspace(m.cols, basis)
+    return Subspace(m.cols, tuple(_dense_row(v, m.cols) for v in vectors))
 
 
 @dataclass(frozen=True)
@@ -357,13 +555,14 @@ def solve(m: Matrix, b: Vector, certificate: bool = False):
     if n in pivots:
         # the pivots left of column n are those of m's own rref
         return Inconsistent(len(pivots) - 1, len(pivots)) if certificate else None
-    x = [ZERO] * n
-    for p, row in zip(pivots, red.sparse_rows()):
-        x[p] = row.get(n, ZERO)
-    xv = tuple(x)
-    if tuple(acc.get(0, ZERO) for acc in _times(m, (xv,))) != b:
+    x = {p: row[n] for p, row in zip(pivots, red.sparse_rows()) if n in row}
+    # m x = b, checked over the integers as (s_i m_i) . (l x) = s_i l b_i
+    rows = [_integral(row) for row in m.sparse_rows()]
+    l, lx = _integral(x)
+    products = _products([r for _, r in rows], (lx,))
+    if [acc.get(0, 0) for acc in products] != [s * l * v for (s, _), v in zip(rows, b)]:
         raise AssertionError("solution failed exact re-multiplication")
-    return xv
+    return _dense_row(x, n)
 
 
 def in_span(s: Subspace, v: Vector) -> bool:

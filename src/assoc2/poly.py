@@ -35,10 +35,6 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @staticmethod
-    def const(c) -> "Poly":
-        return Poly((Fraction(c),))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

@@ -138,6 +138,9 @@ class XModRepresentation:
     def wdim(self) -> int:
         return self.w_mod.dim
 
+    # the degrees of the kernel of an extension: W inside p, V inside h
+    dim0, dim1 = wdim, vdim
+
 
 # (axiom of (h + V, p + W), position of its kernel argument) -> (label,
 # orientation, degree of the values)
@@ -246,6 +249,18 @@ def xmod_cochain_layouts(np_: int, nh: int, nv: int, nw: int) -> tuple[Layout, L
             {"psi": ((nh,), nw), "omega": ((np_, np_), nw), "mu": ((np_, nh), nv), "nu": ((nh, np_), nv)},
         ),
     )
+
+
+def xmod_complex_shape(base: tuple[int, int], coefficients: tuple[int, int]) -> tuple[int, int, int]:
+    """(dim C1, dim C2, rows of d2) on a pair whose crossed module has dims
+    (p, h) and whose coefficients have dims (w, v), counted without
+    evaluating anything: d2 has a row per base tuple of xcoc1-xcoc7
+    ((i, a), (a, i) and (i, j, k) in W; (a, b) and three of shape
+    (i, j, a) in V) and coordinate of their values."""
+    (np_, nh), (nw, nv) = base, coefficients
+    c1, c2 = xmod_cochain_layouts(np_, nh, nv, nw)
+    rows = (2 * np_ * nh + np_**3) * nw + (nh * nh + 3 * np_ * np_ * nh) * nv
+    return c1.dim, c2.dim, rows
 
 
 def xmod_cochain_complex(x: CrossedModule, r: XModRepresentation) -> CochainComplex:

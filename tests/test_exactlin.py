@@ -1,9 +1,12 @@
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_cli_reports import _assert_matches_golden, corrupted_reports, readme_reports, representation_reports
 
 from assoc2 import exactlin
 from assoc2.cochain import assemble, cohomology, primitive
@@ -39,12 +42,19 @@ def matrices(max_dim=4):
     )
 
 
+# numerators above 2**40: the rref entries of a few such rows need more
+# than one 61-bit prime to lift
+large_rationals = st.builds(
+    lambda n, d, sign: F(sign * n, d), st.integers(2**40, 2**48), st.integers(1, 7), st.sampled_from([1, -1])
+)
+
+
 @st.composite
-def shaped_matrices(draw, max_dim=6):
+def shaped_matrices(draw, max_dim=6, scalars=rationals):
     """Sparse or dense rational matrices with 0 to max_dim rows, plus up
     to two rows that repeat, scale or zero out another row."""
     rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
-    cell = draw(st.sampled_from([rationals, st.one_of(st.just(F(0)), rationals)]))
+    cell = draw(st.sampled_from([scalars, st.one_of(st.just(F(0)), scalars)]))
     entries = [draw(st.lists(cell, min_size=cols, max_size=cols)) for _ in range(rows)]
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         i, c = draw(st.integers(0, rows - 1)), draw(st.sampled_from([F(1), F(-2), F(1, 3), F(0)]))
@@ -163,6 +173,135 @@ def test_corrupted_elimination_fails_certification(monkeypatch):
         solve(m, (F(1), F(1)))
     with pytest.raises(ValueError, match="linearly dependent"):
         Subspace(2, ((F(1), F(2)), (F(2), F(4))))
+
+
+def _not_called(*args):
+    raise AssertionError("not expected to run")
+
+
+def _reduced_matrix(reduced, m):
+    return Matrix.from_sparse(tuple(reduced) + ({},) * (m.rows - len(reduced)), m.cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shaped_matrices(max_dim=4, scalars=large_rationals))
+def test_modular_elimination_matches_the_fraction_loop(m):
+    rows, primes = m.sparse_rows(), []
+    rref_mod = exactlin._rref_mod
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlin, "_rref_mod", lambda ints, p: primes.append(p) or rref_mod(ints, p))
+        mp.setattr(exactlin, "_eliminate_over_q", _not_called)
+        reduced, pivots = exactlin._eliminate(rows)
+    assert (reduced, pivots) == exactlin._eliminate_over_q(rows)
+    assert (_reduced_matrix(reduced, m).entries, pivots) == dense_rref(m)
+    # one prime p lifts n/d only when |n| and d are at most sqrt(p / 2)
+    if any(max(abs(x.numerator), x.denominator) > 2**30 for row in reduced for x in row.values()):
+        assert len(primes) >= 2
+
+
+def test_rows_of_61_bit_size_are_lifted_by_crt_over_several_primes(monkeypatch):
+    big = 2**61 + 15
+    m = Matrix(((big, 1, 3), (5, big, 7)))
+    primes = []
+    rref_mod = exactlin._rref_mod
+    monkeypatch.setattr(exactlin, "_rref_mod", lambda ints, p: primes.append(p) or rref_mod(ints, p))
+    monkeypatch.setattr(exactlin, "_eliminate_over_q", _not_called)
+    red, pivots = m.rref()
+    monkeypatch.undo()
+    assert (red.entries, pivots) == dense_rref(m)
+    assert primes == list(exactlin.PRIMES[: len(primes)]) and len(primes) >= 3
+
+
+def test_unlucky_primes_are_skipped(monkeypatch):
+    p, q = exactlin.PRIMES[:2]
+    monkeypatch.setattr(exactlin, "_eliminate_over_q", _not_called)
+    # mod p the first has rank 1 and the second pivots (1, 2) instead of
+    # (0, 1); the third is unlucky mod q only, after p, and its entry 1/q
+    # needs more primes to lift
+    for m, unlucky in (
+        (Matrix(((p, 1), (0, 1))), p),
+        (Matrix(((p, 0, 1), (0, 1, 0))), p),
+        (Matrix(((q, 0, 1), (0, 1, 0))), q),
+    ):
+        ints = [exactlin._integral(row)[1] for row in m.sparse_rows()]
+        red, pivots = m.rref()
+        assert (red.entries, pivots) == dense_rref(m)
+        assert exactlin._better(pivots, tuple(exactlin._rref_mod(ints, unlucky)))
+
+
+def test_a_corrupted_modular_result_is_refused_before_the_fallback(monkeypatch):
+    rref_mod, certified, over_q = exactlin._rref_mod, exactlin._certified, exactlin._eliminate_over_q
+    verdicts, fallbacks = [], []
+
+    def corrupted(ints, p):
+        basis = rref_mod(ints, p)
+        basis[0][1] = (basis[0][1] + 1) % p  # one wrong entry, right of the pivot
+        return basis
+
+    monkeypatch.setattr(exactlin, "_rref_mod", corrupted)
+    monkeypatch.setattr(exactlin, "_certified", lambda *args: verdicts.append(certified(*args)) or verdicts[-1])
+    monkeypatch.setattr(exactlin, "_eliminate_over_q", lambda rows: fallbacks.append(rows) or over_q(rows))
+    m = Matrix(((1, 2, 3), (2, 4, 7)))  # rref rows (1, 2, 0), (0, 0, 1)
+    red, pivots = m.rref()
+    assert verdicts and not any(verdicts) and len(fallbacks) == 1
+    assert (red.entries, pivots) == dense_rref(m)
+
+
+def test_the_primes_are_distinct_primes_below_2_to_the_61():
+    def is_prime(n):  # Miller-Rabin with these bases is exact below 3.3e24
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+            x = pow(a, d, n)
+            if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
+                return False
+        return True
+
+    assert len(set(exactlin.PRIMES)) == len(exactlin.PRIMES) >= 2
+    assert all(2**60 < p < 2**61 and is_prime(p) for p in exactlin.PRIMES)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shaped_matrices(), st.data())
+def test_unit_pattern_and_rank_refuse_the_same_corrupted_bases(m, data):
+    basis = list(kernel_basis(m).basis)
+    assume(len(basis) >= 2)
+    assert exactlin._unit_pattern(basis)
+    # vector i replaced by a nonzero combination of the others
+    i = data.draw(st.integers(0, len(basis) - 1))
+    others = basis[:i] + basis[i + 1 :]
+    coefficients = data.draw(st.lists(rationals, min_size=len(others), max_size=len(others)))
+    assume(any(coefficients))
+    basis[i] = tuple(sum((c * v[j] for c, v in zip(coefficients, others)), F(0)) for j in range(m.cols))
+    assert not exactlin._unit_pattern(basis)
+    assert rank(Matrix(tuple(basis), m.cols)) < len(basis)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        Subspace(m.cols, tuple(basis))
+
+
+def test_kernel_bases_are_proved_independent_without_a_rank(monkeypatch):
+    g = random_transport(random.Random(2), direct_sum_algebra(fix_u(), fix_l3()))
+    d2 = assemble(cochain_complex(g, adjoint_representation(g))).d2
+    monkeypatch.setattr(exactlin, "rank", _not_called)
+    assert kernel_basis(d2).dim == d2.cols - len(d2.rref()[1]) > 0
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("readme.json", readme_reports),
+        ("corrupted.json", corrupted_reports),
+        ("representations.json", representation_reports),
+    ],
+)
+def test_golden_reports_on_the_fraction_fallback(name, build):
+    over_q, fallbacks = exactlin._eliminate_over_q, []
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(exactlin, "PRIMES", ())
+        mp.setattr(exactlin, "_eliminate_over_q", lambda rows: fallbacks.append(rows) or over_q(rows))
+        _assert_matches_golden(build(Path(tmp)), name)
+    assert fallbacks
 
 
 def test_rank_identity_and_zero():

@@ -5,16 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from assoc2 import fileio, xmod
-from assoc2.algebra2 import TwoTermComplex, identity_homomorphism
-from assoc2.cli import main
-from assoc2.cohom2 import zero_cochain2
+from assoc2 import cohom2, fileio, xmod
+from assoc2.algebra2 import TwoTermComplex, identity_homomorphism, zero_algebra
+from assoc2.cli import MAX_D2_CELLS, main
+from assoc2.cohom2 import assemble_matrices, zero_cochain2
 from assoc2.deform2 import identity_candidate
 from assoc2.exactlin import Matrix
 from assoc2.ext2 import build_extension
 from assoc2.fixtures import (
     algebra_fixtures,
     direct_sum_algebra,
+    fix_2d,
     fix_u,
     fix_w,
     fix_x,
@@ -240,6 +241,39 @@ def test_cli_huge_dimensions_exit_two_fast(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert str(path) in err and str(fileio.MAX_CELLS) in err
+
+
+def test_cli_refuses_a_complex_over_the_work_budget_fast(capsys, tmp_path):
+    # 10/10 documents pass MAX_CELLS, but d2 of the pair would be 143000 x 13100
+    g = zero_algebra(10, 10)
+    algebra, rep = tmp_path / "g.json", tmp_path / "r.json"
+    algebra.write_text(json.dumps(fileio.dump_algebra(g)))
+    r = trivial_representation(g, TwoTermComplex(10, 10, Matrix.zero(10, 10)))
+    rep.write_text(json.dumps(fileio.dump_representation(r)))
+    for argv in (["cohomology", algebra, rep], ["deform", "check", algebra, rep]):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, *map(str, argv))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {algebra}") and "143000 x 13100" in err and str(MAX_D2_CELLS) in err
+
+
+def test_work_budget_counts_the_assembled_shapes_and_passes_transported_5_5():
+    g = direct_sum_algebra(fix_u(), fix_2d())
+    x = xmod.algebra_to_crossed_module(direct_sum_algebra(fix_u(), fix_w()))
+    trivial = trivial_representation(g, TwoTermComplex(2, 3, Matrix.zero(2, 3)))
+    pairs = [
+        (cohom2.complex_shape, assemble_matrices, g, adjoint_representation(g)),
+        (cohom2.complex_shape, assemble_matrices, g, trivial),
+        (xmod.xmod_complex_shape, xmod.xmod_assemble_matrices, x, xmod_adjoint(x)),
+        (xmod.xmod_complex_shape, xmod.xmod_assemble_matrices, x, xmod.xmod_trivial_representation(x, 2, 3)),
+    ]
+    for shape, assemble, base, r in pairs:
+        mats = assemble(base, r)
+        c1, c2, rows = shape((base.dim0, base.dim1), (r.dim0, r.dim1))
+        assert (mats.d1.shape, mats.d2.shape) == ((c2, c1), (rows, c2))
+    _, c2, rows = cohom2.complex_shape((5, 5), (5, 5))
+    assert (rows, c2) == (6000, 1025) and rows * c2 <= MAX_D2_CELLS
 
 
 def test_cli_integer_literal_past_the_digit_limit_exits_two(capsys, tmp_path):
