@@ -405,53 +405,12 @@ def compose_homomorphisms(g: Homomorphism2, f: Homomorphism2) -> Homomorphism2:
 
 @dataclass
 class HomotopyDerivation:
+    """(D0, D1, D2) on g; ``cohom2.check_derivation`` checks it."""
+
     algebra: TwoTermAlgebra
     d0: Matrix  # g0 -> g0
     d1: Matrix  # g1 -> g1
     d2: tuple   # g0 x g0 -> g1
-
-
-def derivation_residuals(dv: HomotopyDerivation):
-    g = dv.algebra
-    n0, n1 = g.dim0, g.dim1
-    e = [unit(n0, i) for i in range(n0)]
-    f = [unit(n1, p) for p in range(n1)]
-    d = g.complex.diff
-    d0col = [dv.d0.col(i) for i in range(n0)]
-    d1col = [dv.d1.col(p) for p in range(n1)]
-
-    for p in range(n1):
-        yield "chain", (p,), dv.d0 @ d.col(p), d @ d1col[p]
-    for i in range(n0):
-        for j in range(n0):
-            lhs = vsub(vadd(g.m00(d0col[i], e[j]), g.m00(e[i], d0col[j])), dv.d0 @ g.l2_00[i][j])
-            yield "a", (i, j), lhs, d @ dv.d2[i][j]
-        for p in range(n1):
-            lhs = vsub(vadd(g.m01(d0col[i], f[p]), g.m01(e[i], d1col[p])), dv.d1 @ g.l2_01[i][p])
-            yield "b", (i, p), lhs, bil(dv.d2, e[i], d.col(p))
-            lhs = vsub(vadd(g.m10(d1col[p], e[i]), g.m10(f[p], d0col[i])), dv.d1 @ g.l2_10[p][i])
-            yield "c", (p, i), lhs, bil(dv.d2, d.col(p), e[i])
-    for i in range(n0):
-        for j in range(n0):
-            for k in range(n0):
-                lhs = vsub(
-                    vadd(
-                        g.l3v(d0col[i], e[j], e[k]),
-                        g.l3v(e[i], d0col[j], e[k]),
-                        g.l3v(e[i], e[j], d0col[k]),
-                    ),
-                    dv.d1 @ g.l3[i][j][k],
-                )
-                rhs = vadd(
-                    vsub(bil(dv.d2, g.l2_00[i][j], e[k]), bil(dv.d2, e[i], g.l2_00[j][k])),
-                    vsub(g.m10(dv.d2[i][j], e[k]), g.m01(e[i], dv.d2[j][k])),
-                )
-                yield "d", (i, j, k), lhs, rhs
-
-
-def check_derivation(dv: HomotopyDerivation) -> CheckReport:
-    require_algebra(dv.algebra)
-    return report_from(derivation_residuals(dv))
 
 
 # ---------------------------------------------------------------------------

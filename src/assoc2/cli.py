@@ -150,7 +150,7 @@ def cmd_check(args) -> int:
     if what == "derivation":
         g = _load(fileio.load_algebra, args.files[0])
         d = _load(fileio.load_derivation, args.files[1], g)
-        return _finish(algebra2.check_derivation(d), args)
+        return _finish(cohom2.check_derivation(d), args)
     raise InputError(f"unknown check target {what!r}")
 
 

@@ -15,8 +15,12 @@ whose k-th flattened coordinate is the linear form x_k (``LinearForm``):
 every output entry is then the form of one matrix row.  This is
 forward-mode differentiation of a linear map seeded with the full basis.
 The evaluators run unchanged on these forms because they only add,
-subtract and scale their cochain's entries; a form refuses anything else,
-so an evaluator that is not linear fails loudly.  The generic forms have
+subtract and scale their cochain's entries.  A form refuses anything else:
+the product of two forms is kept as a ``FormProduct``, which ``bil`` and
+``tri`` drop where it meets only zero tensor entries (the kernel x kernel
+blocks of a semidirect product, which d1 evaluates) and which raises as
+soon as it reaches a sum or an output, so an evaluator that is not linear
+fails loudly.  The generic forms have
 ``int`` coefficients, so on an integral pair (whose theory hands this
 engine evaluators over the integer twins, see ``assoc2.integral``) the
 forms and the d2 . d1 check stay over ℤ; the rows become ``Fraction``
@@ -47,9 +51,12 @@ class LinearForm:
     a cochain, stored sparsely as {k: c_k} without zero coefficients.
 
     Forms add, subtract and scale by an int or Fraction, and a form equals
-    0 exactly when it has no term.  Adding a nonzero constant or
-    multiplying two forms raises TypeError instead of dropping a term.
-    Forms are never mutated, so results may share them.
+    0 exactly when it has no term.  Adding a nonzero constant raises
+    TypeError instead of dropping a term.  The product of two forms is
+    deferred (``FormProduct``): it raises once it reaches a sum or an
+    output, so one that only meets zero tensor entries, which ``bil`` and
+    ``tri`` skip, drops out.  Forms are never mutated, so results may
+    share them.
     """
 
     __slots__ = ("terms",)
@@ -90,7 +97,9 @@ class LinearForm:
         return -self + other
 
     def __mul__(self, c):
-        if type(c) is LinearForm or not isinstance(c, (int, Fraction)):
+        if type(c) is LinearForm or type(c) is FormProduct:
+            return _PRODUCT
+        if not isinstance(c, (int, Fraction)):
             raise TypeError(f"linear form times {type(c).__name__}")
         if c == 0:
             return _NO_TERMS
@@ -115,6 +124,27 @@ class LinearForm:
 
 
 _NO_TERMS = LinearForm()
+
+
+class FormProduct:
+    """A product of two linear forms, times any scalar: not linear.  It
+    raises TypeError when it is added, compared, tested or output, and is
+    dropped when nothing is ever done with it."""
+
+    __slots__ = ()
+
+    def __mul__(self, c):
+        return self
+
+    __rmul__ = __mul__
+
+    def _refuse(self, *args):
+        raise TypeError("a product of two linear forms: the evaluator is not linear in the cochain")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __neg__ = __eq__ = __ne__ = __bool__ = _refuse
+
+
+_PRODUCT = FormProduct()
 
 
 def _form(x) -> LinearForm:

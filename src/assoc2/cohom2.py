@@ -9,11 +9,18 @@ mu : g0 x g1 -> V1, nu : g1 x g0 -> V1, theta : g0^3 -> V1.
 The differential d1 and the eight two-cocycle residual families coc01-coc08
 are the package's frozen convention (see CONVENTIONS.md at the repository
 root); d2 . d1 = 0 is enforced, not assumed, every time the matrices are
-assembled.  d1 is written out here.  d2 is not: the standard total of an
+assembled.  Neither is written out here.  The standard total of an
 extension by c (``extension_total``, shared with ``ext2.build_extension``)
 is a two-term algebra exactly when c is a cocycle, so coc01-coc08 are the
 kernel part of the axioms (a)-(f) of that total on base tuples, read off
 ``algebra2.algebra_residuals`` and relabelled by the table ``FAMILIES``.
+Two splittings of one extension differ by a one-cochain, and their
+extracted cocycles by its coboundary, so d1 of (phi, phi1, chi) is the
+cocycle extracted from the splitting of the semidirect product g + V
+shifted by it: the kernel part of ``algebra2.homomorphism_residuals`` of
+that splitting, relabelled by ``EXTRACTED``.  A homotopy derivation is a
+one-cocycle of the adjoint with chi = -D2, and ``check_derivation`` reads
+its conditions off the same residuals (``DERIVATION``).
 
 Flattening, the assembled matrices, H2 and coboundary solves come from the
 engine in ``cochain``; ``cochain_complex`` hands it this theory's block
@@ -26,18 +33,20 @@ cochain files through the same layouts):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .algebra2 import TwoTermAlgebra, TwoTermComplex, Tuples, algebra_residuals, require_algebra
+from .algebra2 import Homomorphism2, HomotopyDerivation, TwoTermAlgebra, TwoTermComplex, Tuples, algebra_residuals
+from .algebra2 import homomorphism_residuals, require_algebra
 from .cochain import CoboundaryMatrices, Cochain, CochainComplex, CohomologyResult, Layout, assemble, cohomology
 from .cochain import primitive
 from .exactlin import Matrix
-from .extension import as_is, families_report, kernel_residuals, stacked, swapped, tail_parts, total_bilinear
-from .extension import total_matrix
-from .integral import on_integers
-from .rep2 import Representation2, require_representation
+from .extension import as_is, families_report, kernel_residuals, negated, placed, shifted, stacked, swapped
+from .extension import tail_parts, total_bilinear, total_matrix
+from .integral import integral_report, on_integers
+from .rep2 import Representation2, adjoint_representation, require_representation
 from .report import CheckReport
-from .tensorops import bil, tri, unit, vadd, vsub, tensor2, tensor3
+from .tensorops import tmap
 
 
 @dataclass
@@ -112,68 +121,53 @@ def flatten_cochain2(c: Cochain2) -> tuple:
 # the differential
 # ---------------------------------------------------------------------------
 
+# the kernel part of each condition on a splitting (f0, f1, f2) of g into
+# a standard total over it, as a homomorphism: (block of the two-cochain,
+# orientation, degree of the values); the block is rhs - lhs.  For the
+# stored splitting of an extension (f2 = 0) it is the extracted cocycle,
+# for the splitting shifted by a one-cochain into g + V its coboundary
+EXTRACTED = {
+    "i": ("psi", swapped, 0), "ii": ("omega", swapped, 0), "iii1": ("mu", swapped, 1),
+    "iii2": ("nu", swapped, 1), "iv": ("theta", swapped, 1),
+}
+
+
+def shifted_splitting(g: TwoTermAlgebra, r: Representation2, f0: Matrix, f1: Matrix, f2: tuple) -> Homomorphism2:
+    """The candidate homomorphism x -> x + f0(x), a -> a + f1(a) from g into
+    the semidirect product g + V, with degree-2 part f2 : g0 x g0 -> V1 in
+    the kernel; f0, f1 and f2 may hold linear forms."""
+    pad = (0,) * g.dim1
+    f2 = tuple(tuple(pad + v for v in row) for row in f2)
+    return Homomorphism2(g, semidirect_product(g, r), shifted(f0), shifted(f1), f2)
+
+
 def d1_apply(g: TwoTermAlgebra, r: Representation2, c: Cochain1) -> Cochain2:
-    """Coboundary of a one-cochain.  Componentwise:
+    """Coboundary of a one-cochain (phi, phi1, chi): the failure of the
+    splitting shifted by it, (phi, phi1, chi) into g + V, to be a
+    homomorphism, read as an extracted cocycle through ``EXTRACTED``; the
+    formulas are in CONVENTIONS.md."""
+    residuals = homomorphism_residuals(shifted_splitting(g, r, c.phi, c.phi1, c.chi))
+    cuts = (g.dim0, g.dim1)
+    return placed(kernel_residuals(residuals, EXTRACTED, tail_parts(cuts)), cochain_layouts(*cuts, r.dim0, r.dim1)[1])
 
-        psi(a)     = dv phi1(a) - phi(d a)
-        omega(x,y) = x|>phi(y) + phi(x)<|y - phi(x.y) + dv chi(x,y)
-        mu(x,a)    = x|>phi1(a) + phi(x)<|a - phi1(x.a) + chi(x, d a)
-        nu(a,x)    = a|>phi(x) + phi1(a)<|x - phi1(a.x) + chi(d a, x)
-        theta(x,y,z) = x|>chi(y,z) - chi(x,y)<|z + chi(x, y.z) - chi(x.y, z)
-                       - phi1(l3(x,y,z)) + (x,y)|>phi(z) + x|>phi(y)<|z
-                       + phi(x)<|(y,z)
-    """
-    n0, n1 = g.dim0, g.dim1
-    e = [unit(n0, i) for i in range(n0)]
-    fv = [unit(n1, p) for p in range(n1)]
-    d = g.complex.diff
-    dv = r.complex.diff
-    phi_col = [c.phi.col(i) for i in range(n0)]
-    phi1_col = [c.phi1.col(p) for p in range(n1)]
 
-    psi = Matrix.from_cols(
-        [vsub(dv @ phi1_col[p], c.phi @ d.col(p)) for p in range(n1)], r.dim0
-    )
-    omega = tensor2(
-        n0,
-        n0,
-        lambda i, j: vadd(
-            bil(r.l0v0, e[i], phi_col[j]),
-            bil(r.r0v0, phi_col[i], e[j]),
-            vsub(dv @ c.chi[i][j], c.phi @ g.l2_00[i][j]),
-        ),
-    )
-    mu = tensor2(
-        n0,
-        n1,
-        lambda i, p: vadd(
-            bil(r.l0v1, e[i], phi1_col[p]),
-            bil(r.r1, phi_col[i], fv[p]),
-            vsub(bil(c.chi, e[i], d.col(p)), c.phi1 @ g.l2_01[i][p]),
-        ),
-    )
-    nu = tensor2(
-        n1,
-        n0,
-        lambda p, i: vadd(
-            bil(r.l1, fv[p], phi_col[i]),
-            bil(r.r0v1, phi1_col[p], e[i]),
-            vsub(bil(c.chi, d.col(p), e[i]), c.phi1 @ g.l2_10[p][i]),
-        ),
-    )
-    theta = tensor3(
-        n0,
-        n0,
-        n0,
-        lambda i, j, k: vadd(
-            bil(r.l0v1, e[i], c.chi[j][k]),
-            vsub(bil(c.chi, e[i], g.l2_00[j][k]), bil(r.r0v1, c.chi[i][j], e[k])),
-            vsub(tri(r.tl, e[i], e[j], phi_col[k]), bil(c.chi, g.l2_00[i][j], e[k])),
-            vsub(tri(r.tm, e[i], phi_col[j], e[k]), c.phi1 @ g.l3[i][j][k]),
-            tri(r.tr, phi_col[i], e[j], e[k]),
-        ),
-    )
-    return Cochain2(psi, omega, mu, nu, theta)
+# the conditions of a homotopy derivation (D0, D1, D2) as the kernel part
+# of the homomorphism residuals of the splitting (D0, D1, -D2) into g + g,
+# the adjoint's semidirect product: (condition, orientation, degree)
+DERIVATION = {
+    "i": ("chain", as_is, 0), "ii": ("a", negated, 0), "iii1": ("b", negated, 1),
+    "iii2": ("c", negated, 1), "iv": ("d", negated, 1),
+}
+
+
+def check_derivation(dv: HomotopyDerivation) -> CheckReport:
+    """A homotopy derivation is a one-cocycle of the adjoint with
+    chi = -D2, so its conditions are read off d1's evaluator (over ℤ when
+    the derivation is integral)."""
+    g = dv.algebra
+    tails = tail_parts((g.dim0, g.dim1))
+    h = shifted_splitting(g, adjoint_representation(g), dv.d0, dv.d1, tmap(operator.neg, dv.d2))
+    return integral_report(lambda h: kernel_residuals(homomorphism_residuals(h), DERIVATION, tails), h)
 
 
 # the kernel part of each axiom of the standard total on a base tuple:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from .algebra2 import Homomorphism2, TwoTermAlgebra, TwoTermComplex, check_algebra, check_homomorphism
 from .algebra2 import homomorphism_residuals, require_algebra
 from .cochain import Inequivalence  # noqa: F401  (check_equivalence's certificate)
-from .cohom2 import Cochain1, Cochain2, assemble_matrices, cochain_complex, cochain_layouts, extension_total
-from .cohom2 import total_cocycle_families
+from .cohom2 import EXTRACTED, Cochain1, Cochain2, assemble_matrices, cochain_complex, cochain_layouts
+from .cohom2 import extension_total, total_cocycle_families
 from .exactlin import Matrix
-from .extension import SplitExtension, families_report, kernel_residuals, placed, swapped
+from .extension import SplitExtension, families_report, kernel_residuals, placed
 from .integral import on_integers
 from .rep2 import Representation2, require_representation
 from .report import CheckReport
@@ -117,19 +117,10 @@ def extract_representation(e: Extension2) -> Representation2:
     )
 
 
-# the kernel part of each condition on the splitting (sigma0, sigma1, 0)
-# as a homomorphism from the base to the total: (block of the cocycle,
-# orientation, degree of the values); the block is rhs - lhs
-EXTRACTED = {
-    "i": ("psi", swapped, 0), "ii": ("omega", swapped, 0), "iii1": ("mu", swapped, 1),
-    "iii2": ("nu", swapped, 1), "iv": ("theta", swapped, 1),
-}
-
-
 def extract_cocycle(e: Extension2) -> Cochain2:
     """The failure of the stored splitting to be a homomorphism: the kernel
-    part of the homomorphism residuals of (sigma0, sigma1, 0), evaluated
-    over ℤ when the extension is integral."""
+    part of the homomorphism residuals of (sigma0, sigma1, 0) through
+    ``cohom2.EXTRACTED``, evaluated over ℤ when the extension is integral."""
     require_extension(e)
     g, t = e.base, e.total
     sigma = on_integers(Homomorphism2(g, t, e.sigma0, e.sigma1, zeros2(g.dim0, g.dim0, t.dim1)))

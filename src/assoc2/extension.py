@@ -30,8 +30,11 @@ cochain entries may be the linear forms of matrix assembly.  On tuples
 with one kernel argument the total of the zero cochain, the semidirect
 product, gives the representation axioms (``rep2.REPRESENTATION``,
 ``xmod.XREPRESENTATION``), and the homomorphism residuals of a splitting
-give the extracted cocycle.  ``kernel_residuals`` does the relabelling for
-all of them.
+give the extracted cocycle.  Two splittings differ by a one-cochain and
+their cocycles by its coboundary, so the splitting of the semidirect
+product shifted by a one-cochain (``shifted``) gives d1 the same way.
+``kernel_residuals`` does the relabelling for all of them, and ``placed``
+sets the relabelled values in a cochain layout.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .cochain import Cochain, Inequivalence, Layout, cohomologous
 from .exactlin import Matrix, rank
 from .integral import integral_report, twin_field
 from .report import CheckReport, checked, checked_field, report_from
-from .tensorops import tflat, unit, vadd, vsub, vzero
+from .tensorops import tflat, unit, vadd, vneg, vsub, vzero
 
 
 def _incl(v, sub, n):
@@ -83,12 +86,24 @@ def total_bilinear(base, twist, left, right, dims) -> tuple:
     return top + tuple(tuple(pad + right[s][j] for j in range(nb)) + (none,) * mb for s in range(ma))
 
 
+def shifted(m: Matrix) -> Matrix:
+    """The map x -> x + m(x) from the source of m into (source + target),
+    source coordinates first: [[1], [m]], the identity block ``int`` and
+    m's entries kept as they are."""
+    n = m.cols
+    return Matrix.as_given(tuple(unit(n, i) for i in range(n)) + m.entries, n)
+
+
 def as_is(lhs, rhs):
     return lhs, rhs
 
 
 def swapped(lhs, rhs):
     return rhs, lhs
+
+
+def negated(lhs, rhs):
+    return vneg(lhs), vneg(rhs)
 
 
 def tail_parts(cuts) -> tuple:
@@ -133,11 +148,12 @@ def families_report(families) -> CheckReport:
 
 def placed(residuals, layout: Layout) -> Cochain:
     """The two-cochain of ``layout`` whose block named by each residual's
-    label holds lhs - rhs at the residual's basis tuple, over ``Fraction``:
-    values are placed by basis tuple, whatever order they come in."""
+    label holds lhs - rhs at the residual's basis tuple, with ``int``
+    values made ``Fraction`` and linear forms kept: values are placed by
+    basis tuple, whatever order they come in."""
     values = {(label, where): vsub(lhs, rhs) for label, where, lhs, rhs in residuals}
     return layout.unflatten(
-        Fraction(x)
+        Fraction(x) if type(x) is int else x
         for name, inputs, _ in layout.shapes
         for where in product(*map(range, inputs))
         for x in values[name, where]

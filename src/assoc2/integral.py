@@ -62,11 +62,10 @@ def on_integers(x):
 def integral_report(residuals, *args) -> CheckReport:
     """The report of the residual generator ``residuals(*args)``, evaluated
     on the integer twins of ``args`` when they all have one; both sides of
-    every violation are ``Fraction`` on either path."""
+    every violation are ``Fraction`` on either path (an ``int`` that an
+    identity block or a zero block puts there is converted too)."""
     t = twin(args)
-    if t is None:
-        return report_from(residuals(*args))
-    violations = report_from(residuals(*t)).violations
+    violations = report_from(residuals(*(args if t is None else t))).violations
     return CheckReport([Violation(v.condition, v.where, _rational(v.lhs), _rational(v.rhs)) for v in violations])
 
 

@@ -16,6 +16,9 @@ the standard total (``xmod_extension_total``, shared with
 ``xmod_build_extension``) on base tuples, relabelled by ``XFAMILIES``.
 Nor are the representation axioms: they are the same axioms of the
 semidirect product on tuples with one kernel argument (``XREPRESENTATION``).
+Nor is d1: it is the cocycle extracted (``XEXTRACTED``) from the strict
+splitting of the semidirect product shifted by the one-cochain, read off
+``xmod_homomorphism_residuals``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .cochain import CoboundaryMatrices, Cochain, CochainComplex, CohomologyResu
 from .cochain import primitive
 from .exactlin import Matrix
 from .extension import SplitExtension, as_is, by_kernel_position, families_report, kernel_residuals, placed
-from .extension import stacked, swapped, tail_parts, total_bilinear, total_matrix
+from .extension import shifted, stacked, swapped, tail_parts, total_bilinear, total_matrix
 from .integral import integral_report, on_integers, twin_field
 from .poly import GeneratesVerdict, T, generates_verdict, identity_report
 from .report import CheckReport, checked, checked_field, report_from
@@ -284,39 +287,12 @@ def xmod_flatten2(c: XCochain2) -> tuple:
 
 
 def xmod_d1_apply(x: CrossedModule, r: XModRepresentation, c: XCochain1) -> XCochain2:
-    """psi = phi N1 - N0 f;  omega = N0(x).y + x.N0(y) - N0(x.y);
-    mu = N0(x)<|a + x.N1(a) - N1(x.a);  nu = N1(a).x + a|>N0(x) - N1(a.x)."""
-    np_, nh = x.pdim, x.hdim
-    e = [unit(np_, i) for i in range(np_)]
-    ha = [unit(nh, a) for a in range(nh)]
-    n0col = [c.n0.col(i) for i in range(np_)]
-    n1col = [c.n1.col(a) for a in range(nh)]
-
-    psi = Matrix.from_cols(
-        [vsub(r.phi @ n1col[a], c.n0 @ x.f_map.col(a)) for a in range(nh)], r.wdim
-    )
-    omega = tensor2(
-        np_, np_,
-        lambda i, j: vadd(
-            bil(r.w_mod.right, n0col[i], e[j]),
-            vsub(bil(r.w_mod.left, e[i], n0col[j]), c.n0 @ x.p_alg.mul[i][j]),
-        ),
-    )
-    mu = tensor2(
-        np_, nh,
-        lambda i, a: vadd(
-            bil(r.tr_r, n0col[i], ha[a]),
-            vsub(bil(r.v_mod.left, e[i], n1col[a]), c.n1 @ x.h_mod.left[i][a]),
-        ),
-    )
-    nu = tensor2(
-        nh, np_,
-        lambda a, i: vadd(
-            bil(r.v_mod.right, n1col[a], e[i]),
-            vsub(bil(r.tr_l, ha[a], n0col[i]), c.n1 @ x.h_mod.right[a][i]),
-        ),
-    )
-    return XCochain2(psi, omega, mu, nu)
+    """Coboundary of a one-cochain (N0, N1), as ``cohom2.d1_apply``: the
+    cocycle extracted from the strict splitting x -> x + N0(x),
+    a -> a + N1(a) of the semidirect product, through ``XEXTRACTED``."""
+    residuals = xmod_homomorphism_residuals(x, semidirect_product(x, r), shifted(c.n0), shifted(c.n1))
+    layout = xmod_cochain_layouts(x.pdim, x.hdim, r.vdim, r.wdim)[1]
+    return placed(kernel_residuals(residuals, XEXTRACTED, tail_parts((x.pdim, x.hdim))), layout)
 
 
 # the kernel part of each axiom of the standard total on a base tuple:
@@ -531,7 +507,7 @@ def xmod_extract_representation(e: XModExtension) -> XModRepresentation:
     return XModRepresentation(b, v_mod, w_mod, phi, tr_l, tr_r)
 
 
-# as ``ext2.EXTRACTED``, for the strict homomorphism (sigma0, sigma1)
+# as ``cohom2.EXTRACTED``, for a strict splitting (f0, f1)
 XEXTRACTED = {
     "hom-f": ("psi", as_is, 0), "hom-alg": ("omega", swapped, 0),
     "hom-left": ("mu", swapped, 1), "hom-right": ("nu", swapped, 1),

@@ -58,6 +58,15 @@ def _c2_layout(n0, n1, m0, m1):
 def brute_h2(g, r) -> tuple[int, int, int]:
     """(dim Z2, dim B2, dim H2) for a two-term algebra and representation."""
     n0, n1 = g.dim0, g.dim1
+    z2 = _c2_layout(n0, n1, r.dim0, r.dim1)[0] - brute_rank(brute_d2_rows(g, r))
+    b2 = brute_rank(brute_d1_rows(g, r))
+    return z2, b2, z2 - b2
+
+
+def brute_d1_rows(g, r) -> list[list[Fraction]]:
+    """The coboundary d1 as rows over the C1 unknowns, one per flattened
+    two-cochain coordinate (psi, omega, mu, nu, theta)."""
+    n0, n1 = g.dim0, g.dim1
     m0, m1 = r.dim0, r.dim1
     d = g.complex.diff.entries      # d[j][p]
     dv = r.complex.diff.entries     # dv[r][s]
@@ -140,11 +149,7 @@ def brute_h2(g, r) -> tuple[int, int, int]:
                         row[i_phi(t, k)] += tl[i][j][t][s]
                         row[i_phi(t, j)] += tm[i][t][k][s]
                         row[i_phi(t, i)] += tr[t][j][k][s]
-
-    z2 = _c2_layout(n0, n1, m0, m1)[0] - brute_rank(brute_d2_rows(g, r))
-    b2 = brute_rank(d1_rows)
-    h2 = z2 - b2
-    return z2, b2, h2
+    return d1_rows
 
 
 def brute_d2_rows(g, r) -> list[list[Fraction]]:
@@ -289,6 +294,14 @@ def _xc2_layout(np_, nh, nv, nw):
 
 def brute_xmod_h2(x, r) -> tuple[int, int, int]:
     """Crossed-module analogue, same approach."""
+    z2 = _xc2_layout(x.pdim, x.hdim, r.vdim, r.wdim)[0] - brute_rank(brute_xmod_d2_rows(x, r))
+    b2 = brute_rank(brute_xmod_d1_rows(x, r))
+    return z2, b2, z2 - b2
+
+
+def brute_xmod_d1_rows(x, r) -> list[list[Fraction]]:
+    """The crossed-module d1 as rows over the C1 unknowns, one per flattened
+    two-cochain coordinate (psi, omega, mu, nu)."""
     np_, nh = x.pdim, x.hdim
     nv, nw = r.vdim, r.wdim
     mul = x.p_alg.mul
@@ -345,11 +358,7 @@ def brute_xmod_h2(x, r) -> tuple[int, int, int]:
                 for b in range(nh):
                     row[i_n1(s, b)] -= hr[a][i][b]
                 d1_rows.append(row)
-
-    z2 = _xc2_layout(np_, nh, nv, nw)[0] - brute_rank(brute_xmod_d2_rows(x, r))
-    b2 = brute_rank(d1_rows)
-    h2 = z2 - b2
-    return z2, b2, h2
+    return d1_rows
 
 
 def brute_xmod_d2_rows(x, r) -> list[list[Fraction]]:

@@ -14,13 +14,13 @@ from assoc2.algebra2 import (
     check_algebra,
     check_associative,
     check_bimodule,
-    check_derivation,
     check_homomorphism,
     compose_homomorphisms,
     hochschild_coboundary,
     hochschild_is_zero,
     identity_homomorphism,
 )
+from assoc2.cohom2 import check_derivation
 from assoc2.exactlin import Matrix
 from assoc2.fixtures import (
     algebra_fixtures,

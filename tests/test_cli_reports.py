@@ -496,8 +496,17 @@ EXTRACTIONS = [
 ]
 
 
+# d1 evaluates the homomorphism residuals of a shifted splitting: counted
+# under its own key, per evaluation, and not as a homomorphism check
+COBOUNDARIES = [
+    (cohom2, "d1_apply", "d1"),
+    (xmod, "xmod_d1_apply", "xd1"),
+]
+
+
 def test_each_structure_is_checked_once_per_loaded_object(monkeypatch, tmp_path):
     counts: dict[str, int] = {}
+    in_d1 = []
     for module, attr, key in GENERATORS + EXTRACTIONS:
         original = getattr(module, attr)
 
@@ -505,28 +514,44 @@ def test_each_structure_is_checked_once_per_loaded_object(monkeypatch, tmp_path)
             # a generator run with ``tuples`` evaluates a standard total or a
             # semidirect product (d2, cocycle and representation checks) on
             # part of its tuples, not the axioms of a loaded structure
-            if "tuples" not in kwargs:
+            if "tuples" not in kwargs and not in_d1:
                 counts[_key] = counts.get(_key, 0) + 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, counted)
+    for module, attr, key in COBOUNDARIES:
+        original = getattr(module, attr)
+
+        def counted_d1(*args, _original=original, _key=key):
+            counts[_key] = counts.get(_key, 0) + 1
+            in_d1.append(_key)
+            try:
+                return _original(*args)
+            finally:
+                in_d1.pop()
+
+        monkeypatch.setattr(module, attr, counted_d1)
 
     u, urep, x, xrep = _fx("fix_u.json"), _fx("fix_u_adjoint_rep.json"), _fx("fix_x.json"), _fx("fix_x_adjoint_rep.json")
     c2, xc2 = _two_term_inputs(tmp_path), _xmod_inputs(tmp_path)
     ext = _Runner(tmp_path).witness("ext", "ext", "build", u, urep, c2["h2"])
     xext = _Runner(tmp_path).witness("xext", "xmod", "ext", "build", x, xrep, xc2["h2"])
     # (argv, exit code, evaluations of each generator): one per loaded
-    # object, and one homomorphism evaluation of each extension's splitting,
-    # whose kernel part is the extracted cocycle
+    # object, one homomorphism evaluation of each extension's splitting,
+    # whose kernel part is the extracted cocycle, and one d1 evaluation per
+    # assembly and per verified primitive
     table = [
-        (["cohomology", u, urep], 0, {"algebra": 1, "rep": 1}),
-        (["cocycle", "reduce", u, urep, c2["cob"]], 0, {"algebra": 1, "rep": 1}),
+        (["cohomology", u, urep], 0, {"algebra": 1, "rep": 1, "d1": 1}),
+        (["cocycle", "reduce", u, urep, c2["cob"]], 0, {"algebra": 1, "rep": 1, "d1": 2}),
         (["ext", "extract", ext], 0, {"algebra": 2, "hom": 2, "ext": 1, "ext-rep": 1}),
-        (["ext", "equiv", ext, ext], 0, {"algebra": 4, "hom": 5, "rep": 1, "ext": 2, "ext-rep": 2}),
-        (["xmod", "cohomology", x, xrep], 0, {"xmod": 1, "xrep": 1}),
-        (["xmod", "cocycle", "reduce", x, xrep, xc2["cob"]], 0, {"xmod": 1, "xrep": 1}),
+        (["ext", "equiv", ext, ext], 0, {"algebra": 4, "hom": 5, "rep": 1, "ext": 2, "ext-rep": 2, "d1": 2}),
+        (["xmod", "cohomology", x, xrep], 0, {"xmod": 1, "xrep": 1, "xd1": 1}),
+        (["xmod", "cocycle", "reduce", x, xrep, xc2["cob"]], 0, {"xmod": 1, "xrep": 1, "xd1": 2}),
         (["xmod", "ext", "extract", xext], 0, {"xmod": 2, "xhom": 2, "xext": 1, "xext-rep": 1}),
-        (["xmod", "ext", "equiv", xext, xext], 0, {"xmod": 4, "xrep": 1, "xhom": 5, "xext": 2, "xext-rep": 2}),
+        (
+            ["xmod", "ext", "equiv", xext, xext], 0,
+            {"xmod": 4, "xrep": 1, "xhom": 5, "xext": 2, "xext-rep": 2, "xd1": 2},
+        ),
     ]
     for argv, code, expected in table:
         counts.clear()

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from brute_oracle import brute_d2_rows, brute_h2
+from brute_oracle import brute_d1_rows, brute_d2_rows, brute_h2
 
 from assoc2.algebra2 import TwoTermComplex
 from assoc2.cohom2 import (
@@ -31,7 +31,7 @@ from assoc2.sampling import (
     random_unimodular,
     transport_algebra,
 )
-from assoc2.tensorops import tflat, unit, zeros2
+from assoc2.tensorops import bil, tflat, tri, unit, zeros2
 
 F = Fraction
 
@@ -177,14 +177,27 @@ def test_assembly_refuses_evaluators_that_are_not_linear():
     )
     with pytest.raises(ValueError, match="toy: d2 . d1"):
         assemble(_toy(lambda c: (at(c.a),)))
+    # a product of two cochain entries is refused once it reaches a sum or
+    # an output, and dropped when it only meets zero tensor entries
+    form_pair = lambda c: ((at(c.a), 0), (at(c.b), 0))
     for d2 in (
-        lambda c: (at(c.a) * at(c.b),),  # product of two cochain entries
+        lambda c: (at(c.a) * at(c.b),),
+        lambda c: (2 * at(c.a) * at(c.b) * F(1, 2),),
+        lambda c: (at(c.a) - at(c.a) * at(c.b),),
+        lambda c: bil((((1,), (0,)), ((0,), (0,))), *form_pair(c)),
+        lambda c: tri(((((0,), (3,)), ((0,), (0,))), (((0,), (0,)), ((0,), (0,)))), *form_pair(c), (1, 1)),
+    ):
+        with pytest.raises(TypeError, match="product of two linear forms"):
+            assemble(_toy(d2))
+    zero_blocks = lambda c: bil((((0,), (1,)), ((1,), (0,))), *form_pair(c))
+    assert assemble(_toy(zero_blocks)).d2 == Matrix(((F(0), F(0)),))
+    for d2 in (
         lambda c: (at(c.a) + 1,),  # affine, not linear
         lambda c: (1 + at(c.a),),
         lambda c: (F(2) - at(c.b),),
         lambda c: (F(0), F(1)),  # a constant output entry
     ):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="constant"):
             assemble(_toy(d2))
 
 
@@ -227,20 +240,24 @@ def non_integral_transport(rng, g):
     return transport_algebra(g, double, random_unimodular(rng, g.dim1))
 
 
-def assert_same_row_space(cx, oracle_rows, label):
-    """The d2 assembled from cx's evaluator and the oracle's rows have the
-    same rref.  d1 is replaced by zero, so that pairs on which
-    d2 . d1 != 0 are compared as well."""
+def assert_matches_oracle(cx, d1_rows, d2_rows, label):
+    """The d1 assembled from cx's evaluator equals the oracle's rows entry
+    for entry, and the d2 has the rref of the oracle's rows.  Each matrix is
+    assembled with the other evaluator replaced by zero, so that pairs on
+    which d2 . d1 != 0 are compared as well."""
+    d1 = assemble(CochainComplex(cx.c1, cx.c2, cx.d1, lambda c: (), cx.not_a_complex)).d1
+    assert d1 == Matrix(tuple(tuple(row) for row in d1_rows), cx.c1.dim), label
     d2 = assemble(CochainComplex(cx.c1, cx.c2, lambda c: cx.c2.zero(), cx.d2, cx.not_a_complex)).d2
-    oracle = Matrix(tuple(tuple(row) for row in oracle_rows), cx.c2.dim)
+    oracle = Matrix(tuple(tuple(row) for row in d2_rows), cx.c2.dim)
     assert d2.shape == oracle.shape and d2.rref() == oracle.rref(), label
 
 
 def test_d2_has_the_row_space_of_the_oracle_families():
-    """d2 is read off the axioms of the standard total; the oracle writes
-    coc01-coc08 out by index.  Integral and non-integral transported sums,
-    adjoint and trivial coefficients, pairs refused for d2 . d1 != 0
-    (W+U adjoint, D+U trivial) among them."""
+    """d1 and d2 are read off the homomorphism residuals of a shifted
+    splitting and the axioms of the standard total; the oracle writes d1
+    and coc01-coc08 out by index.  Integral and non-integral transported
+    sums, adjoint and trivial coefficients, pairs refused for
+    d2 . d1 != 0 (W+U adjoint, D+U trivial) among them."""
     complexes = (TwoTermComplex(1, 1, Matrix.zero(1, 1)), TwoTermComplex(1, 1, Matrix.identity(1)))
     sums = ((fix_u, fix_l3), (fix_w, fix_u), (fix_d, fix_u), (fix_m, fix_d), (fix_2d,))
     for seed, blocks in enumerate(sums, start=1):
@@ -252,7 +269,8 @@ def test_d2_has_the_row_space_of_the_oracle_families():
         assert twin(integral) is not None and twin(fractional) is None
         for g in (integral, fractional):
             for r in (adjoint_representation(g), *(trivial_representation(g, v) for v in complexes)):
-                assert_same_row_space(cochain_complex(g, r), brute_d2_rows(g, r), (seed, r.complex))
+                cx = cochain_complex(g, r)
+                assert_matches_oracle(cx, brute_d1_rows(g, r), brute_d2_rows(g, r), (seed, r.complex))
 
 
 def _greedy_representatives(mats):
@@ -336,17 +354,29 @@ def test_cohomology_dimensions_are_isomorphism_invariants():
 
 
 def test_one_cocycles_of_adjoint_are_homotopy_derivations():
-    # the correspondence (phi, phi1, chi) <-> (D0, D1, -D2) pins the d1 signs
-    from assoc2.algebra2 import HomotopyDerivation, check_derivation
+    """The correspondence (phi, phi1, chi) <-> (D0, D1, -D2) pins the d1
+    signs: every vector of a kernel basis of d1 in the adjoint coefficients
+    is a homotopy derivation, and random one-cochains, which are almost
+    never cocycles, pass exactly when they are cocycles."""
+    from assoc2.algebra2 import HomotopyDerivation
+    from assoc2.cohom2 import check_derivation
     from assoc2.tensorops import tmap
 
+    def derivation(g, c):
+        return HomotopyDerivation(g, c.phi, c.phi1, tmap(lambda v: -v, c.chi))
+
     rng = random.Random(41)
-    for g in (fix_u(), algebra_fixtures()["FIX-M"], algebra_fixtures()["FIX-2D"]):
+    for g in (fix_u(), fix_m(), fix_2d(), direct_sum_algebra(fix_m(), fix_2d()), direct_sum_algebra(fix_u(), fix_m())):
         adj = adjoint_representation(g)
+        cx = cochain_complex(g, adj)
+        cocycles = [cx.c1.unflatten(v) for v in kernel_basis(assemble_matrices(g, adj).d1).basis]
+        assert cocycles
+        for c in cocycles:
+            report = check_derivation(derivation(g, c))
+            assert report.passed, report.violations[:1]
         for _ in range(6):
             c = random_cochain1(rng, g, adj)
-            deriv = HomotopyDerivation(g, c.phi, c.phi1, tmap(lambda v: -v, c.chi))
-            assert is_cocycle1(g, adj, c) == check_derivation(deriv).passed
+            assert is_cocycle1(g, adj, c) == check_derivation(derivation(g, c)).passed
     # a concrete matched pair on the unit-like fixture
     g = fix_u()
     adj = adjoint_representation(g)

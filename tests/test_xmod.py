@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from brute_oracle import brute_xmod_d2_rows, brute_xmod_h2
-from test_cohom2 import assert_same_row_space, counted, non_integral_transport, unit_cochain_assembly
+from brute_oracle import brute_xmod_d1_rows, brute_xmod_d2_rows, brute_xmod_h2
+from test_cohom2 import assert_matches_oracle, counted, non_integral_transport, unit_cochain_assembly
 
 from assoc2.algebra2 import AssocAlgebra, Bimodule, check_algebra
 from assoc2.cochain import Inequivalence, assemble
@@ -200,9 +200,10 @@ def test_second_cohomology_matches_oracle():
 
 
 def test_d2_has_the_row_space_of_the_oracle_families():
-    """xcoc1-xcoc7 read off the crossed-module axioms of the standard total
-    against the oracle's rows, on crossed modules from 1/1 to 3/3, integral
-    and non-integral, with adjoint and trivial coefficients."""
+    """d1 read off a shifted splitting and xcoc1-xcoc7 off the
+    crossed-module axioms of the standard total against the oracle's rows,
+    on crossed modules from 1/1 to 3/3, integral and non-integral, with
+    adjoint and trivial coefficients."""
     cases = dict(xmod_fixtures())
     sums = ((fix_u, fix_d), (fix_d, fix_w), (fix_z, fix_d, fix_u), (fix_w, fix_u, fix_d))
     for seed, blocks in enumerate(sums, start=1):
@@ -216,7 +217,8 @@ def test_d2_has_the_row_space_of_the_oracle_families():
         assert twin(cases[f"{seed} non-integral"]) is None
     for name, x in cases.items():
         for r in (xmod_adjoint(x), xmod_trivial_representation(x, 1, 2), xmod_trivial_representation(x, 2, 1)):
-            assert_same_row_space(xmod_cochain_complex(x, r), brute_xmod_d2_rows(x, r), (name, r.vdim, r.wdim))
+            rows = brute_xmod_d1_rows(x, r), brute_xmod_d2_rows(x, r)
+            assert_matches_oracle(xmod_cochain_complex(x, r), *rows, (name, r.vdim, r.wdim))
 
 
 def test_zero_crossed_module_h2_is_whole_space():
