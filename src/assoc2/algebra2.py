@@ -26,12 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
+from math import prod
+from operator import add
 from typing import NamedTuple
 
-from .exactlin import Matrix, kernel_basis, solve
+from .exactlin import ZERO, Matrix, kernel_basis, solve
 from .integral import integral_report, twin_field
-from .report import CheckReport, checked, checked_field, report_from
-from .tensorops import bil, tri, unit, vadd, vsub, vzero, tensor2, zeros2, zeros3
+from .report import CheckReport, checked, kept, kept_field, report_from
+from .tensorops import apply2, apply3, tensor2, tmap, tzip, unit, vadd, view2, view3, vsub, zeros2, zeros3
 
 
 class Tuples(NamedTuple):
@@ -57,6 +59,13 @@ class Tuples(NamedTuple):
             product(*base[:pos], range(self.cuts[k], dims[k]), *base[pos + 1 :]) for pos, k in enumerate(degrees)
         )
 
+    def count(self, dims, *degrees) -> int:
+        """How many tuples ``of`` selects, without listing them."""
+        base = [self.cuts[k] for k in degrees]
+        if not self.kernel:
+            return prod(base)
+        return sum(prod(base[:pos]) * (dims[k] - self.cuts[k]) * prod(base[pos + 1 :]) for pos, k in enumerate(degrees))
+
     def split(self, dims, *degrees):
         """(prefix over slots of ``degrees``, selection of the slots after
         it) for each prefix of a selected tuple."""
@@ -76,9 +85,10 @@ class AssocAlgebra:
 
     dim: int
     mul: tuple
+    _kept: dict | None = kept_field()
 
     def product(self, u, v):
-        return bil(self.mul, u, v)
+        return apply2(kept(self, "mul", view2, self.mul), u, v)
 
     def regular_bimodule(self) -> "Bimodule":
         return Bimodule(self, self.dim, self.mul, self.mul)
@@ -92,6 +102,13 @@ class Bimodule:
     dim: int
     left: tuple   # A x M -> M
     right: tuple  # M x A -> M
+    _kept: dict | None = kept_field()
+
+    def act_left(self, x, u):
+        return apply2(kept(self, "left", view2, self.left), x, u)
+
+    def act_right(self, u, x):
+        return apply2(kept(self, "right", view2, self.right), u, x)
 
 
 def check_associative(a: AssocAlgebra) -> CheckReport:
@@ -104,7 +121,7 @@ def _assoc_residuals(a: AssocAlgebra, tuples: Tuples | None = None):
     by default)."""
     n = a.dim
     for i, j, k in (tuples or Tuples((n,), 0)).of((n,), 0, 0, 0):
-        yield "assoc", (i, j, k), bil(a.mul, a.mul[i][j], unit(n, k)), bil(a.mul, unit(n, i), a.mul[j][k])
+        yield "assoc", (i, j, k), a.product(a.mul[i][j], unit(n, k)), a.product(unit(n, i), a.mul[j][k])
 
 
 def check_bimodule(m: Bimodule) -> CheckReport:
@@ -118,9 +135,9 @@ def _bimodule_residuals(m: Bimodule, tuples: Tuples | None = None):
     dims = n, md = a.dim, m.dim
     for i, j, p in (tuples or Tuples(dims, 0)).of(dims, 0, 0, 1):
         x, y, u = unit(n, i), unit(n, j), unit(md, p)
-        yield "left", (i, j, p), bil(m.left, a.mul[i][j], u), bil(m.left, x, m.left[j][p])
-        yield "middle", (i, p, j), bil(m.left, x, m.right[p][j]), bil(m.right, m.left[i][p], y)
-        yield "right", (p, i, j), bil(m.right, u, a.mul[i][j]), bil(m.right, m.right[p][i], y)
+        yield "left", (i, j, p), m.act_left(a.mul[i][j], u), m.act_left(x, m.left[j][p])
+        yield "middle", (i, p, j), m.act_left(x, m.right[p][j]), m.act_right(m.left[i][p], y)
+        yield "right", (p, i, j), m.act_right(u, a.mul[i][j]), m.act_right(m.right[p][i], y)
 
 
 # ---------------------------------------------------------------------------
@@ -143,34 +160,16 @@ class HochschildCochain:
             for i, c in enumerate(vec):
                 if c == 0:
                     continue
-                term = _scale_nested(c, vals[i])
-                acc = term if acc is None else _add_nested(acc, term)
+                term = tmap(lambda x: c * x, vals[i])
+                acc = term if acc is None else tzip(add, acc, term)
             if acc is None:
-                acc = _zero_like(vals[0]) if vals else ()
+                acc = tmap(lambda x: ZERO, vals[0]) if vals else ()
             return acc
 
         cur = self.values
         for v in args:
             cur = contract(cur, v)
         return cur
-
-
-def _scale_nested(c, t):
-    if isinstance(t, tuple) and t and isinstance(t[0], tuple):
-        return tuple(_scale_nested(c, x) for x in t)
-    return tuple(c * x for x in t)
-
-
-def _add_nested(a, b):
-    if isinstance(a, tuple) and a and isinstance(a[0], tuple):
-        return tuple(_add_nested(x, y) for x, y in zip(a, b))
-    return vadd(a, b)
-
-
-def _zero_like(t):
-    if isinstance(t, tuple) and t and isinstance(t[0], tuple):
-        return tuple(_zero_like(x) for x in t)
-    return vzero(len(t))
 
 
 def hochschild_coboundary(m: Bimodule, f: HochschildCochain) -> HochschildCochain:
@@ -191,8 +190,8 @@ def hochschild_coboundary(m: Bimodule, f: HochschildCochain) -> HochschildCochai
 
     def value(idx: tuple[int, ...]):
         units = [unit(dim, i) for i in idx]
-        first = bil(m.left, units[0], f.apply(*units[1:]))
-        last = bil(m.right, f.apply(*units[:-1]), units[-1])
+        first = m.act_left(units[0], f.apply(*units[1:]))
+        last = m.act_right(f.apply(*units[:-1]), units[-1])
         total = vadd(first, _scale_vec(sign_last, last))
         for i in range(1, n + 1):
             inner = f.apply(*units[: i - 1], a.mul[idx[i - 1]][idx[i]], *units[i + 1:])
@@ -243,7 +242,7 @@ class TwoTermAlgebra:
     l2_01: tuple  # g0 x g1 -> g1
     l2_10: tuple  # g1 x g0 -> g1
     l3: tuple     # g0 x g0 x g0 -> g1
-    _checked: CheckReport | None = checked_field()
+    _kept: dict | None = kept_field()
     _twin: object = twin_field()
 
     @property
@@ -258,16 +257,16 @@ class TwoTermAlgebra:
         return self.complex.diff @ a
 
     def m00(self, x, y):
-        return bil(self.l2_00, x, y)
+        return apply2(kept(self, "l2_00", view2, self.l2_00), x, y)
 
     def m01(self, x, a):
-        return bil(self.l2_01, x, a)
+        return apply2(kept(self, "l2_01", view2, self.l2_01), x, a)
 
     def m10(self, a, x):
-        return bil(self.l2_10, a, x)
+        return apply2(kept(self, "l2_10", view2, self.l2_10), a, x)
 
     def l3v(self, x, y, z):
-        return tri(self.l3, x, y, z)
+        return apply3(kept(self, "l3", view3, self.l3), x, y, z)
 
 
 def zero_algebra(dim0: int, dim1: int) -> TwoTermAlgebra:
@@ -359,6 +358,7 @@ def homomorphism_residuals(h: Homomorphism2):
     d, dp = g.complex.diff, gp.complex.diff
     f0col = [h.f0.col(i) for i in range(n0)]
     f1col = [h.f1.col(p) for p in range(n1)]
+    f2 = view2(h.f2)
 
     for p in range(n1):
         yield "i", (p,), h.f0 @ d.col(p), dp @ f1col[p]
@@ -368,15 +368,15 @@ def homomorphism_residuals(h: Homomorphism2):
             yield "ii", (i, j), lhs, dp @ h.f2[i][j]
         for p in range(n1):
             lhs = vsub(h.f1 @ g.l2_01[i][p], gp.m01(f0col[i], f1col[p]))
-            yield "iii1", (i, p), lhs, bil(h.f2, e[i], d.col(p))
+            yield "iii1", (i, p), lhs, apply2(f2, e[i], d.col(p))
             lhs = vsub(h.f1 @ g.l2_10[p][i], gp.m10(f1col[p], f0col[i]))
-            yield "iii2", (p, i), lhs, bil(h.f2, d.col(p), e[i])
+            yield "iii2", (p, i), lhs, apply2(f2, d.col(p), e[i])
     for i in range(n0):
         for j in range(n0):
             for k in range(n0):
                 lhs = vsub(h.f1 @ g.l3[i][j][k], gp.l3v(f0col[i], f0col[j], f0col[k]))
                 rhs = vadd(
-                    vsub(bil(h.f2, e[i], g.l2_00[j][k]), bil(h.f2, g.l2_00[i][j], e[k])),
+                    vsub(apply2(f2, e[i], g.l2_00[j][k]), apply2(f2, g.l2_00[i][j], e[k])),
                     vsub(gp.m01(f0col[i], h.f2[j][k]), gp.m10(h.f2[i][j], f0col[k])),
                 )
                 yield "iv", (i, j, k), lhs, rhs
@@ -391,11 +391,8 @@ def compose_homomorphisms(g: Homomorphism2, f: Homomorphism2) -> Homomorphism2:
     if f.target is not g.source and f.target != g.source:
         raise ValueError("homomorphisms are not composable")
     n0 = f.source.dim0
-    f2 = tensor2(
-        n0,
-        n0,
-        lambda i, j: vadd(bil(g.f2, f.f0.col(i), f.f0.col(j)), g.f1 @ f.f2[i][j]),
-    )
+    g2 = view2(g.f2)
+    f2 = tensor2(n0, n0, lambda i, j: vadd(apply2(g2, f.f0.col(i), f.f0.col(j)), g.f1 @ f.f2[i][j]))
     return Homomorphism2(f.source, g.target, g.f0 @ f.f0, g.f1 @ f.f1, f2)
 
 

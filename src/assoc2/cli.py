@@ -9,7 +9,9 @@ Work budget: a command that works on the cochain complex of a pair
 (cohomology, cocycle, deform, nijenhuis, ext) first computes the shape of
 its d2 from the declared dims alone (``complex_shape`` of the theory), and
 refuses the pair when d2 would have more than ``MAX_D2_CELLS`` dense cells,
-before any checker or evaluator runs.
+before any checker or evaluator runs.  A command is refused the same way
+when the checkers it runs (a plain ``check``, or those of the pair's base
+and representation) would take more loop steps than that bound.
 """
 
 from __future__ import annotations
@@ -128,51 +130,89 @@ def cmd_check(args) -> int:
     what = args.what
     if len(args.files) != _CHECK_ARITY[what]:
         raise InputError(f"check {what} takes {_CHECK_ARITY[what]} file argument(s)")
+    where = " with ".join(args.files)
     if what == "algebra":
         g = _load(fileio.load_algebra, args.files[0])
+        _checks_within_budget(algebra2.SLOTS, where, _dims(g))
         return _finish(algebra2.check_algebra(g), args)
     if what == "rep":
         g = _load(fileio.load_algebra, args.files[0])
         r = _load(fileio.load_representation, args.files[1], g)
+        _checks_within_budget(algebra2.SLOTS, where, _dims(g), _dims(r))
         return _finish(rep2.check_representation(r), args)
     if what == "xmod":
         x = _load(fileio.load_crossed_module, args.files[0])
+        _checks_within_budget(xmod.XSLOTS, where, _dims(x))
         return _finish(xmod.check_crossed_module(x), args)
     if what == "xmod-rep":
         x = _load(fileio.load_crossed_module, args.files[0])
         r = _load(fileio.load_xmod_representation, args.files[1], x)
+        _checks_within_budget(xmod.XSLOTS, where, _dims(x), _dims(r))
         return _finish(xmod.check_xmod_representation(r), args)
     if what == "hom":
         src = _load(fileio.load_algebra, args.files[0])
         dst = _load(fileio.load_algebra, args.files[1])
         h = _load(fileio.load_homomorphism, args.files[2], src, dst)
+        _homomorphism_within_budget(where, _dims(src), dst.dim0, _dims(dst))
         return _finish(algebra2.check_homomorphism(h), args)
     if what == "derivation":
         g = _load(fileio.load_algebra, args.files[0])
         d = _load(fileio.load_derivation, args.files[1], g)
+        # after g, as the splitting into g + g shifted by D0: 1 + dim0 nonzeros a column
+        _checks_within_budget(algebra2.SLOTS, where, _dims(g))
+        _homomorphism_within_budget(where, _dims(g), 1 + g.dim0, _dims(g, g))
         return _finish(cohom2.check_derivation(d), args)
     raise InputError(f"unknown check target {what!r}")
+
+
+def _refuse_over_budget(where, count, detail) -> None:
+    """Refuse work of ``count`` over ``MAX_D2_CELLS``; ``detail`` says what was counted."""
+    if count > MAX_D2_CELLS:
+        raise InputError(f"{where}: {detail}, more than the {MAX_D2_CELLS} allowed")
 
 
 def _within_budget(args, where, base, coefficients) -> None:
     """Refuse a pair whose d2 would pass ``MAX_D2_CELLS``; ``base`` and
     ``coefficients`` are the dims of each by degree."""
     c1, c2, rows = args.shape(base, coefficients)
-    if rows * c2 > MAX_D2_CELLS:
-        raise InputError(
-            f"{where}: dims {base} with coefficients {coefficients} give one-cochains of dimension {c1} and "
-            f"a d2 of {rows} x {c2} = {rows * c2} dense cells, more than the {MAX_D2_CELLS} allowed"
-        )
+    detail = f"dims {base} with coefficients {coefficients} give one-cochains of dimension {c1} and a d2 of {rows} x {c2}"
+    _refuse_over_budget(where, rows * c2, f"{detail} = {rows * c2} dense cells")
 
 
-def _dims(s) -> tuple[int, int]:
-    return s.dim0, s.dim1
+def _checks_within_budget(slots, where, base, coefficients=(0, 0)) -> None:
+    """Refuse a structure of dims ``base`` and axiom table ``slots``, with a
+    representation of dims ``coefficients`` checked after it, when checking
+    would take more than ``MAX_D2_CELLS`` loop steps: a residual applies
+    the products of the structure it runs in (the semidirect product on
+    the tuples with one argument in the representation, ``Tuples``) to at
+    most one argument that is not a basis vector, in (dim0 + dim1)^2 steps."""
+    total = (base[0] + coefficients[0], base[1] + coefficients[1])
+    steps = sum(
+        sum(algebra2.Tuples(base, kernel).count(dims, *degrees) for degrees in slots.values()) * sum(dims) ** 2
+        for kernel, dims in ((0, base), (1, total))
+    )
+    _refuse_over_budget(where, steps, f"checking dims {base} with coefficients {coefficients} takes {steps} loop steps")
+
+
+def _homomorphism_within_budget(where, source, nonzeros, target) -> None:
+    """The same for a map whose degree-0 columns have ``nonzeros`` nonzero
+    coordinates: on an (iv) tuple, l3 of the target meets k = 1 + nonzeros
+    of them in k^2 (dim0 + dim1) steps and adds k^3 values of length dim1."""
+    (n0, n1), k = source, 1 + nonzeros
+    steps = (n1 + n0 * n0 + 2 * n0 * n1 + n0**3) * k * k * (1 + sum(target) + k * (1 + target[1]))
+    _refuse_over_budget(where, steps, f"checking a map from dims {source} to dims {target} takes {steps} loop steps")
+
+
+def _dims(*structures) -> tuple[int, int]:
+    """The dims by degree of a structure, or of the sum of several."""
+    return sum(s.dim0 for s in structures), sum(s.dim1 for s in structures)
 
 
 def _checked_base(args, path):
     """The checked base, within budget for its adjoint coefficients."""
     base = _load(args.load_base, path)
     _within_budget(args, path, _dims(base), _dims(base))
+    _checks_within_budget(args.slots, path, _dims(base))
     args.check_base(base).require(f"{args.base_kind} fails its checker")
     return base
 
@@ -180,7 +220,9 @@ def _checked_base(args, path):
 def _checked_pair(args, base_path, rep_path):
     base = _load(args.load_base, base_path)
     r = _load(args.load_rep, rep_path, base)
-    _within_budget(args, f"{base_path} with {rep_path}", _dims(base), _dims(r))
+    where = f"{base_path} with {rep_path}"
+    _within_budget(args, where, _dims(base), _dims(r))
+    _checks_within_budget(args.slots, where, _dims(base), _dims(r))
     args.check_base(base).require(f"{args.base_kind} fails its checker")
     args.check_rep(r).require("representation fails its checker")
     return base, r
@@ -418,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         base_kind="algebra",
         load_base=fileio.load_algebra,
         shape=cohom2.complex_shape,
+        slots=algebra2.SLOTS,
         check_base=algebra2.check_algebra,
         load_rep=fileio.load_representation,
         check_rep=rep2.check_representation,
@@ -448,6 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         base_kind="crossed module",
         load_base=fileio.load_crossed_module,
         shape=xmod.xmod_complex_shape,
+        slots=xmod.XSLOTS,
         check_base=xmod.check_crossed_module,
         load_rep=fileio.load_xmod_representation,
         check_rep=xmod.check_xmod_representation,

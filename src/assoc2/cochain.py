@@ -16,11 +16,11 @@ every output entry is then the form of one matrix row.  This is
 forward-mode differentiation of a linear map seeded with the full basis.
 The evaluators run unchanged on these forms because they only add,
 subtract and scale their cochain's entries.  A form refuses anything else:
-the product of two forms is kept as a ``FormProduct``, which ``bil`` and
-``tri`` drop where it meets only zero tensor entries (the kernel x kernel
-blocks of a semidirect product, which d1 evaluates) and which raises as
+the product of two forms is kept as a ``FormProduct``, which raises as
 soon as it reaches a sum or an output, so an evaluator that is not linear
-fails loudly.  The generic forms have
+fails loudly.  Where two forms meet only zero tensor entries (the kernel x
+kernel blocks of a semidirect product, which d1 evaluates) the sparse
+views of ``tensorops`` never form their product.  The generic forms have
 ``int`` coefficients, so on an integral pair (whose theory hands this
 engine evaluators over the integer twins, see ``assoc2.integral``) the
 forms and the d2 . d1 check stay over ℤ; the rows become ``Fraction``
@@ -54,9 +54,8 @@ class LinearForm:
     0 exactly when it has no term.  Adding a nonzero constant raises
     TypeError instead of dropping a term.  The product of two forms is
     deferred (``FormProduct``): it raises once it reaches a sum or an
-    output, so one that only meets zero tensor entries, which ``bil`` and
-    ``tri`` skip, drops out.  Forms are never mutated, so results may
-    share them.
+    output, and a product that reaches neither drops out.  Forms are never
+    mutated, so results may share them.
     """
 
     __slots__ = ("terms",)
@@ -269,15 +268,19 @@ def assemble(cx: CochainComplex) -> CoboundaryMatrices:
     """Matrices of d1 and d2 in the flattening order, read off one call of
     each evaluator on the generic cochain of its degree: output entry i is
     the form of row i.  The complex property d2 . d1 = 0 is verified here on
-    every call, by substituting the rows of d1 into those of d2; assembly
-    raises ``NotAComplex`` on a pair where the evaluators do not form a
-    complex.  The forms' terms become the matrices' sparse rows as they
-    are, over ``Fraction``, so elimination starts from them without
-    rescanning dense rows."""
+    every call, by substituting the rows of d1 into those of d2 (each row
+    of the product summed in one dict); assembly raises ``NotAComplex`` on
+    a pair where the evaluators do not form a complex.  The forms' terms
+    become the matrices' sparse rows as they are, over ``Fraction``, so
+    elimination starts from them without rescanning dense rows."""
     d1 = [_form(x) for x in cx.d1(cx.c1.generic()).flatten()]
     d2 = [_form(x) for x in cx.d2(cx.c2.generic())]
     for row in d2:
-        if sum((d1[j] * v for j, v in row.terms.items()), _NO_TERMS):
+        composed = {}  # the row of d2 . d1, summed in one dict
+        for j, v in row.terms.items():
+            for k, x in d1[j].terms.items():
+                composed[k] = composed.get(k, 0) + v * x
+        if any(composed.values()):
             raise NotAComplex(cx.not_a_complex)
     return CoboundaryMatrices(
         Matrix.from_sparse([_rational(f) for f in d1], cx.c1.dim),

@@ -45,7 +45,7 @@ from .extension import as_is, families_report, kernel_residuals, negated, placed
 from .extension import tail_parts, total_bilinear, total_matrix
 from .integral import integral_report, on_integers
 from .rep2 import Representation2, adjoint_representation, require_representation
-from .report import CheckReport
+from .report import CheckReport, kept
 from .tensorops import tmap
 
 
@@ -203,8 +203,10 @@ def extension_total(g: TwoTermAlgebra, r: Representation2, c: Cochain2) -> TwoTe
 
 def semidirect_product(g: TwoTermAlgebra, r: Representation2) -> TwoTermAlgebra:
     """g + V, the standard total of the zero cochain, unchecked; its zero
-    blocks are ``int``."""
-    return extension_total(g, r, on_integers(cochain_layouts(g.dim0, g.dim1, r.dim0, r.dim1)[1].zero()))
+    blocks are ``int``.  Built once per pair and kept on r with g, so that
+    no other algebra takes g's id while it is kept."""
+    zero = lambda: on_integers(cochain_layouts(g.dim0, g.dim1, r.dim0, r.dim1)[1].zero())
+    return kept(r, ("g + V", id(g)), lambda: (g, extension_total(g, r, zero())))[1]
 
 
 def total_cocycle_families(total: TwoTermAlgebra, g: TwoTermAlgebra):

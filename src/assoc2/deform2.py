@@ -35,7 +35,7 @@ from .exactlin import Matrix
 from .poly import GeneratesVerdict, T, generates_verdict, identity_report
 from .rep2 import adjoint_representation
 from .report import CheckReport, report_from
-from .tensorops import bil, tensor2, tensor3, tmap, tzip, unit, vadd, vsub, zeros2
+from .tensorops import apply2, tensor2, tensor3, tmap, tzip, unit, vadd, view2, vsub, zeros2
 
 
 @dataclass
@@ -204,6 +204,7 @@ def nijenhuis_deformation(g: TwoTermAlgebra, n: NijenhuisCandidate) -> PolyStruc
     n0col = [n.n0.col(i) for i in range(n0d)]
     theta1 = first.theta
     omega = first.omega
+    n2 = view2(n.n2)
     theta2 = tensor3(
         n0d,
         n0d,
@@ -212,8 +213,8 @@ def nijenhuis_deformation(g: TwoTermAlgebra, n: NijenhuisCandidate) -> PolyStruc
             g.l3v(n0col[i], n0col[j], e[k]),
             g.l3v(n0col[i], e[j], n0col[k]),
             g.l3v(e[i], n0col[j], n0col[k]),
-            vsub(bil(n.n2, e[i], omega[j][k]), n.n1 @ theta1[i][j][k]),
-            vsub(g.m01(n0col[i], n.n2[j][k]), bil(n.n2, omega[i][j], e[k])),
+            vsub(apply2(n2, e[i], omega[j][k]), n.n1 @ theta1[i][j][k]),
+            vsub(g.m01(n0col[i], n.n2[j][k]), apply2(n2, omega[i][j], e[k])),
             vsub((Fraction(0),) * g.dim1, g.m10(n.n2[i][j], n0col[k])),
         ),
     )

@@ -21,10 +21,12 @@ commutative rings (polynomials in a deformation parameter, see
 :mod:`assoc2.poly`; the ``int`` entries of an integral structure's twin and
 the linear forms of a standard total, both kept by ``Matrix.as_given``),
 and ``Matrix @ vector`` is ring-generic like the tensor evaluators: it
-skips zeros by truthiness, and an empty sum is the zero of the matrix's own
-scalars.  Elimination is not generic: its inputs (``rref``, ``rank``,
-``kernel_basis``, ``solve``) are ``Fraction`` matrices and vectors, and so
-are all its outputs; integers and residues stay inside it.
+walks the sparse row view, so zero entries (the zero blocks of a standard
+total) are never visited, skips zero coordinates by truthiness, and an
+empty sum is the zero of the matrix's own scalars.  Elimination is not
+generic: its inputs (``rref``, ``rank``, ``kernel_basis``, ``solve``) are
+``Fraction`` matrices and vectors, and so are all its outputs; integers
+and residues stay inside it.
 """
 
 from __future__ import annotations
@@ -188,10 +190,11 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} @ vector of length {len(v)}")
         integral = self.rows and self.cols and type(self.entries[0][0]) is int
         out = []
-        for row in self.entries:
+        for terms in self.sparse_rows():
             acc = 0
-            for x, y in zip(row, v):
-                if x and y:
+            for j, x in terms.items():
+                y = v[j]
+                if y:
                     acc += x * y
             out.append(ZERO + acc if type(acc) is int and not integral else acc)
         return tuple(out)

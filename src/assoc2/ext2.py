@@ -28,7 +28,7 @@ from .extension import SplitExtension, families_report, kernel_residuals, placed
 from .integral import on_integers
 from .rep2 import Representation2, require_representation
 from .report import CheckReport
-from .tensorops import bil, unit, vzero, tensor2, tensor3, zeros2
+from .tensorops import apply2, unit, view2, vzero, tensor2, tensor3, zeros2
 
 
 class Extension2(SplitExtension):
@@ -164,7 +164,8 @@ def witness_homomorphism(e1: Extension2, e2: Extension2, lam: Cochain1) -> Homom
     part lambda2 of the projected arguments."""
     f0, f1 = e1.witness_maps(e2, lam.phi, lam.phi1)
     n0 = e1.total.dim0
-    f2 = tensor2(n0, n0, lambda i, j: e2.incl1(bil(lam.chi, e1.p0 @ unit(n0, i), e1.p0 @ unit(n0, j))))
+    chi = view2(lam.chi)
+    f2 = tensor2(n0, n0, lambda i, j: e2.incl1(apply2(chi, e1.p0 @ unit(n0, i), e1.p0 @ unit(n0, j))))
     return Homomorphism2(e1.total, e2.total, f0, f1, f2)
 
 

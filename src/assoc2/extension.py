@@ -47,7 +47,7 @@ from operator import itemgetter
 from .cochain import Cochain, Inequivalence, Layout, cohomologous
 from .exactlin import Matrix, rank
 from .integral import integral_report, twin_field
-from .report import CheckReport, checked, checked_field, report_from
+from .report import CheckReport, checked, kept_field, report_from
 from .tensorops import tflat, unit, vadd, vneg, vsub, vzero
 
 
@@ -170,7 +170,7 @@ class SplitExtension:
     p1: Matrix              # total1 -> base1
     sigma0: Matrix          # base0 -> total0
     sigma1: Matrix          # base1 -> total1
-    _checked: CheckReport | None = checked_field()
+    _kept: dict | None = kept_field()
     _twin: object = twin_field()
 
     # condition labels of the exactness identities in degrees 0 and 1

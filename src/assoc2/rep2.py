@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .algebra2 import SLOTS, TwoTermAlgebra, TwoTermComplex, Tuples, algebra_residuals, require_algebra
 from .extension import as_is, by_kernel_position, kernel_residuals, swapped, tail_parts
 from .integral import integral_report, twin_field
-from .report import CheckReport, checked, checked_field
+from .report import CheckReport, checked, kept_field
 from .tensorops import vneg, zeros2, zeros3
 
 
@@ -43,7 +43,7 @@ class Representation2:
     tl: tuple    # g0 x g0 x V0 -> V1
     tm: tuple    # g0 x V0 x g0 -> V1
     tr: tuple    # V0 x g0 x g0 -> V1
-    _checked: CheckReport | None = checked_field()
+    _kept: dict | None = kept_field()
     _twin: object = twin_field()
 
     @property

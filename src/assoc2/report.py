@@ -56,18 +56,30 @@ class PreconditionError(ValueError):
         self.report = report
 
 
-def checked_field():
-    """The field a checked structure keeps its own report in (see ``checked``)."""
+def kept_field():
+    """The field ``_kept`` a structure keeps what ``kept`` computes from it
+    in: its report, the sparse views of its tensors, its semidirect
+    products.  It is ``None`` until then, and no part of the structure's
+    init, repr or equality."""
     return field(default=None, init=False, repr=False, compare=False)
 
 
+def kept(obj, key, build, *args):
+    """``build(*args)``, computed on the first call for ``key`` and kept in
+    ``obj._kept``: a structure is never mutated once built, so what is
+    computed from it holds for as long as it lives."""
+    store = obj._kept
+    if store is None:
+        store = obj._kept = {}
+    value = store.get(key)
+    if value is None:
+        value = store[key] = build(*args)
+    return value
+
+
 def checked(obj, compute) -> CheckReport:
-    """``obj``'s report, computed by ``compute(obj)`` on the first call and
-    kept in ``obj._checked``: a structure is never mutated once built, so a
-    check runs once per object however many callers require it."""
-    if obj._checked is None:
-        obj._checked = compute(obj)
-    return obj._checked
+    """``obj``'s report ``compute(obj)``, kept: a check runs once per object."""
+    return kept(obj, "report", compute, obj)
 
 
 def report_from(residuals) -> CheckReport:

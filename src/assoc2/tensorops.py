@@ -5,20 +5,30 @@ Tensors are nested tuples whose innermost layer is an output vector:
 ``t3[i][j][k]`` likewise for trilinear maps.  Multilinearity is implicit;
 the evaluators below extend to arbitrary vectors.
 
-Scalar contract: the evaluators are ring-generic.  They only add, subtract
-and multiply, and skip zero coordinates and zero tensor entries by
-truthiness, so entries may be ``Fraction``, ``int``, ``Poly`` or the linear
-forms of matrix assembly.  A sum starts from the zero of the tensor's own
-scalars: ``int`` 0 for an integer tensor, ``Fraction`` 0 otherwise, so an
-integral structure's twin (see :mod:`assoc2.integral`) is evaluated over ℤ
-from end to end and every other structure gets the ``Fraction`` zeros it
-always had.  Unit vectors are ``int``: 0 and 1 are the zero and one of
-every scalar ring used here.
+Evaluation runs over sparse views: per leading index, the later indices
+and the (output, value) pairs of the nonzero entries (``view2``,
+``view3``).  A structure builds the view of each of its tensors on first
+use and keeps it (``report.kept``), so the zero blocks of a standard total
+are never visited.  ``apply2``/``apply3`` are the only bilinear and trilinear
+loops; ``bil``/``tri`` build a view per call, and evaluators that apply a
+tensor of a map (a homomorphism's f2, a Nijenhuis n2) build its view once.
+
+Scalar contract: the loops are ring-generic.  They only add, subtract and
+multiply, skip zero coordinates by truthiness, and views drop zero entries
+by truthiness, so entries may be ``Fraction``, ``int``, ``Poly`` or the
+linear forms of matrix assembly; a product of two forms that meets only
+zero entries is never formed.  A sum starts from the zero of the tensor's
+own scalars (``_zero_of`` its first entry, kept in the view): ``int`` 0 for
+an integer tensor, ``Fraction`` 0 otherwise, so an integral structure's
+twin (see :mod:`assoc2.integral`) is evaluated over ℤ from end to end.
+Unit vectors are ``int``: 0 and 1 are the zero and one of every scalar
+ring used here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 ZERO = Fraction(0)
 
@@ -32,17 +42,18 @@ def vzero(n: int) -> tuple:
 
 
 def vadd(*vs) -> tuple:
-    out = list(vs[0])
+    out = tuple(vs[0])
     for v in vs[1:]:
         if len(v) != len(out):
             raise ValueError("vector length mismatch")
-        for i, x in enumerate(v):
-            out[i] = out[i] + x
-    return tuple(out)
+        out = tuple(map(add, out, v))
+    return out
 
 
 def vsub(u, v) -> tuple:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError("vector length mismatch")
+    return tuple(map(sub, u, v))
 
 
 def vneg(v) -> tuple:
@@ -54,45 +65,69 @@ def _zero_of(x):
     return 0 if type(x) is int else ZERO
 
 
+def _nonzero(items, inner=None) -> tuple:
+    """The pairs (index, value) of ``items`` whose value, the item or
+    ``inner(item)``, is nonzero."""
+    return tuple((i, y) for i, x in enumerate(items) if (y := inner(x) if inner else x))
+
+
+def view2(t2) -> tuple:
+    """The sparse view of a bilinear tensor: per first index i, the pairs
+    (j, ((k, x), ...)) of its nonzero entries x = t2[i][j][k]; then the
+    zero its sums start from and its output length."""
+    n_out = _out_dim(t2)
+    return tuple(_nonzero(row, _nonzero) for row in t2), _zero_of(t2[0][0][0]) if n_out else ZERO, n_out
+
+
+def view3(t3) -> tuple:
+    """The sparse view of a trilinear tensor: per first index i, the pairs
+    (j, rows of the view of t3[i][j]) that hold a nonzero entry."""
+    n_out = _out_dim(t3, depth=3)
+    return tuple(_nonzero(view2(plane)[0]) for plane in t3), _zero_of(t3[0][0][0][0]) if n_out else ZERO, n_out
+
+
+def apply2(view, u, v) -> tuple:
+    """Apply the bilinear map of the sparse view ``view`` to ``u``, ``v``."""
+    rows, zero, n_out = view
+    acc = [zero] * n_out
+    for i, a in enumerate(u):
+        if a:
+            for j, cell in rows[i]:
+                b = v[j]
+                if b:
+                    ab = a * b
+                    for k, x in cell:
+                        acc[k] += ab * x
+    return tuple(acc)
+
+
+def apply3(view, u, v, w) -> tuple:
+    """Apply the trilinear map of the sparse view ``view`` to three vectors."""
+    planes, zero, n_out = view
+    acc = [zero] * n_out
+    for i, a in enumerate(u):
+        if a:
+            for j, row in planes[i]:
+                b = v[j]
+                if b:
+                    ab = a * b
+                    for k, cell in row:
+                        c = w[k]
+                        if c:
+                            abc = ab * c
+                            for m, x in cell:
+                                acc[m] += abc * x
+    return tuple(acc)
+
+
 def bil(t2, u, v) -> tuple:
     """Apply a bilinear map given by ``t2`` to vectors ``u``, ``v``."""
-    n_out = len(t2[0][0]) if t2 and t2[0] else 0
-    acc = [_zero_of(t2[0][0][0]) if n_out else ZERO] * n_out
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        row = t2[i]
-        for j, b in enumerate(v):
-            if not b:
-                continue
-            ab = a * b
-            for k, x in enumerate(row[j]):
-                if x:
-                    acc[k] += ab * x
-    return tuple(acc)
+    return apply2(view2(t2), u, v)
 
 
 def tri(t3, u, v, w) -> tuple:
     """Apply a trilinear map given by ``t3`` to three vectors."""
-    n_out = _out_dim(t3, depth=3)
-    acc = [_zero_of(t3[0][0][0][0]) if n_out else ZERO] * n_out
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        plane = t3[i]
-        for j, b in enumerate(v):
-            if not b:
-                continue
-            ab = a * b
-            row = plane[j]
-            for k, c in enumerate(w):
-                if not c:
-                    continue
-                abc = ab * c
-                for m, x in enumerate(row[k]):
-                    if x:
-                        acc[m] += abc * x
-    return tuple(acc)
+    return apply3(view3(t3), u, v, w)
 
 
 def _out_dim(t, depth: int = 2) -> int:

@@ -34,8 +34,8 @@ from .extension import SplitExtension, as_is, by_kernel_position, families_repor
 from .extension import shifted, stacked, swapped, tail_parts, total_bilinear, total_matrix
 from .integral import integral_report, on_integers, twin_field
 from .poly import GeneratesVerdict, T, generates_verdict, identity_report
-from .report import CheckReport, checked, checked_field, report_from
-from .tensorops import bil, unit, vadd, vsub, vzero, tensor2, tzip, zeros2, zeros3
+from .report import CheckReport, checked, kept, kept_field, report_from
+from .tensorops import unit, vadd, vsub, vzero, tensor2, tzip, zeros2, zeros3
 
 
 @dataclass
@@ -43,7 +43,7 @@ class CrossedModule:
     p_alg: AssocAlgebra
     h_mod: Bimodule
     f_map: Matrix  # h -> p
-    _checked: CheckReport | None = checked_field()
+    _kept: dict | None = kept_field()
     _twin: object = twin_field()
 
     @property
@@ -82,7 +82,7 @@ def crossed_module_residuals(x: CrossedModule, tuples: Tuples | None = None):
         yield "equiv-l", (i, a), x.f_map @ x.h_mod.left[i][a], x.p_alg.product(e[i], fcol[a])
         yield "equiv-r", (a, i), x.f_map @ x.h_mod.right[a][i], x.p_alg.product(fcol[a], e[i])
     for a, b in tuples.of(dims, 1, 1):
-        yield "peiffer", (a, b), bil(x.h_mod.left, fcol[a], fb[b]), bil(x.h_mod.right, fb[a], fcol[b])
+        yield "peiffer", (a, b), x.h_mod.act_left(fcol[a], fb[b]), x.h_mod.act_right(fb[a], fcol[b])
 
 
 def check_crossed_module(x: CrossedModule) -> CheckReport:
@@ -130,7 +130,7 @@ class XModRepresentation:
     phi: Matrix       # V -> W
     tr_l: tuple       # h x W -> V, written a |> w
     tr_r: tuple       # W x h -> V, written w <| a
-    _checked: CheckReport | None = checked_field()
+    _kept: dict | None = kept_field()
     _twin: object = twin_field()
 
     @property
@@ -217,8 +217,10 @@ def xmod_trivial_representation(x: CrossedModule, nv: int, nw: int) -> XModRepre
 def semidirect_product(x: CrossedModule, r: XModRepresentation) -> CrossedModule:
     """(h + V, p + W, f + phi) with the action-twisted products: the
     standard total of the zero cochain, unchecked; its zero blocks are
-    ``int``."""
-    return xmod_extension_total(x, r, on_integers(xmod_cochain_layouts(x.pdim, x.hdim, r.vdim, r.wdim)[1].zero()))
+    ``int``.  Built once per pair and kept on r with x, so that no other
+    crossed module takes x's id while it is kept."""
+    zero = lambda: on_integers(xmod_cochain_layouts(x.pdim, x.hdim, r.vdim, r.wdim)[1].zero())
+    return kept(r, ("x + V", id(x)), lambda: (x, xmod_extension_total(x, r, zero())))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +383,11 @@ def xmod_nijenhuis_residuals(x: CrossedModule, n0: Matrix, n1: Matrix):
         n0 @ x.p_alg.mul[i][j],
     )
     dotl = lambda i, a: vsub(
-        vadd(bil(x.h_mod.left, n0col[i], ha[a]), bil(x.h_mod.left, e[i], n1col[a])),
+        vadd(x.h_mod.act_left(n0col[i], ha[a]), x.h_mod.act_left(e[i], n1col[a])),
         n1 @ x.h_mod.left[i][a],
     )
     dotr = lambda a, i: vsub(
-        vadd(bil(x.h_mod.right, n1col[a], e[i]), bil(x.h_mod.right, ha[a], n0col[i])),
+        vadd(x.h_mod.act_right(n1col[a], e[i]), x.h_mod.act_right(ha[a], n0col[i])),
         n1 @ x.h_mod.right[a][i],
     )
     for a in range(nh):
@@ -394,8 +396,8 @@ def xmod_nijenhuis_residuals(x: CrossedModule, n0: Matrix, n1: Matrix):
         for j in range(np_):
             yield "ii", (i, j), n0 @ dotp(i, j), x.p_alg.product(n0col[i], n0col[j])
         for a in range(nh):
-            yield "iii", (i, a), n1 @ dotl(i, a), bil(x.h_mod.left, n0col[i], n1col[a])
-            yield "iv", (a, i), n1 @ dotr(a, i), bil(x.h_mod.right, n1col[a], n0col[i])
+            yield "iii", (i, a), n1 @ dotl(i, a), x.h_mod.act_left(n0col[i], n1col[a])
+            yield "iv", (a, i), n1 @ dotr(a, i), x.h_mod.act_right(n1col[a], n0col[i])
 
 
 def xmod_check_nijenhuis(x: CrossedModule, n0: Matrix, n1: Matrix) -> CheckReport:
@@ -418,8 +420,8 @@ def xmod_homomorphism_residuals(src: CrossedModule, dst: CrossedModule, f0: Matr
         for j in range(np_):
             yield "hom-alg", (i, j), f0 @ src.p_alg.mul[i][j], dst.p_alg.product(f0col[i], f0col[j])
         for a in range(nh):
-            yield "hom-left", (i, a), f1 @ src.h_mod.left[i][a], bil(dst.h_mod.left, f0col[i], f1col[a])
-            yield "hom-right", (a, i), f1 @ src.h_mod.right[a][i], bil(dst.h_mod.right, f1col[a], f0col[i])
+            yield "hom-left", (i, a), f1 @ src.h_mod.left[i][a], dst.h_mod.act_left(f0col[i], f1col[a])
+            yield "hom-right", (a, i), f1 @ src.h_mod.right[a][i], dst.h_mod.act_right(f1col[a], f0col[i])
 
 
 def xmod_check_trivializing(x: CrossedModule, c: XCochain2, n0: Matrix, n1: Matrix) -> CheckReport:
@@ -466,8 +468,8 @@ def xmod_extension_residuals(e: XModExtension):
             yield "abelian-WW", (s, t), e.total.p_alg.product(ws, e.incl0(unit(e.hdim0, t))), vzero(nP)
         for t in range(e.hdim1):
             vt = e.incl1(unit(e.hdim1, t))
-            yield "abelian-WV", (s, t), bil(e.total.h_mod.left, ws, vt), vzero(nH)
-            yield "abelian-VW", (t, s), bil(e.total.h_mod.right, vt, ws), vzero(nH)
+            yield "abelian-WV", (s, t), e.total.h_mod.act_left(ws, vt), vzero(nH)
+            yield "abelian-VW", (t, s), e.total.h_mod.act_right(vt, ws), vzero(nH)
 
 
 def check_xmod_extension(e: XModExtension) -> CheckReport:
@@ -492,8 +494,8 @@ def xmod_extract_representation(e: XModExtension) -> XModRepresentation:
     v_mod = Bimodule(
         b.p_alg,
         e.hdim1,
-        tensor2(nP, e.hdim1, lambda i, s: e.restrict1(bil(t.h_mod.left, s0[i], vv[s]))),
-        tensor2(e.hdim1, nP, lambda s, i: e.restrict1(bil(t.h_mod.right, vv[s], s0[i]))),
+        tensor2(nP, e.hdim1, lambda i, s: e.restrict1(t.h_mod.act_left(s0[i], vv[s]))),
+        tensor2(e.hdim1, nP, lambda s, i: e.restrict1(t.h_mod.act_right(vv[s], s0[i]))),
     )
     w_mod = Bimodule(
         b.p_alg,
@@ -502,8 +504,8 @@ def xmod_extract_representation(e: XModExtension) -> XModRepresentation:
         tensor2(e.hdim0, nP, lambda s, i: e.restrict0(t.p_alg.product(wv[s], s0[i]))),
     )
     phi = Matrix.from_cols([e.restrict0(t.f_map @ vv[s]) for s in range(e.hdim1)], e.hdim0)
-    tr_l = tensor2(nH, e.hdim0, lambda a, s: e.restrict1(bil(t.h_mod.right, s1[a], wv[s])))
-    tr_r = tensor2(e.hdim0, nH, lambda s, a: e.restrict1(bil(t.h_mod.left, wv[s], s1[a])))
+    tr_l = tensor2(nH, e.hdim0, lambda a, s: e.restrict1(t.h_mod.act_right(s1[a], wv[s])))
+    tr_r = tensor2(e.hdim0, nH, lambda s, a: e.restrict1(t.h_mod.act_left(wv[s], s1[a])))
     return XModRepresentation(b, v_mod, w_mod, phi, tr_l, tr_r)
 
 

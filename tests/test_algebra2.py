@@ -9,7 +9,9 @@ from assoc2.algebra2 import (
     Homomorphism2,
     HochschildCochain,
     HomotopyDerivation,
+    SLOTS,
     TwoTermComplex,
+    Tuples,
     build_end_algebra,
     check_algebra,
     check_associative,
@@ -269,3 +271,12 @@ def test_end_algebra_bigger_complex():
     e = build_end_algebra(v)
     assert check_algebra(e).passed
     assert all(x == 0 for plane in e.l3 for row in plane for cell in row for x in cell)
+
+
+def test_tuples_count_what_they_list():
+    # the work budget of the command line counts tuples without listing them
+    for cuts, dims in (((2, 1), (2, 1)), ((2, 1), (4, 3)), ((0, 2), (3, 2)), ((1, 0), (1, 2))):
+        for kernel in (0, 1):
+            tuples = Tuples(cuts, kernel)
+            for degrees in SLOTS.values():
+                assert tuples.count(dims, *degrees) == len(list(tuples.of(dims, *degrees))), (cuts, dims, kernel)

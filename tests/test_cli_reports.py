@@ -22,7 +22,8 @@ variants of a valid document.
 The counting test wraps the residual generators behind every checker and
 asserts that each command evaluates each loaded structure's axioms once,
 and counts how often ``ext equiv`` extracts an induced representation and
-evaluates a splitting to extract a cocycle.
+evaluates a splitting to extract a cocycle, and how often ``cocycle
+reduce`` builds the semidirect product.
 """
 
 from __future__ import annotations
@@ -582,6 +583,29 @@ def test_building_an_extension_evaluates_the_total_once(monkeypatch):
         calls.clear()
         total = build().total  # the base and the representation were checked above
         assert calls == [total]
+
+
+def test_cocycle_reduce_builds_the_semidirect_product_once(monkeypatch, tmp_path):
+    """The representation check, d1's assembly and the re-verification of
+    the primitive share one g + V, kept on the representation; the
+    crossed-module theory likewise.  g + V is the total of the zero
+    cochain; d2 is read off the total of the generic one."""
+    for module, attr, u, urep, cochains, prefix in (
+        (cohom2, "extension_total", "fix_u.json", "fix_u_adjoint_rep.json", _two_term_inputs, []),
+        (xmod, "xmod_extension_total", "fix_x.json", "fix_x_adjoint_rep.json", _xmod_inputs, ["xmod"]),
+    ):
+        cob = cochains(tmp_path)["cob"]
+        zero_totals = []
+        original = getattr(module, attr)
+
+        def counted(base, r, c, _original=original):
+            zero_totals.append(c.is_zero())
+            return _original(base, r, c)
+
+        monkeypatch.setattr(module, attr, counted)
+        code, out, _ = _invoke([*prefix, "cocycle", "reduce", _fx(u), _fx(urep), cob])
+        assert code == 0 and out.startswith("verdict: pass")
+        assert zero_totals.count(True) == 1, attr
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from assoc2 import cohom2, fileio, xmod
-from assoc2.algebra2 import TwoTermComplex, identity_homomorphism, zero_algebra
+from assoc2.algebra2 import SLOTS, TwoTermComplex, Tuples, identity_homomorphism, zero_algebra
 from assoc2.cli import MAX_D2_CELLS, main
 from assoc2.cohom2 import assemble_matrices, zero_cochain2
 from assoc2.deform2 import identity_candidate
@@ -256,6 +256,69 @@ def test_cli_refuses_a_complex_over_the_work_budget_fast(capsys, tmp_path):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err.startswith(f"error: {algebra}") and "143000 x 13100" in err and str(MAX_D2_CELLS) in err
+
+
+def _one_kernel_tuples(slots, cuts, dims):
+    """The basis tuples with one argument past ``cuts``, listed."""
+    return sum(len(list(Tuples(cuts, 1).of(dims, *degrees))) for degrees in slots.values())
+
+
+def test_check_commands_refuse_work_over_the_budget_fast(capsys, tmp_path):
+    empty = '{"dims":{%s},"format_version":"1","kind":"%s","tensors":{}}'
+
+    def write(name, kind, **dims):
+        path = tmp_path / f"{name}.json"
+        path.write_text(empty % (",".join(f'"{k}":{v}' for k, v in dims.items()), kind))
+        return str(path)
+
+    def write_pair(name, dims, coefficients, xm=False):
+        g = zero_algebra(*dims)
+        base, rep = tmp_path / f"{name}.json", tmp_path / f"{name}_rep.json"
+        if xm:
+            x = xmod.algebra_to_crossed_module(g)
+            base.write_text(json.dumps(fileio.dump_crossed_module(x)))
+            r = xmod.xmod_trivial_representation(x, coefficients[1], coefficients[0])
+            rep.write_text(json.dumps(fileio.dump_xmod_representation(r)))
+        else:
+            base.write_text(json.dumps(fileio.dump_algebra(g)))
+            r = trivial_representation(g, TwoTermComplex(*coefficients, Matrix.zero(*coefficients)))
+            rep.write_text(json.dumps(fileio.dump_representation(r)))
+        return str(base), str(rep)
+
+    # 120 bytes that declare a 30/30 algebra: its 920700 basis tuples,
+    # each (30 + 30)^2 loop steps
+    algebra30 = write("empty30", "algebra2", dim0=30, dim1=30)
+    # a representation is checked on the tuples of g + V with one argument
+    # in V, after g: 1/1 with 20/20 passes, 1/1 with 150/150 does not
+    small, small_rep = write_pair("small", (1, 1), (20, 20))
+    xsmall, xsmall_rep = write_pair("xsmall", (1, 1), (20, 20), xm=True)
+    large, large_rep = write_pair("large", (1, 1), (150, 150))
+    xlarge, xlarge_rep = write_pair("xlarge", (1, 1), (150, 150), xm=True)
+    large_steps = 8 * 2**2 + _one_kernel_tuples(SLOTS, (1, 1), (151, 151)) * 302**2
+    xlarge_steps = 7 * 2**2 + _one_kernel_tuples(xmod.XSLOTS, (1, 1), (151, 151)) * 302**2
+    # a dense map from 5/1 applies l3 of 50/1 to three dense columns 125
+    # times; a derivation of 13/13 is the splitting into 26/26 shifted by
+    # it, with 14 nonzeros a column
+    src, dst = write("src", "algebra2", dim0=5, dim1=1), write("dst", "algebra2", dim0=50, dim1=1)
+    hom = write("hom", "homomorphism2", src0=5, src1=1, dst0=50, dst1=1)
+    big, derivation = write("big", "algebra2", dim0=13, dim1=13), write("dv", "derivation2", dim0=13, dim1=13)
+    for argv, steps in (
+        (["check", "algebra", algebra30], 920700 * 60**2),
+        (["check", "rep", large, large_rep], large_steps),
+        (["cohomology", large, large_rep], large_steps),
+        (["check", "xmod-rep", xlarge, xlarge_rep], xlarge_steps),
+        (["xmod", "cohomology", xlarge, xlarge_rep], xlarge_steps),
+        (["check", "hom", src, dst, hom], (1 + 25 + 10 + 125) * 51**2 * (52 + 51 * 2)),
+        (["check", "derivation", big, derivation], (13 + 169 + 338 + 2197) * 15**2 * (53 + 15 * 27)),
+    ):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "", argv
+        first = argv[2] if argv[0] == "check" else argv[1 + (argv[0] == "xmod")]
+        assert err.startswith(f"error: {first}") and f" {steps} " in err and str(MAX_D2_CELLS) in err, argv
+    for argv in (["rep", small, small_rep], ["xmod-rep", xsmall, xsmall_rep], ["algebra", big]):
+        assert _run(capsys, "check", *argv)[0] == 0, argv
 
 
 def test_work_budget_counts_the_assembled_shapes_and_passes_transported_5_5():
