@@ -20,6 +20,16 @@ defining identities, labelled (a)-(f) throughout:
 for x,y,z,t of degree 0 and a,b of degree 1.  All evaluators work on any
 commutative ring of scalars (rationals, or polynomials in a deformation
 parameter).
+
+The identities are written once, as data: ``AXIOMS`` for (a)-(f),
+``HOMOMORPHISM`` for a homomorphism and ``ASSOC`` for associativity and
+the bimodule axioms list, per side, the terms of each identity, each a map
+whose arguments are basis vectors or the values of other maps.  The
+residual generators do not evaluate products tuple by tuple:
+``residual_sides`` contracts each term once over the nonzero cells of its
+map (``tensorops.contract``), and the generators then yield (condition,
+basis tuple, lhs, rhs) in the order of the basis tuples, with one shared
+zero vector for the tuples no nonzero value reaches.
 """
 
 from __future__ import annotations
@@ -33,7 +43,8 @@ from typing import NamedTuple
 from .exactlin import ZERO, Matrix, kernel_basis, solve
 from .integral import integral_report, twin_field
 from .report import CheckReport, checked, kept, kept_field, report_from
-from .tensorops import apply2, apply3, tensor2, tmap, tzip, unit, vadd, view2, view3, vsub, zeros2, zeros3
+from .tensorops import apply2, apply3, basis_feed, contract, sparse_matrix, sparse_tensor, tensor2, tmap, tzip, unit
+from .tensorops import vadd, view2, view3, zeros2, zeros3
 
 
 class Tuples(NamedTuple):
@@ -90,6 +101,10 @@ class AssocAlgebra:
     def product(self, u, v):
         return apply2(kept(self, "mul", view2, self.mul), u, v)
 
+    def sparse_maps(self) -> dict:
+        """The product as a ``Sparse`` map, kept."""
+        return {"mul": kept(self, "sparse", sparse_tensor, self.mul, 2)}
+
     def regular_bimodule(self) -> "Bimodule":
         return Bimodule(self, self.dim, self.mul, self.mul)
 
@@ -110,6 +125,10 @@ class Bimodule:
     def act_right(self, u, x):
         return apply2(kept(self, "right", view2, self.right), u, x)
 
+    def sparse_maps(self) -> dict:
+        """The actions as ``Sparse`` maps, kept."""
+        return kept(self, "sparse", lambda: {name: sparse_tensor(getattr(self, name), 2) for name in ("left", "right")})
+
 
 def check_associative(a: AssocAlgebra) -> CheckReport:
     """List every basis triple where (x.y).z differs from x.(y.z)."""
@@ -120,8 +139,10 @@ def _assoc_residuals(a: AssocAlgebra, tuples: Tuples | None = None):
     """Associativity on the basis triples ``tuples`` selects (all of them
     by default)."""
     n = a.dim
-    for i, j, k in (tuples or Tuples((n,), 0)).of((n,), 0, 0, 0):
-        yield "assoc", (i, j, k), a.product(a.mul[i][j], unit(n, k)), a.product(unit(n, i), a.mul[j][k])
+    tuples = tuples or Tuples((n,), 0)
+    sides = residual_sides(ASSOC, ("assoc",), a.sparse_maps(), ASSOC_INPUTS, tuples, (n,))
+    for where in tuples.of((n,), 0, 0, 0):
+        yield residual(sides, "assoc", where)
 
 
 def check_bimodule(m: Bimodule) -> CheckReport:
@@ -132,12 +153,83 @@ def _bimodule_residuals(m: Bimodule, tuples: Tuples | None = None):
     """The bimodule identities on the tuples ``tuples`` selects (all of
     them by default), the algebra in degree 0 and m in degree 1."""
     a = m.algebra
-    dims = n, md = a.dim, m.dim
-    for i, j, p in (tuples or Tuples(dims, 0)).of(dims, 0, 0, 1):
-        x, y, u = unit(n, i), unit(n, j), unit(md, p)
-        yield "left", (i, j, p), m.act_left(a.mul[i][j], u), m.act_left(x, m.left[j][p])
-        yield "middle", (i, p, j), m.act_left(x, m.right[p][j]), m.act_right(m.left[i][p], y)
-        yield "right", (p, i, j), m.act_right(u, a.mul[i][j]), m.act_right(m.right[p][i], y)
+    dims = a.dim, m.dim
+    tuples = tuples or Tuples(dims, 0)
+    maps = {**a.sparse_maps(), **m.sparse_maps()}
+    sides = residual_sides(ASSOC, ("left", "middle", "right"), maps, ASSOC_INPUTS, tuples, dims)
+    for i, j, p in tuples.of(dims, 0, 0, 1):
+        yield residual(sides, "left", (i, j, p))
+        yield residual(sides, "middle", (i, p, j))
+        yield residual(sides, "right", (p, i, j))
+
+
+# ---------------------------------------------------------------------------
+# identities as sparse contractions
+# ---------------------------------------------------------------------------
+
+# Each identity below is data: per side, its terms (sign, outer map, feeds),
+# one feed per argument of the outer map, naming the map whose value fills
+# that argument, or None for a basis vector.  A side is the sum of its
+# terms, so "l3(x.y,z,t) - l3(x,y.z,t)" is [(1, "l3", ("l2_00", None,
+# None)), (-1, "l3", (None, "l2_00", None))]; a matrix is a map of one
+# argument ("d" @ value).  The basis tuple of a term lists the basis
+# indices of its arguments in order, those of a fed argument being the
+# inputs of the map that fills it.  A table of inputs gives the degree of
+# each argument of each map (None where only fed arguments occur).
+
+ASSOC_INPUTS = {"mul": (0, 0), "left": (0, 1), "right": (1, 0)}
+ASSOC = {
+    "assoc": ([(1, "mul", ("mul", None))], [(1, "mul", (None, "mul"))]),
+    "left": ([(1, "left", ("mul", None))], [(1, "left", (None, "left"))]),
+    "middle": ([(1, "left", (None, "right"))], [(1, "right", ("left", None))]),
+    "right": ([(1, "right", (None, "mul"))], [(1, "right", ("right", None))]),
+}
+
+
+def residual_sides(table: dict, conditions, maps: dict, inputs: dict, tuples: Tuples, dims) -> dict:
+    """Per condition of ``table``, its lhs and rhs, each as (dict basis
+    tuple -> list of values, the zero vector of every other tuple): every
+    term contracted once over the nonzero cells of its outer map
+    (``tensorops.contract``), on the basis tuples ``tuples`` selects, the
+    dims of each degree being ``dims``.  ``maps`` gives each map by name as
+    a ``Sparse`` map, ``inputs`` the degrees of its arguments.  The zero of
+    a side is that of its terms' maps, combined as the side combines them,
+    and its length the longest of theirs (a tensor with an empty input has
+    none to show)."""
+    cuts, kernel = tuples
+    feeds: dict = {}
+
+    def feed(spec, degree):
+        key = spec, degree
+        if key not in feeds:
+            if spec is None:
+                feeds[key] = basis_feed(dims[degree], cuts[degree], kernel)
+            else:
+                feeds[key] = maps[spec].fed(tuple(cuts[k] for k in inputs[spec]), kernel)
+        return feeds[key]
+
+    out = {}
+    for condition in conditions:
+        sides = []
+        for terms in table[condition]:
+            zero = maps[terms[0][1]].zero
+            for sign, name, _ in terms[1:]:
+                zero = zero + maps[name].zero if sign > 0 else zero - maps[name].zero
+            n_out = max(maps[name].n_out for _, name, _ in terms)
+            acc: dict = {}
+            for sign, name, fed in terms:
+                contract(acc, sign, zero, n_out, maps[name], [feed(f, k) for f, k in zip(fed, inputs[name])], kernel)
+            sides.append((acc, (zero,) * n_out))
+        out[condition] = sides
+    return out
+
+
+def residual(sides: dict, condition: str, where: tuple) -> tuple:
+    """(condition, where, lhs, rhs) read off ``residual_sides``, once: the
+    rows are dropped as they are read."""
+    (lhs, lzero), (rhs, rzero) = sides[condition]
+    lv, rv = lhs.pop(where, None), rhs.pop(where, None)
+    return condition, where, lzero if lv is None else tuple(lv), rzero if rv is None else tuple(rv)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +360,15 @@ class TwoTermAlgebra:
     def l3v(self, x, y, z):
         return apply3(kept(self, "l3", view3, self.l3), x, y, z)
 
+    def sparse_maps(self) -> dict:
+        """The differential and products as ``Sparse`` maps, by name, kept."""
+
+        def build():
+            tensors = {name: sparse_tensor(getattr(self, name), len(INPUTS[name])) for name in INPUTS if name != "d"}
+            return {"d": sparse_matrix(self.complex.diff), **tensors}
+
+        return kept(self, "sparse", build)
+
 
 def zero_algebra(dim0: int, dim1: int) -> TwoTermAlgebra:
     return TwoTermAlgebra(
@@ -286,39 +387,49 @@ SLOTS = {
 }
 
 
+# the arguments of g's maps by degree, and (a)-(f) as data (see ``residual_sides``)
+INPUTS = {"d": (1,), "l2_00": (0, 0), "l2_01": (0, 1), "l2_10": (1, 0), "l3": (0, 0, 0)}
+AXIOMS = {
+    "a": ([(1, "d", ("l2_01",))], [(1, "l2_00", (None, "d"))]),
+    "b": ([(1, "d", ("l2_10",))], [(1, "l2_00", ("d", None))]),
+    "c": ([(1, "l2_01", ("d", None))], [(1, "l2_10", (None, "d"))]),
+    "d": ([(1, "d", ("l3",))], [(1, "l2_00", ("l2_00", None)), (-1, "l2_00", (None, "l2_00"))]),
+    "e1": ([(1, "l3", (None, None, "d"))], [(1, "l2_01", ("l2_00", None)), (-1, "l2_01", (None, "l2_01"))]),
+    "e2": ([(1, "l3", (None, "d", None))], [(1, "l2_10", ("l2_01", None)), (-1, "l2_01", (None, "l2_10"))]),
+    "e3": ([(1, "l3", ("d", None, None))], [(1, "l2_10", ("l2_10", None)), (-1, "l2_10", (None, "l2_00"))]),
+    "f": (
+        [(1, "l2_01", (None, "l3")), (1, "l2_10", ("l3", None))],
+        [(1, "l3", ("l2_00", None, None)), (1, "l3", (None, None, "l2_00")), (-1, "l3", (None, "l2_00", None))],
+    ),
+}
+
 def algebra_residuals(g: TwoTermAlgebra, tuples: Tuples | None = None):
     """Yield (condition, basis tuple, lhs, rhs) for (a)-(f) on the basis
-    tuples ``tuples`` selects (all of them by default)."""
-    dims = n0, n1 = g.dim0, g.dim1
+    tuples ``tuples`` selects (all of them by default).  The values of one
+    group of conditions are computed before its first residual is yielded
+    (``residual_sides``), one group at a time."""
+    dims = g.dim0, g.dim1
     tuples = tuples or Tuples(dims, 0)
-    d = g.complex.diff
-    e = [unit(n0, i) for i in range(n0)]
-    f = [unit(n1, p) for p in range(n1)]
-    dcol = [d.col(p) for p in range(n1)]
+    maps = g.sparse_maps()
 
+    sides = residual_sides(AXIOMS, ("a", "b"), maps, INPUTS, tuples, dims)
     for i, p in tuples.of(dims, 0, 1):
-        yield "a", (i, p), d @ g.l2_01[i][p], g.m00(e[i], dcol[p])
-        yield "b", (p, i), d @ g.l2_10[p][i], g.m00(dcol[p], e[i])
-    for p, q in tuples.of(dims, 1, 1):
-        yield "c", (p, q), g.m01(dcol[p], f[q]), g.m10(f[p], dcol[q])
+        yield residual(sides, "a", (i, p))
+        yield residual(sides, "b", (p, i))
+    sides = residual_sides(AXIOMS, ("c",), maps, INPUTS, tuples, dims)
+    for where in tuples.of(dims, 1, 1):
+        yield residual(sides, "c", where)
+    sides = residual_sides(AXIOMS, ("d", "e1", "e2", "e3"), maps, INPUTS, tuples, dims)
     for (i, j), rest in tuples.split(dims, 0, 0):
-        xy = g.l2_00[i][j]
         for (k,) in rest.of(dims, 0):
-            yield "d", (i, j, k), d @ g.l3[i][j][k], vsub(g.m00(xy, e[k]), g.m00(e[i], g.l2_00[j][k]))
+            yield residual(sides, "d", (i, j, k))
         for (p,) in rest.of(dims, 1):
-            yield "e1", (i, j, p), g.l3v(e[i], e[j], dcol[p]), vsub(g.m01(xy, f[p]), g.m01(e[i], g.l2_01[j][p]))
-            yield (
-                "e2", (i, p, j), g.l3v(e[i], dcol[p], e[j]),
-                vsub(g.m10(g.l2_01[i][p], e[j]), g.m01(e[i], g.l2_10[p][j])),
-            )
-            yield "e3", (p, i, j), g.l3v(dcol[p], e[i], e[j]), vsub(g.m10(g.l2_10[p][i], e[j]), g.m10(f[p], xy))
-    for i, j, k, t in tuples.of(dims, 0, 0, 0, 0):
-        lhs = vadd(g.m01(e[i], g.l3[j][k][t]), g.m10(g.l3[i][j][k], e[t]))
-        rhs = vadd(
-            g.l3v(g.l2_00[i][j], e[k], e[t]),
-            vsub(g.l3v(e[i], e[j], g.l2_00[k][t]), g.l3v(e[i], g.l2_00[j][k], e[t])),
-        )
-        yield "f", (i, j, k, t), lhs, rhs
+            yield residual(sides, "e1", (i, j, p))
+            yield residual(sides, "e2", (i, p, j))
+            yield residual(sides, "e3", (p, i, j))
+    sides = residual_sides(AXIOMS, ("f",), maps, INPUTS, tuples, dims)
+    for where in tuples.of(dims, 0, 0, 0, 0):
+        yield residual(sides, "f", where)
 
 
 def check_algebra(g: TwoTermAlgebra) -> CheckReport:
@@ -350,36 +461,56 @@ def identity_homomorphism(g: TwoTermAlgebra) -> Homomorphism2:
     )
 
 
-def homomorphism_residuals(h: Homomorphism2):
-    g, gp = h.source, h.target
-    n0, n1 = g.dim0, g.dim1
-    e = [unit(n0, i) for i in range(n0)]
-    f = [unit(n1, p) for p in range(n1)]
-    d, dp = g.complex.diff, gp.complex.diff
-    f0col = [h.f0.col(i) for i in range(n0)]
-    f1col = [h.f1.col(p) for p in range(n1)]
-    f2 = view2(h.f2)
+# conditions i-iv of a homomorphism (f0, f1, f2) from g to g' as data (see
+# ``residual_sides``): the maps of g by their names, those of g' primed
+#   (i)   f0(d a) = d' f1(a)
+#   (ii)  f0(x.y) - f0(x).f0(y) = d' f2(x,y)
+#   (iii) f1(x.a) - f0(x).f1(a) = f2(x, d a),  f1(a.x) - f1(a).f0(x) = f2(d a, x)
+#   (iv)  f1(l3(x,y,z)) - l3'(f0 x, f0 y, f0 z)
+#           = f2(x, y.z) - f2(x.y, z) + f0(x).f2(y,z) - f2(x,y).f0(z)
+# The maps of g' take only fed arguments.
+HOMOMORPHISM_INPUTS = {
+    **INPUTS,
+    **{name + "'": (None,) * len(degrees) for name, degrees in INPUTS.items()},
+    "f0": (0,), "f1": (1,), "f2": (0, 0),
+}
+HOMOMORPHISM = {
+    "i": ([(1, "f0", ("d",))], [(1, "d'", ("f1",))]),
+    "ii": ([(1, "f0", ("l2_00",)), (-1, "l2_00'", ("f0", "f0"))], [(1, "d'", ("f2",))]),
+    "iii1": ([(1, "f1", ("l2_01",)), (-1, "l2_01'", ("f0", "f1"))], [(1, "f2", (None, "d"))]),
+    "iii2": ([(1, "f1", ("l2_10",)), (-1, "l2_10'", ("f1", "f0"))], [(1, "f2", ("d", None))]),
+    "iv": (
+        [(1, "f1", ("l3",)), (-1, "l3'", ("f0", "f0", "f0"))],
+        [
+            (1, "f2", (None, "l2_00")), (-1, "f2", ("l2_00", None)),
+            (1, "l2_01'", ("f0", "f2")), (-1, "l2_10'", ("f2", "f0")),
+        ],
+    ),
+}
 
+
+def homomorphism_residuals(h: Homomorphism2):
+    """Yield (condition, basis tuple, lhs, rhs) for i-iv on every basis
+    tuple of the source."""
+    g, gp = h.source, h.target
+    dims = n0, n1 = g.dim0, g.dim1
+    maps = {**g.sparse_maps(), **{name + "'": m for name, m in gp.sparse_maps().items()}}
+    maps.update(f0=sparse_matrix(h.f0), f1=sparse_matrix(h.f1), f2=sparse_tensor(h.f2, 2))
+
+    every = Tuples(dims, 0)
+    sides = residual_sides(HOMOMORPHISM, ("i",), maps, HOMOMORPHISM_INPUTS, every, dims)
     for p in range(n1):
-        yield "i", (p,), h.f0 @ d.col(p), dp @ f1col[p]
+        yield residual(sides, "i", (p,))
+    sides = residual_sides(HOMOMORPHISM, ("ii", "iii1", "iii2"), maps, HOMOMORPHISM_INPUTS, every, dims)
     for i in range(n0):
         for j in range(n0):
-            lhs = vsub(h.f0 @ g.l2_00[i][j], gp.m00(f0col[i], f0col[j]))
-            yield "ii", (i, j), lhs, dp @ h.f2[i][j]
+            yield residual(sides, "ii", (i, j))
         for p in range(n1):
-            lhs = vsub(h.f1 @ g.l2_01[i][p], gp.m01(f0col[i], f1col[p]))
-            yield "iii1", (i, p), lhs, apply2(f2, e[i], d.col(p))
-            lhs = vsub(h.f1 @ g.l2_10[p][i], gp.m10(f1col[p], f0col[i]))
-            yield "iii2", (p, i), lhs, apply2(f2, d.col(p), e[i])
-    for i in range(n0):
-        for j in range(n0):
-            for k in range(n0):
-                lhs = vsub(h.f1 @ g.l3[i][j][k], gp.l3v(f0col[i], f0col[j], f0col[k]))
-                rhs = vadd(
-                    vsub(apply2(f2, e[i], g.l2_00[j][k]), apply2(f2, g.l2_00[i][j], e[k])),
-                    vsub(gp.m01(f0col[i], h.f2[j][k]), gp.m10(h.f2[i][j], f0col[k])),
-                )
-                yield "iv", (i, j, k), lhs, rhs
+            yield residual(sides, "iii1", (i, p))
+            yield residual(sides, "iii2", (p, i))
+    sides = residual_sides(HOMOMORPHISM, ("iv",), maps, HOMOMORPHISM_INPUTS, every, dims)
+    for where in product(range(n0), repeat=3):
+        yield residual(sides, "iv", where)
 
 
 def check_homomorphism(h: Homomorphism2) -> CheckReport:

@@ -17,6 +17,7 @@ and representation) would take more loop steps than that bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -229,8 +230,11 @@ def _checked_pair(args, base_path, rep_path):
 
 
 def _loaded_extension(args, path):
+    """The loaded extension, within budget for the complex of its base and
+    kernel and for the check of its total's axioms."""
     e = _load(args.load_extension, path)
     _within_budget(args, path, _dims(e.base), (e.hdim0, e.hdim1))
+    _checks_within_budget(args.slots, path, _dims(e.total))
     return e
 
 
@@ -248,8 +252,8 @@ def _xmod_cochain2(path, x, r, message):
     return c
 
 
-# Every handler below serves both theories: ``build_parser`` passes each
-# theory's loaders, checkers, library functions and dumpers as defaults.
+# Every handler below serves both theories: ``main`` adds each theory's
+# loaders, checkers, library functions and dumpers to ``args``.
 
 def cmd_cohomology(args) -> int:
     try:
@@ -324,7 +328,7 @@ _EXT_FILES = {
 def cmd_ext(args) -> int:
     count, usage = _EXT_FILES[args.action]
     if len(args.files) != count:
-        raise InputError(f"{args.prefix}ext {args.action} " + usage.format(base=args.base_arg))
+        raise InputError(f"{args.prefix}ext {args.action} " + usage.format(base=args.theory))
     if args.action == "build":
         base, r = _checked_pair(args, *args.files[:2])
         c = args.cochain2(args.files[2], base, r, args.not_plain)
@@ -437,26 +441,12 @@ def cmd_selftest(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="assoc2",
-        description="exact-arithmetic workbench for two-term homotopy associative algebras and crossed modules",
-    )
-    parser.add_argument("--format", choices=("human", "json"), default="human")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized property commands")
-    parser.add_argument("--max-violations", type=int, default=None, metavar="N")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run an axiom checker")
-    p.add_argument("what", choices=("algebra", "rep", "xmod", "xmod-rep", "hom", "derivation"))
-    p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_check)
-
-    # each theory's side of the shared handlers, looked up when the parser is
-    # built so that replaced module attributes are honoured
+def _theories() -> dict:
+    """Each theory's side of the shared handlers: its loaders, checkers,
+    library functions and dumpers, looked up on every call so that
+    replaced module attributes are honoured."""
     algebra = dict(
         prefix="",
-        base_arg="algebra",
         base_kind="algebra",
         load_base=fileio.load_algebra,
         shape=cohom2.complex_shape,
@@ -487,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     crossed = dict(
         prefix="xmod ",
-        base_arg="xmod",
         base_kind="crossed module",
         load_base=fileio.load_crossed_module,
         shape=xmod.xmod_complex_shape,
@@ -516,47 +505,67 @@ def build_parser() -> argparse.ArgumentParser:
         equivalence=xmod.xmod_check_equivalence,
         dump_extension=fileio.dump_xmod_extension,
     )
+    return {"algebra": algebra, "xmod": crossed}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser.  A theory's commands carry its name as the
+    default ``theory``; ``main`` adds the theory's handlers (``_theories``)."""
+    parser = argparse.ArgumentParser(
+        prog="assoc2",
+        description="exact-arithmetic workbench for two-term homotopy associative algebras and crossed modules",
+    )
+    parser.add_argument("--format", choices=("human", "json"), default="human")
+    parser.add_argument("--seed", type=int, default=0, help="seed for randomized property commands")
+    parser.add_argument("--max-violations", type=int, default=None, metavar="N")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("check", help="run an axiom checker")
+    p.add_argument("what", choices=("algebra", "rep", "xmod", "xmod-rep", "hom", "derivation"))
+    p.add_argument("files", nargs="+")
+    p.set_defaults(func=cmd_check)
 
     def add_theory(subs, theory, helps, not_plain):
-        """The theory's commands; ``not_plain`` is each command's message for
-        a cochain file that is not a plain two-cochain."""
+        """The commands of the theory named ``theory`` (also the metavar of
+        their base argument); ``not_plain`` is each command's message for a
+        cochain file that is not a plain two-cochain."""
 
         def add_parser(name):
             return subs.add_parser(name, **({"help": helps[name]} if name in helps else {}))
 
-        base = dict(metavar=theory["base_arg"])
+        base = dict(metavar=theory)
         p = add_parser("cohomology")
         p.add_argument("base", **base)
         p.add_argument("rep")
-        p.set_defaults(func=cmd_cohomology, **theory)
+        p.set_defaults(func=cmd_cohomology, theory=theory)
 
         p = add_parser("cocycle")
         p.add_argument("action", choices=("check", "reduce"))
         p.add_argument("base", **base)
         p.add_argument("rep")
         p.add_argument("cochain")
-        p.set_defaults(func=cmd_cocycle, not_plain=not_plain["cocycle"], **theory)
+        p.set_defaults(func=cmd_cocycle, not_plain=not_plain["cocycle"], theory=theory)
 
         p = add_parser("deform")
         p.add_argument("action", choices=("check",))
         p.add_argument("base", **base)
         p.add_argument("cochain")
-        p.set_defaults(func=cmd_deform, not_plain=not_plain["deform"], **theory)
+        p.set_defaults(func=cmd_deform, not_plain=not_plain["deform"], theory=theory)
 
         p = add_parser("nijenhuis")
         p.add_argument("action", choices=("check", "apply"))
         p.add_argument("base", **base)
         p.add_argument("candidate")
-        p.set_defaults(func=cmd_nijenhuis, **theory)
+        p.set_defaults(func=cmd_nijenhuis, theory=theory)
 
         p = add_parser("ext")
         p.add_argument("action", choices=("build", "extract", "equiv"))
         p.add_argument("files", nargs="+")
-        p.set_defaults(func=cmd_ext, not_plain=not_plain["ext"], **theory)
+        p.set_defaults(func=cmd_ext, not_plain=not_plain["ext"], theory=theory)
 
     add_theory(
         sub,
-        algebra,
+        "algebra",
         {
             "cohomology": "second cohomology of an algebra with coefficients",
             "cocycle": "cocycle membership and coboundary reduction",
@@ -572,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     px = sub.add_parser("xmod", help="crossed-module mirror of the graded commands")
     xsub = px.add_subparsers(dest="xcommand", required=True)
-    add_theory(xsub, crossed, {}, dict.fromkeys(("cocycle", "deform", "ext"), "expected a degree-2 cochain"))
+    add_theory(xsub, "xmod", {}, dict.fromkeys(("cocycle", "deform", "ext"), "expected a degree-2 cochain"))
 
     p = sub.add_parser("endalg", help="endomorphism algebra of a two-term complex")
     p.add_argument("action", choices=("build",))
@@ -587,11 +596,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first ``main`` call of the process
+    and reused: parsing leaves a parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.max_violations is not None and args.max_violations < 0:
         parser.error(f"argument --max-violations: N must be at least 0, got {args.max_violations}")
+    if hasattr(args, "theory"):
+        vars(args).update(_theories()[args.theory])
     try:
         return args.func(args)
     except InputError as exc:

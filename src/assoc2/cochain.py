@@ -20,7 +20,7 @@ the product of two forms is kept as a ``FormProduct``, which raises as
 soon as it reaches a sum or an output, so an evaluator that is not linear
 fails loudly.  Where two forms meet only zero tensor entries (the kernel x
 kernel blocks of a semidirect product, which d1 evaluates) the sparse
-views of ``tensorops`` never form their product.  The generic forms have
+contractions of ``tensorops`` never form their product.  The generic forms have
 ``int`` coefficients, so on an integral pair (whose theory hands this
 engine evaluators over the integer twins, see ``assoc2.integral``) the
 forms and the d2 . d1 check stay over ℤ; the rows become ``Fraction``
@@ -67,6 +67,8 @@ class LinearForm:
         if type(other) is not LinearForm:
             if isinstance(other, (int, Fraction)) and other == 0:
                 return self
+            if type(other) is FormProduct:
+                return NotImplemented  # its own refusal, whatever the order of the sum
             raise TypeError(f"linear form plus the constant {other!r}")
         if not other.terms:
             return self
@@ -310,13 +312,12 @@ def cohomology(cx: CochainComplex, mats: CoboundaryMatrices) -> CohomologyResult
     kernel vectors before it, so this is the greedy choice in kernel-basis
     order.  Each representative has zero residual by construction.
     """
-    ker = kernel_basis(mats.d2).basis
-    n = mats.d1.cols
+    kernel = kernel_basis(mats.d2)
+    ker, n = kernel.basis, mats.d1.cols
     joined = [dict(row) for row in mats.d1.sparse_rows()]
-    for t, v in enumerate(ker):
-        for i, x in enumerate(v):
-            if x:
-                joined[i][n + t] = x
+    for t, v in enumerate(kernel.terms):
+        for i, x in v.items():
+            joined[i][n + t] = x
     pivots = Matrix.from_sparse(joined, n + len(ker)).rref()[1]
     chosen = [ker[p - n] for p in pivots if p >= n]
     dim_b2 = len(pivots) - len(chosen)

@@ -32,7 +32,7 @@ and residues stay inside it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -96,7 +96,7 @@ class Matrix:
     after).  Neither is ever mutated, so matrices may share them.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_sparse")
+    __slots__ = ("rows", "cols", "entries", "_sparse", "_ints")
 
     def __init__(self, entries, cols: int | None = None):
         rows = tuple(tuple(_coerce(x) for x in row) for row in entries)
@@ -112,14 +112,14 @@ class Matrix:
                 raise ValueError("empty matrix needs an explicit column count")
             self.cols = cols
         self.entries = rows
-        self._sparse = None
+        self._sparse = self._ints = None
 
     @staticmethod
     def as_given(entries: tuple, cols: int) -> "Matrix":
         """The matrix of ``entries``, a tuple of row tuples, with its entries
         kept as they are (the constructor makes ``int`` ones ``Fraction``)."""
         m = Matrix.__new__(Matrix)
-        m.rows, m.cols, m.entries, m._sparse = len(entries), cols, entries, None
+        m.rows, m.cols, m.entries, m._sparse, m._ints = len(entries), cols, entries, None, None
         return m
 
     @staticmethod
@@ -128,7 +128,7 @@ class Matrix:
         ``rows[i]`` (a dict ``{column: value}`` without zero values).  The
         dicts become the sparse row view and must not be mutated later."""
         m = Matrix.__new__(Matrix)
-        m._sparse = tuple(rows)
+        m._sparse, m._ints = tuple(rows), None
         m.rows, m.cols = len(m._sparse), cols
         return m
 
@@ -144,6 +144,14 @@ class Matrix:
         if self._sparse is None:
             self._sparse = tuple({j: x for j, x in enumerate(row) if x != 0} for row in self.entries)
         return self._sparse
+
+    def integer_rows(self) -> list[dict]:
+        """The nonzero rows of the sparse view, each scaled to integers by
+        the least positive factor (``_integral``), computed once: the rows
+        elimination runs on and kernel vectors are re-multiplied by."""
+        if self._ints is None:
+            self._ints = [_integral(row)[1] for row in self.sparse_rows() if row]
+        return self._ints
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
@@ -236,7 +244,7 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns."""
-        reduced, pivots = _eliminate(self.sparse_rows())
+        reduced, pivots = _eliminate(self.integer_rows())
         zero_rows = ({},) * (self.rows - len(reduced))
         return Matrix.from_sparse(tuple(reduced) + zero_rows, self.cols), pivots
 
@@ -247,10 +255,11 @@ PRIMES = tuple(2**61 - k for k in (1, 31, 45, 229, 259, 283, 339, 391, 403, 465)
 
 def _eliminate(rows) -> tuple[list[dict], tuple[int, ...]]:
     """The nonzero rows of the reduced row echelon form, in pivot order, and
-    their pivot columns.  ``rows`` is not touched.
+    their pivot columns, of the integer ``rows`` (each a matrix row scaled
+    to integers, which leaves the rref as it is).  ``rows`` is not touched.
 
-    Each row is scaled to integers, which leaves the rref as it is, and
-    reduced modulo the primes of ``PRIMES`` in turn (``_rref_mod``).  Only
+    The rows are reduced, sparsest first, modulo the primes of ``PRIMES``
+    in turn (``_rref_mod``).  Only
     primes whose pivot tuple equals the best one seen so far are combined:
     a prime that divides a minor the rref depends on gives fewer pivots,
     or at equal rank an elementwise larger tuple, and is skipped.  After
@@ -260,7 +269,7 @@ def _eliminate(rows) -> tuple[list[dict], tuple[int, ...]]:
     certified lift, the rref is computed over ``Fraction``
     (``_eliminate_over_q``).
     """
-    ints = [_integral(row)[1] for row in sorted(rows, key=len) if row]
+    ints = sorted(rows, key=len)
     best, residues, modulus = None, None, 1
     for p in PRIMES:
         reduced = _rref_mod(ints, p)
@@ -412,7 +421,8 @@ def _certified(ints: list[dict], lifted: dict[int, dict]) -> bool:
 
 
 def _eliminate_over_q(rows) -> tuple[list[dict], tuple[int, ...]]:
-    """``_eliminate`` over ``Fraction``, the fallback of the modular path.
+    """``_eliminate`` over ``Fraction``, the fallback of the modular path;
+    the entries of its output are ``Fraction`` on integer rows too.
 
     The basis, keyed by pivot column, is kept in reduced form: each basis
     row leads with a 1 at its pivot and is zero at every other pivot.
@@ -475,29 +485,36 @@ def _products(rows, vectors) -> list[dict]:
 def _unit_pattern(basis) -> bool:
     """Whether each vector has a coordinate that is 1 in it and 0 in every
     other vector, an exact proof of independence: in a vanishing
-    combination, that coordinate reads the vector's own coefficient."""
-    used = [0] * len(basis[0])
-    for v in basis:
-        for j, x in enumerate(v):
-            if x:
-                used[j] += 1
-    return all(any(x == 1 and used[j] == 1 for j, x in enumerate(v)) for v in basis)
+    combination, that coordinate reads the vector's own coefficient.  The
+    vectors are dense, or sparse ``{column: value}`` dicts of their
+    nonzero entries."""
+    terms = [v if type(v) is dict else {j: x for j, x in enumerate(v) if x} for v in basis]
+    used: dict[int, int] = {}
+    for v in terms:
+        for j in v:
+            used[j] = used.get(j, 0) + 1
+    return all(any(x == 1 and used[j] == 1 for j, x in v.items()) for v in terms)
 
 
 @dataclass(frozen=True)
 class Subspace:
     """A subspace given by an explicit basis, verified independent: by the
     unit pattern of ``_unit_pattern`` when it has one (kernel bases do),
-    else by its rank."""
+    else by its rank.  ``terms`` holds the same vectors as sparse dicts of
+    their nonzero entries; a caller that already has them passes them, and
+    the check runs on them."""
 
     ambient_dim: int
     basis: tuple[Vector, ...]
+    terms: tuple[dict, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for v in self.basis:
             if len(v) != self.ambient_dim:
                 raise ValueError("basis vector has wrong length")
-        if self.basis and not _unit_pattern(self.basis):
+        if self.terms is None:
+            object.__setattr__(self, "terms", tuple({j: x for j, x in enumerate(v) if x} for v in self.basis))
+        if self.basis and not _unit_pattern(self.terms):
             if rank(Matrix(self.basis, self.ambient_dim)) != len(self.basis):
                 raise ValueError("basis vectors are linearly dependent")
 
@@ -525,11 +542,11 @@ def kernel_basis(m: Matrix) -> Subspace:
         for f, x in row.items():
             if f != p:
                 free[f][p] = -x
-    vectors = list(free.values())
-    products = _products([_integral(row)[1] for row in m.sparse_rows()], [_integral(v)[1] for v in vectors])
+    vectors = tuple(free.values())
+    products = _products(m.integer_rows(), [_integral(v)[1] for v in vectors])
     if any(x for acc in products for x in acc.values()):
         raise AssertionError("kernel vector failed exact re-multiplication")
-    return Subspace(m.cols, tuple(_dense_row(v, m.cols) for v in vectors))
+    return Subspace(m.cols, tuple(_dense_row(v, m.cols) for v in vectors), vectors)
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,30 @@ an integer tensor, ``Fraction`` 0 otherwise, so an integral structure's
 twin (see :mod:`assoc2.integral`) is evaluated over ℤ from end to end.
 Unit vectors are ``int``: 0 and 1 are the zero and one of every scalar
 ring used here.
+
+Residual generators do not call these loops once per basis tuple.  Each
+term of an identity is a map whose arguments are basis vectors except for
+at most a few, which hold the value of another map: l3(x.y, z, t) is l3
+with the product fed into its first argument.  ``contract`` evaluates such
+a term on every basis tuple at once.  It walks the nonzero cells of the
+outer map (``Sparse``: per input tuple, its nonzero (output, value)
+pairs); at each argument, the feed gives the basis tuples and values that
+reach the cell's index there, and their products, times the cell's
+values, are added into one accumulator row per basis tuple.  The feed of a
+map (``Sparse.fed``) is its nonzero values by output index; the feed of a
+basis vector (``basis_feed``) is the index itself, with no factor.  A term
+multiplies the same nonzero values in the same order as the loops above
+would on that tuple, so it gives the same values with the same scalar
+types, and a product of two linear forms is formed exactly where those
+loops form it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, sub
+
+from .report import kept
 
 ZERO = Fraction(0)
 
@@ -118,6 +136,101 @@ def apply3(view, u, v, w) -> tuple:
                             for m, x in cell:
                                 acc[m] += abc * x
     return tuple(acc)
+
+
+class Sparse:
+    """A multilinear map by its nonzero cells: per tuple of input indices
+    whose output vector is not zero, (inputs, ((output index, value),
+    ...)), in index order; then the zero its sums start from and its output
+    length.  Feeds built from it are kept on it."""
+
+    __slots__ = ("cells", "zero", "n_out", "_kept")
+
+    def __init__(self, cells: tuple, zero, n_out: int):
+        self.cells, self.zero, self.n_out, self._kept = cells, zero, n_out, None
+
+    def fed(self, cuts: tuple, kernel: int) -> dict:
+        """The map as a feed: per output index, the triples (inputs, value,
+        kernel count) of its nonzero values there, the kernel count being
+        how many inputs lie at or past their entry of ``cuts``; only those
+        of at most ``kernel``."""
+        return kept(self, (cuts, kernel), _by_output, self.cells, cuts, kernel)
+
+
+def _first(t, depth: int):
+    for _ in range(depth):
+        t = t[0]
+    return t
+
+
+def sparse_tensor(t, inputs: int) -> Sparse:
+    """The ``Sparse`` map of a nested-tuple tensor with ``inputs`` inputs;
+    its zero is that of ``view2``/``view3``."""
+    n_out = _out_dim(t, inputs)
+    nodes = [((), t)]
+    for _ in range(inputs):
+        nodes = [(ins + (i,), sub) for ins, node in nodes for i, sub in enumerate(node)]
+    cells = tuple((ins, _nonzero(vector)) for ins, vector in nodes if any(vector))
+    return Sparse(cells, _zero_of(_first(t, inputs + 1)) if n_out else ZERO, n_out)
+
+
+def sparse_matrix(m) -> Sparse:
+    """The ``Sparse`` map of a ``Matrix``, column j's cell being m e_j; its
+    zero is that of ``m @ v``: ``int`` when m's first entry is."""
+    cols: dict[int, list] = {}
+    for r, row in enumerate(m.sparse_rows()):
+        for c, x in row.items():
+            cols.setdefault(c, []).append((r, x))
+    integral = m.rows and m.cols and type(m.entries[0][0]) is int
+    return Sparse(tuple(((c,), tuple(cols[c])) for c in sorted(cols)), 0 if integral else ZERO, m.rows)
+
+
+def _by_output(cells, cuts, kernel) -> dict:
+    out: dict[int, list] = {}
+    for ins, cell in cells:
+        count = sum(map(int.__le__, cuts, ins))
+        if count <= kernel:
+            for k, x in cell:
+                out.setdefault(k, []).append((ins, x, count))
+    return out
+
+
+def basis_feed(n: int, cut: int, kernel: int) -> dict:
+    """The feed of a basis vector argument: index a below ``n`` reaches
+    itself, with no factor and a kernel count of 1 from ``cut`` on; only
+    those of kernel count at most ``kernel``."""
+    return {a: (((a,), None, int(a >= cut)),) for a in range(n if kernel else cut)}
+
+
+def contract(acc: dict, sign: int, zero, n_out: int, outer: Sparse, feeds, kernel: int) -> None:
+    """Add ``sign`` times the values of ``outer``, argument s fed by
+    ``feeds[s]``, into ``acc``: basis tuple -> row of values, a new row
+    being ``n_out`` times ``zero``.  A basis tuple is the concatenation of
+    the tuples the arguments' feeds give, and is kept when their kernel
+    counts add up to ``kernel``; its value at output k sums the product of
+    their values (in argument order) times the outer value."""
+    for ins, cell in outer.cells:
+        parts = [feed.get(a) for feed, a in zip(feeds, ins)]
+        if None in parts:
+            continue
+        # (basis tuple, product of values, kernel count) of each combination
+        combos = [((), None, 0)]
+        for part in parts:
+            combos = [
+                (where + w, factor if y is None else y if factor is None else factor * y, count + c)
+                for where, factor, count in combos
+                for w, y, c in part
+            ]
+        for where, factor, count in combos:
+            if count != kernel:
+                continue
+            row = acc.get(where)
+            if row is None:
+                row = acc[where] = [zero] * n_out
+            if sign < 0:
+                factor = -factor
+            for k, x in cell:
+                row[k] += factor * x
 
 
 def bil(t2, u, v) -> tuple:

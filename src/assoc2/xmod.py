@@ -18,15 +18,18 @@ Nor are the representation axioms: they are the same axioms of the
 semidirect product on tuples with one kernel argument (``XREPRESENTATION``).
 Nor is d1: it is the cocycle extracted (``XEXTRACTED``) from the strict
 splitting of the semidirect product shifted by the one-cochain, read off
-``xmod_homomorphism_residuals``.
+``xmod_homomorphism_residuals``.  The identities themselves are tables
+(``XAXIOMS``, ``XHOMOMORPHISM``), evaluated like those of ``algebra2``:
+each term contracted once over the nonzero structure constants
+(``algebra2.residual_sides``), not one product call per basis tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra2 import AssocAlgebra, Bimodule, TwoTermAlgebra, TwoTermComplex, Tuples, require_algebra
-from .algebra2 import _assoc_residuals, _bimodule_residuals
+from .algebra2 import ASSOC, ASSOC_INPUTS, AssocAlgebra, Bimodule, TwoTermAlgebra, TwoTermComplex, Tuples
+from .algebra2 import _assoc_residuals, _bimodule_residuals, require_algebra, residual, residual_sides
 from .cochain import CoboundaryMatrices, Cochain, CochainComplex, CohomologyResult, Layout, assemble, cohomology
 from .cochain import primitive
 from .exactlin import Matrix
@@ -35,7 +38,7 @@ from .extension import shifted, stacked, swapped, tail_parts, total_bilinear, to
 from .integral import integral_report, on_integers, twin_field
 from .poly import GeneratesVerdict, T, generates_verdict, identity_report
 from .report import CheckReport, checked, kept, kept_field, report_from
-from .tensorops import unit, vadd, vsub, vzero, tensor2, tzip, zeros2, zeros3
+from .tensorops import sparse_matrix, unit, vadd, vsub, vzero, tensor2, tzip, zeros2, zeros3
 
 
 @dataclass
@@ -65,6 +68,23 @@ XSLOTS = {
 }
 
 
+# the identities of a crossed module as data (see ``algebra2.residual_sides``):
+# associativity and the bimodule axioms, then equivariance and Peiffer
+XAXIOMS = {
+    **ASSOC,
+    "equiv-l": ([(1, "f", ("left",))], [(1, "mul", (None, "f"))]),
+    "equiv-r": ([(1, "f", ("right",))], [(1, "mul", ("f", None))]),
+    "peiffer": ([(1, "left", ("f", None))], [(1, "right", (None, "f"))]),
+}
+XINPUTS = {**ASSOC_INPUTS, "f": (1,)}
+
+
+def xmod_sparse_maps(x: CrossedModule) -> dict:
+    """x's map and products as ``Sparse`` maps, by name, each kept on the
+    structure that owns its tensor."""
+    return {**x.p_alg.sparse_maps(), **x.h_mod.sparse_maps(), "f": kept(x, "sparse", sparse_matrix, x.f_map)}
+
+
 def crossed_module_residuals(x: CrossedModule, tuples: Tuples | None = None):
     """The defining identities on the basis tuples ``tuples`` selects (all
     of them by default), p in degree 0 and h in degree 1: the
@@ -75,14 +95,14 @@ def crossed_module_residuals(x: CrossedModule, tuples: Tuples | None = None):
     tuples = tuples or Tuples(dims, 0)
     yield from _assoc_residuals(x.p_alg, tuples)
     yield from _bimodule_residuals(x.h_mod, tuples)
-    e = [unit(x.pdim, i) for i in range(x.pdim)]
-    fb = [unit(x.hdim, a) for a in range(x.hdim)]
-    fcol = [x.f_map.col(a) for a in range(x.hdim)]
+    maps = xmod_sparse_maps(x)
+    sides = residual_sides(XAXIOMS, ("equiv-l", "equiv-r"), maps, XINPUTS, tuples, dims)
     for i, a in tuples.of(dims, 0, 1):
-        yield "equiv-l", (i, a), x.f_map @ x.h_mod.left[i][a], x.p_alg.product(e[i], fcol[a])
-        yield "equiv-r", (a, i), x.f_map @ x.h_mod.right[a][i], x.p_alg.product(fcol[a], e[i])
-    for a, b in tuples.of(dims, 1, 1):
-        yield "peiffer", (a, b), x.h_mod.act_left(fcol[a], fb[b]), x.h_mod.act_right(fb[a], fcol[b])
+        yield residual(sides, "equiv-l", (i, a))
+        yield residual(sides, "equiv-r", (a, i))
+    sides = residual_sides(XAXIOMS, ("peiffer",), maps, XINPUTS, tuples, dims)
+    for where in tuples.of(dims, 1, 1):
+        yield residual(sides, "peiffer", where)
 
 
 def check_crossed_module(x: CrossedModule) -> CheckReport:
@@ -410,18 +430,36 @@ def xmod_nijenhuis_deformation(x: CrossedModule, n0: Matrix, n1: Matrix) -> XCoc
     return xmod_d1_apply(x, xmod_adjoint(x), XCochain1(n0, n1))
 
 
+# a strict homomorphism (f0, f1) from x to x' as data (see
+# ``algebra2.residual_sides``), the maps of x' primed
+XHOMOMORPHISM_INPUTS = {
+    **XINPUTS,
+    **{name + "'": (None,) * len(degrees) for name, degrees in XINPUTS.items()},
+    "f0": (0,), "f1": (1,),
+}
+XHOMOMORPHISM = {
+    "hom-f": ([(1, "f'", ("f1",))], [(1, "f0", ("f",))]),
+    "hom-alg": ([(1, "f0", ("mul",))], [(1, "mul'", ("f0", "f0"))]),
+    "hom-left": ([(1, "f1", ("left",))], [(1, "left'", ("f0", "f1"))]),
+    "hom-right": ([(1, "f1", ("right",))], [(1, "right'", ("f1", "f0"))]),
+}
+
+
 def xmod_homomorphism_residuals(src: CrossedModule, dst: CrossedModule, f0: Matrix, f1: Matrix):
-    np_, nh = src.pdim, src.hdim
-    f0col = [f0.col(i) for i in range(np_)]
-    f1col = [f1.col(a) for a in range(nh)]
+    """Yield (condition, basis tuple, lhs, rhs) for the strict homomorphism
+    conditions on every basis tuple of the source."""
+    dims = np_, nh = src.pdim, src.hdim
+    maps = {**xmod_sparse_maps(src), **{name + "'": m for name, m in xmod_sparse_maps(dst).items()}}
+    maps.update(f0=sparse_matrix(f0), f1=sparse_matrix(f1))
+    sides = residual_sides(XHOMOMORPHISM, XHOMOMORPHISM, maps, XHOMOMORPHISM_INPUTS, Tuples(dims, 0), dims)
     for a in range(nh):
-        yield "hom-f", (a,), dst.f_map @ f1col[a], f0 @ src.f_map.col(a)
+        yield residual(sides, "hom-f", (a,))
     for i in range(np_):
         for j in range(np_):
-            yield "hom-alg", (i, j), f0 @ src.p_alg.mul[i][j], dst.p_alg.product(f0col[i], f0col[j])
+            yield residual(sides, "hom-alg", (i, j))
         for a in range(nh):
-            yield "hom-left", (i, a), f1 @ src.h_mod.left[i][a], dst.h_mod.act_left(f0col[i], f1col[a])
-            yield "hom-right", (a, i), f1 @ src.h_mod.right[a][i], dst.h_mod.act_right(f1col[a], f0col[i])
+            yield residual(sides, "hom-left", (i, a))
+            yield residual(sides, "hom-right", (a, i))
 
 
 def xmod_check_trivializing(x: CrossedModule, c: XCochain2, n0: Matrix, n1: Matrix) -> CheckReport:

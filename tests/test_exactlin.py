@@ -191,7 +191,7 @@ def test_modular_elimination_matches_the_fraction_loop(m):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactlin, "_rref_mod", lambda ints, p: primes.append(p) or rref_mod(ints, p))
         mp.setattr(exactlin, "_eliminate_over_q", _not_called)
-        reduced, pivots = exactlin._eliminate(rows)
+        reduced, pivots = exactlin._eliminate(m.integer_rows())
     assert (reduced, pivots) == exactlin._eliminate_over_q(rows)
     assert (_reduced_matrix(reduced, m).entries, pivots) == dense_rref(m)
     # one prime p lifts n/d only when |n| and d are at most sqrt(p / 2)

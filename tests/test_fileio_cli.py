@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from assoc2 import cohom2, fileio, xmod
+from assoc2 import cli, cohom2, fileio, xmod
 from assoc2.algebra2 import SLOTS, TwoTermComplex, Tuples, identity_homomorphism, zero_algebra
 from assoc2.cli import MAX_D2_CELLS, main
 from assoc2.cohom2 import assemble_matrices, zero_cochain2
@@ -321,6 +321,27 @@ def test_check_commands_refuse_work_over_the_budget_fast(capsys, tmp_path):
         assert _run(capsys, "check", *argv)[0] == 0, argv
 
 
+def test_loaded_extensions_are_refused_by_the_check_of_their_total_fast(capsys, tmp_path):
+    # a 1/1 base with a 20/20 kernel passes the d2 count of the base, but
+    # checking the axioms of its 21/21 total takes 4.1e8 loop steps
+    g = zero_algebra(1, 1)
+    v = TwoTermComplex(20, 20, Matrix.zero(20, 20))
+    e = build_extension(g, v, trivial_representation(g, v), zero_cochain2(g, trivial_representation(g, v)))
+    x = xmod.algebra_to_crossed_module(g)
+    xr = xmod.xmod_trivial_representation(x, 20, 20)
+    xe = xmod_build_extension(x, xr, xmod_zero_cochain2(x, xr))
+    plain, crossed = tmp_path / "e.json", tmp_path / "xe.json"
+    plain.write_text(json.dumps(fileio.dump_extension(e)))
+    crossed.write_text(json.dumps(fileio.dump_xmod_extension(xe)))
+    for prefix, path in (([], plain), (["xmod"], crossed)):
+        for action, files in (("extract", [path]), ("equiv", [path, path])):
+            start = time.perf_counter()
+            code, out, err = _run(capsys, *prefix, "ext", action, *map(str, files))
+            assert time.perf_counter() - start < 1.0, (prefix, action)
+            assert code == 2 and out == "", (prefix, action)
+            assert err.startswith(f"error: {path}: checking dims (21, 21)") and str(MAX_D2_CELLS) in err
+
+
 def test_work_budget_counts_the_assembled_shapes_and_passes_transported_5_5():
     g = direct_sum_algebra(fix_u(), fix_2d())
     x = xmod.algebra_to_crossed_module(direct_sum_algebra(fix_u(), fix_w()))
@@ -467,6 +488,18 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_the_parser_is_built_once_and_patched_functions_are_honoured(capsys, monkeypatch):
+    argv = ("--format", "json", "cohomology", _fx("fix_u.json"), _fx("fix_u_adjoint_rep.json"))
+    first = _run(capsys, *argv)
+    assert first[0] == 0
+    parser = cli._parser()
+    calls = []
+    original = cohom2.second_cohomology
+    monkeypatch.setattr(cohom2, "second_cohomology", lambda g, r: calls.append(g) or original(g, r))
+    assert _run(capsys, *argv) == first and len(calls) == 1
+    assert cli._parser() is parser
 
 
 def test_cli_check_exit_codes(capsys):
