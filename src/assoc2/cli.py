@@ -17,6 +17,7 @@ and representation) would take more loop steps than that bound.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import random
@@ -262,7 +263,7 @@ def cmd_cohomology(args) -> int:
     except ValueError as exc:
         _emit(_report_doc("fail", numbers={"error": str(exc)}), args.format)
         return 1
-    reps = [args.dump2(c, base, r) for c in res.representatives]
+    reps = [args.dump2_vector(v, base, r) for v in res.vectors]
     doc = _report_doc(
         "pass",
         numbers={"dim_z2": res.dim_z2, "dim_b2": res.dim_b2, "dim_h2": res.dim_h2},
@@ -351,6 +352,8 @@ def cmd_ext(args) -> int:
         return 0
     e1 = _loaded_extension(args, args.files[0])
     e2 = _loaded_extension(args, args.files[1])
+    if e2.base == e1.base:
+        e2 = dataclasses.replace(e2, base=e1.base)  # one base object, checked once
     for e in (e1, e2):
         report = args.check_extension(e)
         if not report.passed:
@@ -459,6 +462,7 @@ def _theories() -> dict:
         dump_rep=fileio.dump_representation,
         dump1=fileio.dump_cochain1,
         dump2=fileio.dump_cochain2,
+        dump2_vector=fileio.dump_cochain2_vector,
         h2=cohom2.second_cohomology,
         cocycle_report=cohom2.cocycle_report,
         reduce=cohom2.is_coboundary,
@@ -489,6 +493,7 @@ def _theories() -> dict:
         dump_rep=fileio.dump_xmod_representation,
         dump1=fileio.dump_xmod_cochain1,
         dump2=fileio.dump_xmod_cochain2,
+        dump2_vector=fileio.dump_xmod_cochain2_vector,
         h2=xmod.xmod_second_cohomology,
         cocycle_report=xmod.xmod_cocycle_report,
         reduce=xmod.xmod_is_coboundary,

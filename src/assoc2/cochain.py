@@ -23,8 +23,12 @@ kernel blocks of a semidirect product, which d1 evaluates) the sparse
 contractions of ``tensorops`` never form their product.  The generic forms have
 ``int`` coefficients, so on an integral pair (whose theory hands this
 engine evaluators over the integer twins, see ``assoc2.integral``) the
-forms and the d2 . d1 check stay over ℤ; the rows become ``Fraction``
-where they enter the matrices.
+forms and the d2 . d1 check stay over ℤ, and so do the rows: their terms
+become the integer rows that elimination reads (``Matrix.from_integer_rows``),
+and the joined elimination of ``cohomology`` runs on integer rows too.
+The representatives leave ``cohomology`` as the certified sparse kernel
+vectors, which the report writer reads; their ``Cochain`` objects are
+built only when asked for.
 
 Flattening contract (bit-exact, shared with the file formats; see
 CONVENTIONS.md "Flattening"): blocks in field order.  A block with one
@@ -37,12 +41,14 @@ the one-input case of that order).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 from math import prod
 from typing import Callable
 
-from .exactlin import ZERO, Inconsistent, Matrix, kernel_basis, solve
+from .exactlin import ZERO, Inconsistent, Matrix, augmented, kernel_basis, solve
 from .tensorops import tflat, tmap, tzip
 
 
@@ -234,6 +240,27 @@ class Layout:
                 blocks.append(Matrix.from_cols(_nest(chunk, inputs, out), out))
         return self.cls(*blocks)
 
+    def unflatten_terms(self, terms: dict) -> Cochain:
+        """The cochain whose flattened coordinates are ``terms``
+        (``{index: value}``) and zero elsewhere."""
+        flat = [ZERO] * self.dim
+        for k, x in terms.items():
+            flat[k] = x
+        return self.unflatten(flat)
+
+    def cells(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """Per flattened coordinate, the name of its block and its index in
+        the block: (out, in) in a matrix, (inputs..., out) in a tensor."""
+        out = []
+        for name, inputs, size in self.shapes:
+            if len(inputs) > 1:
+                out += [(name, (*where, o)) for where in product(*map(range, inputs)) for o in range(size)]
+            elif name in self.cls.ROW_MAJOR:
+                out += [(name, (o, i)) for o in range(size) for i in range(inputs[0])]
+            else:
+                out += [(name, (o, i)) for i in range(inputs[0]) for o in range(size)]
+        return tuple(out)
+
     def zero(self) -> Cochain:
         return self.unflatten((ZERO,) * self.dim)
 
@@ -273,8 +300,10 @@ def assemble(cx: CochainComplex) -> CoboundaryMatrices:
     every call, by substituting the rows of d1 into those of d2 (each row
     of the product summed in one dict); assembly raises ``NotAComplex`` on
     a pair where the evaluators do not form a complex.  The forms' terms
-    become the matrices' sparse rows as they are, over ``Fraction``, so
-    elimination starts from them without rescanning dense rows."""
+    become the matrices' rows as they are: the integer rows elimination
+    reads when every coefficient is an ``int`` (an integral pair), else the
+    ``Fraction`` sparse rows, so elimination starts from them without
+    rescanning dense rows."""
     d1 = [_form(x) for x in cx.d1(cx.c1.generic()).flatten()]
     d2 = [_form(x) for x in cx.d2(cx.c2.generic())]
     for row in d2:
@@ -284,22 +313,32 @@ def assemble(cx: CochainComplex) -> CoboundaryMatrices:
                 composed[k] = composed.get(k, 0) + v * x
         if any(composed.values()):
             raise NotAComplex(cx.not_a_complex)
-    return CoboundaryMatrices(
-        Matrix.from_sparse([_rational(f) for f in d1], cx.c1.dim),
-        Matrix.from_sparse([_rational(f) for f in d2], cx.c2.dim),
-    )
+    return CoboundaryMatrices(_matrix(d1, cx.c1.dim), _matrix(d2, cx.c2.dim))
 
 
-def _rational(form: LinearForm) -> dict:
-    return {k: Fraction(v) if type(v) is int else v for k, v in form.terms.items()}
+def _matrix(forms: list[LinearForm], cols: int) -> Matrix:
+    rows = [f.terms for f in forms]
+    if all(type(v) is int for row in rows for v in row.values()):
+        return Matrix.from_integer_rows(rows, cols)
+    return Matrix.from_sparse([{k: Fraction(v) if type(v) is int else v for k, v in row.items()} for row in rows], cols)
 
 
 @dataclass
 class CohomologyResult:
+    """H2's dimensions and its representative cocycles, given as their
+    flattened coordinates ``vectors`` (sparse dicts ``{index: value}``,
+    kernel vectors of d2); ``representatives`` are their cochains, built
+    on first read."""
+
     dim_z2: int
     dim_b2: int
     dim_h2: int
-    representatives: list[Cochain]
+    vectors: tuple[dict, ...]
+    layout: Layout = field(repr=False, compare=False)
+
+    @cached_property
+    def representatives(self) -> list[Cochain]:
+        return [self.layout.unflatten_terms(v) for v in self.vectors]
 
 
 def cohomology(cx: CochainComplex, mats: CoboundaryMatrices) -> CohomologyResult:
@@ -310,18 +349,16 @@ def cohomology(cx: CochainComplex, mats: CoboundaryMatrices) -> CohomologyResult
     pivot columns are the representatives.  A kernel vector is a pivot
     column exactly when it is independent of the image of d1 and of the
     kernel vectors before it, so this is the greedy choice in kernel-basis
-    order.  Each representative has zero residual by construction.
+    order.  The elimination runs on integer rows (``exactlin.augmented``:
+    each kernel vector scaled by a positive integer, which keeps the
+    pivots).  Each representative has zero residual by construction, and
+    is returned as its sparse kernel vector.
     """
-    kernel = kernel_basis(mats.d2)
-    ker, n = kernel.basis, mats.d1.cols
-    joined = [dict(row) for row in mats.d1.sparse_rows()]
-    for t, v in enumerate(kernel.terms):
-        for i, x in v.items():
-            joined[i][n + t] = x
-    pivots = Matrix.from_sparse(joined, n + len(ker)).rref()[1]
-    chosen = [ker[p - n] for p in pivots if p >= n]
+    ker, n = kernel_basis(mats.d2).terms, mats.d1.cols
+    pivots = augmented(mats.d1, ker)[0].rref()[1]
+    chosen = tuple(ker[p - n] for p in pivots if p >= n)
     dim_b2 = len(pivots) - len(chosen)
-    return CohomologyResult(len(ker), dim_b2, len(ker) - dim_b2, [cx.c2.unflatten(v) for v in chosen])
+    return CohomologyResult(len(ker), dim_b2, len(ker) - dim_b2, chosen, cx.c2)
 
 
 def primitive(cx: CochainComplex, mats: CoboundaryMatrices, c: Cochain, certificate: bool = False):

@@ -3,9 +3,10 @@
 Every cohomology dimension, kernel, and equivalence witness in this package
 reduces to rank / kernel / solve on matrices with ``Fraction`` entries.
 All of them read one elimination, ``_eliminate``, the reduced row echelon
-form of a matrix's sparse row view.  Each row is scaled to integers and
-reduced, sparsest first, into an echelon basis keyed by leading column,
-modulo word-size primes from the fixed tuple ``PRIMES``.  The rows are
+form of a matrix's rows scaled to integers (``Matrix.integer_rows``).
+They are reduced, sparsest first, into an echelon basis keyed by leading
+column, modulo word-size primes from the fixed tuple ``PRIMES``; a prime
+after the first reduces only the rows that gave the pivots.  The rows are
 lifted to Q by CRT and rational reconstruction, and the lift is accepted
 only after an exact proof over the integers that it is the rref
 (``_certified``); when no prime gives one, the same loop runs over
@@ -24,9 +25,13 @@ and ``Matrix @ vector`` is ring-generic like the tensor evaluators: it
 walks the sparse row view, so zero entries (the zero blocks of a standard
 total) are never visited, skips zero coordinates by truthiness, and an
 empty sum is the zero of the matrix's own scalars.  Elimination is not
-generic: its inputs (``rref``, ``rank``, ``kernel_basis``, ``solve``) are
-``Fraction`` matrices and vectors, and so are all its outputs; integers
-and residues stay inside it.
+generic.  It reads integer rows: a matrix made by ``from_integer_rows``
+(the assembled d1 and d2 of an integral pair, ``cochain.assemble``) hands
+them in as they are, and builds its ``Fraction`` view (``sparse_rows()``,
+``entries``) only when something reads it; any other matrix is scaled to
+integers row by row once.  The outputs of ``rref``, ``rank``,
+``kernel_basis`` and ``solve`` are ``Fraction``, and so are the vectors
+they take; residues stay inside.
 """
 
 from __future__ import annotations
@@ -87,16 +92,20 @@ def _dense_row(terms: dict, cols: int) -> Vector:
 class Matrix:
     """Row-major matrix. Immutable once constructed.
 
-    ``entries`` is the dense record, a tuple of row tuples.  Elimination
-    reads the sparse row view ``sparse_rows()``: one dict
-    ``{column: nonzero entry}`` per row, handed in by ``from_sparse`` or
-    built from ``entries`` on first use, then cached.  A matrix made by
-    ``from_sparse`` builds ``entries`` on first use instead (``__getattr__``
-    runs only while the slot is unset, so a read of it costs nothing
-    after).  Neither is ever mutated, so matrices may share them.
+    ``entries`` is the dense record, a tuple of row tuples.  The sparse
+    row view ``sparse_rows()`` holds one dict ``{column: nonzero entry}``
+    per row, handed in by ``from_sparse`` or built from ``entries`` on
+    first use, then cached.  Elimination reads the rows scaled to integers,
+    ``integer_rows()``, handed in by ``from_integer_rows`` or built from
+    the sparse view on first use.  A matrix made by ``from_sparse`` or
+    ``from_integer_rows`` builds ``entries`` on first use instead
+    (``__getattr__`` runs only while the slot is unset, so a read of it
+    costs nothing after), and one made by ``from_integer_rows`` builds its
+    sparse view the same way.  None of them is ever mutated, so matrices
+    may share them.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_sparse", "_ints")
+    __slots__ = ("rows", "cols", "entries", "_sparse", "_ints", "_scales")
 
     def __init__(self, entries, cols: int | None = None):
         rows = tuple(tuple(_coerce(x) for x in row) for row in entries)
@@ -112,14 +121,14 @@ class Matrix:
                 raise ValueError("empty matrix needs an explicit column count")
             self.cols = cols
         self.entries = rows
-        self._sparse = self._ints = None
+        self._sparse = self._ints = self._scales = None
 
     @staticmethod
     def as_given(entries: tuple, cols: int) -> "Matrix":
         """The matrix of ``entries``, a tuple of row tuples, with its entries
         kept as they are (the constructor makes ``int`` ones ``Fraction``)."""
         m = Matrix.__new__(Matrix)
-        m.rows, m.cols, m.entries, m._sparse, m._ints = len(entries), cols, entries, None, None
+        m.rows, m.cols, m.entries, m._sparse, m._ints, m._scales = len(entries), cols, entries, None, None, None
         return m
 
     @staticmethod
@@ -128,30 +137,53 @@ class Matrix:
         ``rows[i]`` (a dict ``{column: value}`` without zero values).  The
         dicts become the sparse row view and must not be mutated later."""
         m = Matrix.__new__(Matrix)
-        m._sparse, m._ints = tuple(rows), None
+        m._sparse, m._ints, m._scales = tuple(rows), None, None
         m.rows, m.cols = len(m._sparse), cols
         return m
 
+    @staticmethod
+    def from_integer_rows(rows, cols: int) -> "Matrix":
+        """The matrix whose row i has the nonzero ``int`` entries ``rows[i]``
+        (a dict ``{column: value}`` without zero values).  The dicts become
+        the integer rows elimination reads, each with scale 1, and must not
+        be mutated later; the ``Fraction`` view is built on first read."""
+        m = Matrix.__new__(Matrix)
+        m._sparse, m._ints = None, tuple(rows)
+        m.rows, m.cols, m._scales = len(m._ints), cols, (1,) * len(m._ints)
+        return m
+
     def __getattr__(self, name):
-        """The dense record of a ``from_sparse`` matrix, on its first read."""
+        """The dense record of a ``from_sparse`` or ``from_integer_rows``
+        matrix, on its first read."""
         if name != "entries":
             raise AttributeError(name)
-        self.entries = tuple(_dense_row(terms, self.cols) for terms in self._sparse)
+        self.entries = tuple(_dense_row(terms, self.cols) for terms in self.sparse_rows())
         return self.entries
 
     def sparse_rows(self) -> tuple[dict, ...]:
         """Per row, the dict ``{column: entry}`` of its nonzero entries."""
         if self._sparse is None:
-            self._sparse = tuple({j: x for j, x in enumerate(row) if x != 0} for row in self.entries)
+            if self._ints is not None:  # made by from_integer_rows
+                self._sparse = tuple({j: Fraction(x) for j, x in row.items()} for row in self._ints)
+            else:
+                self._sparse = tuple({j: x for j, x in enumerate(row) if x != 0} for row in self.entries)
         return self._sparse
 
-    def integer_rows(self) -> list[dict]:
-        """The nonzero rows of the sparse view, each scaled to integers by
-        the least positive factor (``_integral``), computed once: the rows
-        elimination runs on and kernel vectors are re-multiplied by."""
+    def integer_rows(self) -> tuple[dict, ...]:
+        """Per row, the dict of its nonzero entries scaled to integers by
+        the least positive factor (``row_scales``, ``_integral``), computed
+        once: the rows elimination runs on and kernel vectors and solutions
+        are re-multiplied by."""
         if self._ints is None:
-            self._ints = [_integral(row)[1] for row in self.sparse_rows() if row]
+            scaled = [_integral(row) for row in self.sparse_rows()]
+            self._scales = tuple(s for s, _ in scaled)
+            self._ints = tuple(row for _, row in scaled)
         return self._ints
+
+    def row_scales(self) -> tuple[int, ...]:
+        """Per row, the factor that ``integer_rows`` scaled it by."""
+        self.integer_rows()
+        return self._scales
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
@@ -265,14 +297,21 @@ def _eliminate(rows) -> tuple[list[dict], tuple[int, ...]]:
     or at equal rank an elementwise larger tuple, and is skipped.  After
     each combined prime the rows are lifted to Q by CRT and rational
     reconstruction (``_lift``), and the lift is accepted only when
-    ``_certified`` proves it is the rref over Q.  If no prime gives a
-    certified lift, the rref is computed over ``Fraction``
+    ``_certified`` proves it is the rref over Q, on every input row.  If no
+    prime gives a certified lift, the rref is computed over ``Fraction``
     (``_eliminate_over_q``).
+
+    A prime after the first eliminates only the rows that gave the pivots
+    of the last prime combined (its ``_Reduced.rows``).  Those rows are
+    independent, so when that prime's rank is the rank over Q they span
+    the row space and have the same rref.  When it is not, no lift from
+    them passes the proof, so the prime after any refused lift eliminates
+    every row again.
     """
     ints = sorted(rows, key=len)
-    best, residues, modulus = None, None, 1
+    best, residues, modulus, subset = None, None, 1, ints
     for p in PRIMES:
-        reduced = _rref_mod(ints, p)
+        reduced = _rref_mod(subset, p)
         pivots = tuple(sorted(reduced))
         if best is None or _better(pivots, best):
             best, residues, modulus = pivots, reduced, p
@@ -281,9 +320,12 @@ def _eliminate(rows) -> tuple[list[dict], tuple[int, ...]]:
             modulus *= p
         else:
             continue
+        subset = reduced.rows
         lifted = _lift(residues, modulus)
-        if lifted is not None and _certified(ints, lifted):
-            return [lifted[c] for c in best], best
+        if lifted is not None:
+            if _certified(ints, lifted):
+                return [lifted[c] for c in best], best
+            subset = ints
     return _eliminate_over_q(rows)
 
 
@@ -304,17 +346,26 @@ def _better(pivots: tuple, best: tuple) -> bool:
     return pivots != best and all(a <= b for a, b in zip(pivots, best))
 
 
-def _rref_mod(rows: list[dict], p: int) -> dict[int, dict]:
+class _Reduced(dict):
+    """The reduced rows of ``_rref_mod`` keyed by pivot column, and in
+    ``rows`` the input rows that gave a pivot, in input order."""
+
+    __slots__ = ("rows",)
+
+
+def _rref_mod(rows: list[dict], p: int) -> _Reduced:
     """The reduced rows of the integer ``rows`` modulo p, keyed by pivot
     column, each without its leading 1: the insertion loop of
     ``_eliminate_over_q`` over the integers mod p."""
-    basis: dict[int, dict] = {}
-    for row in rows:
-        row = {k: x for k, v in row.items() if (x := v % p)}
+    basis = _Reduced()
+    basis.rows = []
+    for given in rows:
+        row = {k: x for k, v in given.items() if (x := v % p)}
         for c in [k for k in row if k in basis]:
             _axpy_mod(row, p - row.pop(c), basis[c], p)
         if not row:
             continue
+        basis.rows.append(given)
         lead = min(row)
         inv = pow(row.pop(lead), -1, p)
         new = {k: v * inv % p for k, v in row.items()}
@@ -558,6 +609,27 @@ class Inconsistent:
     rank_augmented: int  # rank of [m | b]
 
 
+def augmented(m: Matrix, columns) -> tuple[Matrix, tuple[int, ...]]:
+    """[m | columns] over the integers, and the factor of each column.
+
+    The columns are sparse dicts ``{row: value}``, each scaled to integers
+    by the least positive factor (``_integral``).  Row i is m's integer
+    row (m's row i times ``m.row_scales()[i]``) followed by the scaled
+    columns' entries times that row's factor.  Scaling rows and columns by
+    positive factors keeps the pivots and the rank; the rref's appended
+    columns come out times their factors.
+    """
+    n, scales = m.cols, m.row_scales()
+    rows = [dict(row) for row in m.integer_rows()]
+    factors = []
+    for t, v in enumerate(columns):
+        l, col = _integral(v)
+        factors.append(l)
+        for i, x in col.items():
+            rows[i][n + t] = scales[i] * x
+    return Matrix.from_integer_rows(rows, n + len(factors)), tuple(factors)
+
+
 def solve(m: Matrix, b: Vector, certificate: bool = False):
     """Some ``x`` with ``m x = b``, or ``None`` when the system is
     inconsistent (with ``certificate``, the ``Inconsistent`` ranks instead,
@@ -570,17 +642,17 @@ def solve(m: Matrix, b: Vector, certificate: bool = False):
     if len(b) != m.rows:
         raise ValueError(f"right-hand side has length {len(b)}, expected {m.rows}")
     n = m.cols
-    aug = Matrix.from_sparse(tuple({**row, n: bv} if bv else row for row, bv in zip(m.sparse_rows(), b)), n + 1)
+    aug, (f,) = augmented(m, ({i: x for i, x in enumerate(b) if x},))
     red, pivots = aug.rref()
     if n in pivots:
         # the pivots left of column n are those of m's own rref
         return Inconsistent(len(pivots) - 1, len(pivots)) if certificate else None
-    x = {p: row[n] for p, row in zip(pivots, red.sparse_rows()) if n in row}
+    x = {p: row[n] / f for p, row in zip(pivots, red.sparse_rows()) if n in row}
     # m x = b, checked over the integers as (s_i m_i) . (l x) = s_i l b_i
-    rows = [_integral(row) for row in m.sparse_rows()]
+    scales = m.row_scales()
     l, lx = _integral(x)
-    products = _products([r for _, r in rows], (lx,))
-    if [acc.get(0, 0) for acc in products] != [s * l * v for (s, _), v in zip(rows, b)]:
+    products = _products(m.integer_rows(), (lx,))
+    if [acc.get(0, 0) for acc in products] != [s * l * v for s, v in zip(scales, b)]:
         raise AssertionError("solution failed exact re-multiplication")
     return _dense_row(x, n)
 

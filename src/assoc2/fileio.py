@@ -28,10 +28,19 @@ their blocks from the theory's ``Layout`` (``cohom2.cochain_layouts``,
 (out, in), one with several the tensor (inputs..., out).  The extension
 kinds take the algebra or crossed-module tensors twice, under the prefixes
 ``total_`` and ``base_``.  ``_read`` builds a document's arrays from its
-entry and ``_write`` dumps an object through the same entry, so a loader
-only checks its dims and assembles the arrays, and a dumper only names
-its dims.  A document that names a tensor its kind does not have is
-refused before any tensor is read.
+entry, so a loader only checks its dims and assembles the arrays.  A
+document that names a tensor its kind does not have is refused before any
+tensor is read.
+
+There is one writer per family of kinds.  A structure kind is written by
+``_write``, which walks each dense array at its path.  A cochain kind is
+written from the cochain's flattened vector, sparse ``{index: value}``,
+through the layout's map from flat index to (tensor, indices)
+(``Layout.cells``, ``_write_vector``): ``dump_cochain1``/``2`` and
+``dump_xmod_cochain1``/``2`` flatten their cochain (and a two-cochain's
+optional theta2, placed as theta) and write that, and
+``dump_cochain2_vector``/``dump_xmod_cochain2_vector`` write a vector that
+is already sparse, such as an H2 representative.
 
 Loading builds dense tensors from the declared dimensions, so a document
 may declare at most ``MAX_CELLS`` dense cells over all its tensors; one
@@ -45,7 +54,6 @@ import json
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import prod
-from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .algebra2 import (
@@ -56,11 +64,13 @@ from .algebra2 import (
     TwoTermAlgebra,
     TwoTermComplex,
 )
+from .cochain import Layout
 from .cohom2 import Cochain1, Cochain2, cochain_layouts
 from .deform2 import NijenhuisCandidate
 from .exactlin import Matrix, clipped, format_rational, parse_rational
 from .ext2 import Extension2
 from .rep2 import Representation2
+from .tensorops import tflat
 from .xmod import CrossedModule, XCochain1, XCochain2, XModExtension, XModRepresentation, xmod_cochain_layouts
 
 FORMAT_VERSION = "1"
@@ -168,20 +178,26 @@ def _map_triple(letter):
     return tensors
 
 
-def _blocks(layout):
-    return [(name, (out, *inputs) if len(inputs) == 1 else (*inputs, out)) for name, inputs, out in layout.shapes]
+def _layout(kind, dims) -> Layout:
+    """The layout of a cochain document of ``kind`` on its integer dims."""
+    if kind == "xmod_cochain":
+        *coefficients, degree = dims
+        if degree not in (1, 2):
+            raise SchemaError(f"unsupported cochain degree {degree}")
+        return xmod_cochain_layouts(*coefficients)[degree - 1]
+    return cochain_layouts(*dims)[kind == "cochain2"]
 
 
-def _cochain2(*dims):
-    blocks = _blocks(cochain_layouts(*dims)[1])
-    # theta2, a deformation's t^2 term of l3, is optional and shaped as theta
-    return blocks + [("theta2", blocks[-1][1], "", True)]
+def _cochain(kind):
+    """The tensors of a cochain kind: its layout's blocks, a one-input block
+    as the matrix (out, in) and any other as the tensor (inputs..., out)."""
 
+    def tensors(*dims):
+        blocks = [(n, (out, *ins) if len(ins) == 1 else (*ins, out)) for n, ins, out in _layout(kind, dims).shapes]
+        # theta2, a deformation's t^2 term of l3, is optional and shaped as theta
+        return blocks + [("theta2", blocks[-1][1], "", True)] if kind == "cochain2" else blocks
 
-def _xmod_cochain(p, h, v, w, degree):
-    if degree not in (1, 2):
-        raise SchemaError(f"unsupported cochain degree {degree}")
-    return _blocks(xmod_cochain_layouts(p, h, v, w)[degree - 1])
+    return tensors
 
 
 def _extension(part):
@@ -229,8 +245,8 @@ KINDS = {
             ("tl", (a0, a0, m0, m1)), ("tm", (a0, m0, a0, m1)), ("tr", (m0, a0, a0, m1)),
         ],
     ),
-    "cochain1": Kind(_COEFFICIENTS, lambda *dims: _blocks(cochain_layouts(*dims)[0])),
-    "cochain2": Kind(_COEFFICIENTS, _cochain2),
+    "cochain1": Kind(_COEFFICIENTS, _cochain("cochain1")),
+    "cochain2": Kind(_COEFFICIENTS, _cochain("cochain2")),
     "homomorphism2": Kind(("src0", "src1", "dst0", "dst1"), _map_triple("f")),
     "derivation2": Kind(("dim0", "dim1"), _map_triple("d")),
     "nijenhuis": Kind(("dim0", "dim1"), _map_triple("n")),
@@ -243,7 +259,7 @@ KINDS = {
             ("phi", (w, v)), ("tr_l", (h, w, v)), ("tr_r", (w, h, v)),
         ],
     ),
-    "xmod_cochain": Kind(("p", "h", "v", "w", "degree"), _xmod_cochain),
+    "xmod_cochain": Kind(("p", "h", "v", "w", "degree"), _cochain("xmod_cochain")),
     "extension2": Kind(("total0", "total1", "base0", "base1"), _extension(_algebra), ("sub0", "sub1")),
     "xmod_extension": Kind(("totalp", "totalh", "basep", "baseh"), _extension(_crossed_module), ("subw", "subv")),
 }
@@ -315,22 +331,57 @@ def _read(doc, kind, *dims) -> list:
     return [t.read(s.name, s.shape) if s.name in t.entries or not s.optional else None for s in specs]
 
 
-def _write(kind, obj, dims) -> dict:
-    """The document of ``obj``, which holds every tensor at its path (an
-    optional one may be None); ``dims`` are its dims and index lists in
-    table order."""
+def _document(kind, dims, tensors: dict) -> dict:
     entry = KINDS[kind]
-    tensors = {}
-    for s in _specs(entry.tensors, dims[: len(entry.dims)]):
-        arr = reduce(getattr, (s.path or s.name).split("."), obj)
-        if arr is not None:
-            tensors[s.name] = entries_from_array(arr.entries if isinstance(arr, Matrix) else arr, s.shape)
     return {
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "dims": dict(zip(entry.dims + entry.index_lists, dims)),
-        "tensors": {k: v for k, v in sorted(tensors.items()) if v},
+        "tensors": tensors,
     }
+
+
+def _write(kind, obj, dims) -> dict:
+    """The document of the structure ``obj``, which holds every tensor at
+    its path; ``dims`` are its dims and index lists in table order."""
+    entry = KINDS[kind]
+    tensors = {}
+    for s in _specs(entry.tensors, dims[: len(entry.dims)]):
+        arr = reduce(getattr, (s.path or s.name).split("."), obj)
+        tensors[s.name] = entries_from_array(arr.entries if isinstance(arr, Matrix) else arr, s.shape)
+    return _document(kind, dims, {k: v for k, v in sorted(tensors.items()) if v})
+
+
+@lru_cache(maxsize=256)
+def _cells(kind, dims) -> tuple[tuple, dict[int, int]]:
+    """The (tensor, indices) of each flattened coordinate of a cochain
+    document of ``kind`` on its integer dims (``Layout.cells``; a
+    two-cochain's theta2 follows, placed as theta), and each coordinate's
+    rank in the written order, by tensor name then indices."""
+    cells = _layout(kind, dims).cells()
+    if kind == "cochain2":
+        cells += tuple(("theta2", where) for name, where in cells if name == "theta")
+    order = sorted(range(len(cells)), key=cells.__getitem__)
+    return cells, {k: rank for rank, k in enumerate(order)}
+
+
+def _write_vector(kind, vector: dict, dims) -> dict:
+    """The document of the cochain of ``kind`` whose flattened coordinates
+    are ``vector`` (``{index: value}``, zero elsewhere); ``dims`` are its
+    integer dims in table order."""
+    cells, rank = _cells(kind, dims)
+    tensors = {}
+    for k in sorted(vector, key=rank.__getitem__):
+        x = vector[k]
+        if x != 0:
+            name, where = cells[k]
+            tensors.setdefault(name, []).append({"indices": list(where), "value": format_rational(x)})
+    return _document(kind, dims, tensors)
+
+
+def _write_flat(kind, flat, dims) -> dict:
+    """The document of the cochain of ``kind`` flattened to ``flat``."""
+    return _write_vector(kind, dict(enumerate(flat)), dims)
 
 
 def parse_document(text: str) -> dict:
@@ -406,7 +457,7 @@ def load_cochain1(doc, g: TwoTermAlgebra, r: Representation2) -> Cochain1:
 
 
 def dump_cochain1(c: Cochain1, g: TwoTermAlgebra, r: Representation2) -> dict:
-    return _write("cochain1", c, (g.dim0, g.dim1, r.dim0, r.dim1))
+    return _write_flat("cochain1", c.flatten(), (g.dim0, g.dim1, r.dim0, r.dim1))
 
 
 def load_cochain2(doc, g: TwoTermAlgebra, r: Representation2):
@@ -416,7 +467,14 @@ def load_cochain2(doc, g: TwoTermAlgebra, r: Representation2):
 
 
 def dump_cochain2(c: Cochain2, g: TwoTermAlgebra, r: Representation2, theta2=None) -> dict:
-    return _write("cochain2", SimpleNamespace(**vars(c), theta2=theta2), (g.dim0, g.dim1, r.dim0, r.dim1))
+    flat = c.flatten() + (() if theta2 is None else tuple(tflat(theta2)))
+    return _write_flat("cochain2", flat, (g.dim0, g.dim1, r.dim0, r.dim1))
+
+
+def dump_cochain2_vector(vector: dict, g: TwoTermAlgebra, r: Representation2) -> dict:
+    """The two-cochain file of the flattened coordinates ``vector``
+    (``{index: value}``, zero elsewhere)."""
+    return _write_vector("cochain2", vector, (g.dim0, g.dim1, r.dim0, r.dim1))
 
 
 def load_homomorphism(doc, src: TwoTermAlgebra, dst: TwoTermAlgebra) -> Homomorphism2:
@@ -490,11 +548,17 @@ def load_xmod_cochain(doc, x: CrossedModule, r: XModRepresentation):
 
 
 def dump_xmod_cochain2(c: XCochain2, x: CrossedModule, r: XModRepresentation) -> dict:
-    return _write("xmod_cochain", c, (x.pdim, x.hdim, r.vdim, r.wdim, 2))
+    return _write_flat("xmod_cochain", c.flatten(), (x.pdim, x.hdim, r.vdim, r.wdim, 2))
+
+
+def dump_xmod_cochain2_vector(vector: dict, x: CrossedModule, r: XModRepresentation) -> dict:
+    """The degree-2 cochain file of the flattened coordinates ``vector``
+    (``{index: value}``, zero elsewhere)."""
+    return _write_vector("xmod_cochain", vector, (x.pdim, x.hdim, r.vdim, r.wdim, 2))
 
 
 def dump_xmod_cochain1(c: XCochain1, x: CrossedModule, r: XModRepresentation) -> dict:
-    return _write("xmod_cochain", c, (x.pdim, x.hdim, r.vdim, r.wdim, 1))
+    return _write_flat("xmod_cochain", c.flatten(), (x.pdim, x.hdim, r.vdim, r.wdim, 1))
 
 
 # ---------------------------------------------------------------------------

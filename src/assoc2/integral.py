@@ -19,8 +19,10 @@ complexes evaluate on: the twin when there is one, the structure itself
 otherwise; ``integral_report`` is the same choice for a checker.
 
 Values computed on a twin are ``int``; they are turned back into
-``Fraction`` where they leave the evaluators (violations here, matrix rows
-in ``cochain.assemble``), so no caller sees which path ran.
+``Fraction`` where they leave the library (violations here; the assembled
+matrices keep their ``int`` rows for elimination and build a ``Fraction``
+view on first read, see ``cochain.assemble``), so no caller sees which
+path ran.
 """
 
 from __future__ import annotations
@@ -96,11 +98,17 @@ def _convert(x, memo: dict):
 
 def _structure(x, memo: dict):
     """The twin of a structure dataclass, built by its own constructor from
-    its converted fields; kept in ``x._twin`` when the class has that field."""
+    its converted fields; kept in ``x._twin`` when the class has that field.
+    A kept twin also lends its fields to the memo, so that a structure built
+    on x's own tensors (the adjoint representation on g's) takes their
+    twins from x's instead of converting them again."""
     cached = getattr(x, "_twin", None)
     if cached is False:
         raise _NotIntegral
     if cached is not None and cached is not _UNKNOWN:
+        for f in fields(x):
+            if f.init:
+                memo.setdefault(id(getattr(x, f.name)), getattr(cached, f.name))
         return cached
     try:
         t = type(x)(**{f.name: _convert(getattr(x, f.name), memo) for f in fields(x) if f.init})

@@ -229,6 +229,76 @@ def test_unlucky_primes_are_skipped(monkeypatch):
         assert exactlin._better(pivots, tuple(exactlin._rref_mod(ints, unlucky)))
 
 
+def _recorded_rref_mod(mp):
+    """Patch ``_rref_mod`` to record the rows each prime eliminates."""
+    rref_mod, calls = exactlin._rref_mod, []
+    mp.setattr(exactlin, "_rref_mod", lambda ints, p: calls.append(list(ints)) or rref_mod(ints, p))
+    return calls
+
+
+def test_later_primes_eliminate_only_the_pivot_rows_of_the_first(monkeypatch):
+    big = 2**45 + 7  # 2 x 2 minors near 2**90: the rref needs several primes to lift
+    m = Matrix(((big, 1, 3), (5, big, 7), (big + 5, big + 1, 10), (0, 0, 0)))
+    calls = _recorded_rref_mod(monkeypatch)
+    monkeypatch.setattr(exactlin, "_eliminate_over_q", _not_called)
+    red, pivots = m.rref()
+    monkeypatch.undo()
+    assert (red.entries, pivots) == dense_rref(m)
+    # the first prime reads every row, sparsest first; the third row is the
+    # sum of the first two, so every later prime reads those two only
+    assert len(calls) >= 2 and calls[0] == list(sorted(m.integer_rows(), key=len))
+    assert all(later == [{0: big, 1: 1, 2: 3}, {0: 5, 1: big, 2: 7}] for later in calls[1:])
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # rank 1 mod the first prime, 2 over Q
+        ((exactlin.PRIMES[0], 1), (0, 1)),
+        # the same with an entry that one prime cannot lift
+        ((exactlin.PRIMES[0], 1, 2**45 + 7), (0, 1, 2**45 + 7)),
+    ],
+)
+def test_an_unlucky_first_prime_still_gives_the_exact_rref(monkeypatch, entries):
+    m = Matrix(entries)
+    rows = sorted(m.integer_rows(), key=len)
+    assert len(exactlin._rref_mod(rows, exactlin.PRIMES[0])) < len(dense_rref(m)[1])
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recorded_rref_mod(mp)
+        mp.setattr(exactlin, "_eliminate_over_q", _not_called)
+        red, pivots = Matrix(entries).rref()
+    assert (red.entries, pivots) == dense_rref(m)
+    # the pivot rows of the first prime do not span: the proof of a lift
+    # from them fails, and the prime after it reads every row again
+    assert calls[0] == rows and rows in calls[1:]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlin, "PRIMES", ())
+        red, pivots = Matrix(entries).rref()
+    assert (red.entries, pivots) == dense_rref(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped_matrices(max_dim=5), st.data(), st.booleans())
+def test_integer_rows_give_the_elimination_of_fraction_rows(m, data, modular):
+    """The same rref, rank, kernel basis, solution and Inconsistent ranks
+    from a matrix made of integer rows as from its Fraction matrix, and the
+    integer matrix's Fraction view is left unbuilt by all of them."""
+    rows = [exactlin._integral(row)[1] for row in m.sparse_rows()]
+    m = Matrix(tuple(tuple(row.get(j, 0) for j in range(m.cols)) for row in rows), m.cols)
+    if data.draw(st.booleans(), label="b in the image") and m.rows:
+        b = m @ tuple(data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols)))
+    else:
+        b = tuple(data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows)))
+    with pytest.MonkeyPatch.context() as mp:
+        if not modular:
+            mp.setattr(exactlin, "PRIMES", ())
+        ints = Matrix.from_integer_rows(rows, m.cols)
+        answers = [(f.rref(), rank(f), kernel_basis(f), solve(f, b, True), solve(f, b)) for f in (ints, m)]
+    assert answers[0] == answers[1]
+    assert ints._sparse is None and ints.integer_rows() == tuple(rows)
+    assert ints.sparse_rows() == m.sparse_rows() and ints == m
+
+
 def test_a_corrupted_modular_result_is_refused_before_the_fallback(monkeypatch):
     rref_mod, certified, over_q = exactlin._rref_mod, exactlin._certified, exactlin._eliminate_over_q
     verdicts, fallbacks = [], []

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import random
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
-from assoc2 import cli, cohom2, fileio, xmod
+from assoc2 import algebra2, cli, cohom2, fileio, xmod
 from assoc2.algebra2 import SLOTS, TwoTermComplex, Tuples, identity_homomorphism, zero_algebra
 from assoc2.cli import MAX_D2_CELLS, main
 from assoc2.cohom2 import assemble_matrices, zero_cochain2
@@ -16,15 +22,19 @@ from assoc2.fixtures import (
     algebra_fixtures,
     direct_sum_algebra,
     fix_2d,
+    fix_d,
+    fix_l3,
+    fix_m,
     fix_u,
     fix_w,
     fix_x,
     fix_x_zero,
+    fix_z,
     fixture_file,
     xmod_fixtures,
 )
 from assoc2.rep2 import adjoint_representation, trivial_representation
-from assoc2.sampling import random_cochain1, random_cochain2, random_xcochain2
+from assoc2.sampling import random_cochain1, random_cochain2, random_transport, random_xcochain2
 from assoc2.xmod import xmod_adjoint, xmod_build_extension, xmod_zero_cochain2
 
 F = Fraction
@@ -791,3 +801,120 @@ def test_cli_precondition_failure_is_exit_one(capsys, tmp_path):
         capsys, "cohomology", _fx("fix_u_bad.json"), _fx("fix_u_adjoint_rep.json")
     )
     assert code == 1 and "fail" in out
+
+
+# ---------------------------------------------------------------------------
+# H2 reports: representatives written from their sparse kernel vectors
+# ---------------------------------------------------------------------------
+
+SUMMANDS = {"Z": fix_z, "U": fix_u, "D": fix_d, "W": fix_w, "L3": fix_l3, "M": fix_m}
+# adjoint pairs that form a complex; the strict ones (l3 = 0) give crossed modules
+TWO_TERM_SUMS = [("Z", "L3"), ("L3", "L3"), ("U", "M"), ("M", "L3"), ("Z", "Z", "U")]
+STRICT_SUMS = [("Z", "D"), ("D", "W"), ("U", "W"), ("Z", "U", "D")]
+
+
+def _cohomology_pair(theory, seed, names):
+    g = SUMMANDS[names[0]]()
+    for name in names[1:]:
+        g = direct_sum_algebra(g, SUMMANDS[name]())
+    g = random_transport(random.Random(seed), g)
+    if theory == "algebra":
+        r = adjoint_representation(g)
+        files = (fileio.dump_algebra(g), fileio.dump_representation(r))
+        return g, r, files, cohom2.second_cohomology, fileio.dump_cochain2
+    x = xmod.algebra_to_crossed_module(g)
+    r = xmod.xmod_adjoint(x)
+    files = (fileio.dump_crossed_module(x), fileio.dump_xmod_representation(r))
+    return x, r, files, xmod.xmod_second_cohomology, fileio.dump_xmod_cochain2
+
+
+@settings(
+    max_examples=12, deadline=None, phases=[Phase.generate], suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    seed=st.integers(0, 10**6),
+    case=st.one_of(
+        st.tuples(st.just("algebra"), st.sampled_from(TWO_TERM_SUMS)),
+        st.tuples(st.just("xmod"), st.sampled_from(STRICT_SUMS)),
+    ),
+)
+def test_cohomology_reports_equal_the_reports_of_the_object_dumpers(seed, case):
+    """On transported two-term pairs and crossed modules above 1/1, the
+    report written from the sparse kernel vectors equals, in both formats,
+    the one built from ``representatives`` through the object dumpers, and
+    each written representative loads back to its cochain."""
+    theory, names = case
+    base, r, files, h2, dump2 = _cohomology_pair(theory, seed, names)
+    res = h2(base, r)
+    prefix = [] if theory == "algebra" else ["xmod"]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, doc in zip(("base", "rep"), files):
+            paths.append(Path(tmp) / f"{name}.json")
+            paths[-1].write_text(fileio.dumps(doc), encoding="utf-8")
+        for fmt in ("json", "human"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["--format", fmt, *prefix, "cohomology", *map(str, paths)])
+            expected = io.StringIO()
+            with contextlib.redirect_stdout(expected):
+                cli._emit(
+                    cli._report_doc(
+                        "pass",
+                        numbers={"dim_z2": res.dim_z2, "dim_b2": res.dim_b2, "dim_h2": res.dim_h2},
+                        witness={"representatives": [dump2(c, base, r) for c in res.representatives]},
+                    ),
+                    fmt,
+                )
+            assert (code, out.getvalue()) == (0, expected.getvalue())
+            if fmt == "json":
+                written = json.loads(out.getvalue())["witness"]["representatives"]
+    assert len(written) == res.dim_h2 == len(res.representatives)
+    for doc, c in zip(written, res.representatives):
+        if theory == "algebra":
+            assert fileio.load_cochain2(doc, base, r) == (c, None)
+        else:
+            assert fileio.load_xmod_cochain(doc, base, r) == c
+
+
+def test_cochain_vectors_are_written_as_their_cochains():
+    """``dump_*_vector`` of a flattened cochain's nonzero coordinates is the
+    document the object dumper writes, a two-cochain's theta2 included."""
+    rng = random.Random(7)
+    g = random_transport(rng, direct_sum_algebra(fix_u(), fix_l3()))
+    r = adjoint_representation(g)
+    c = random_cochain2(rng, g, r)
+    theta2 = random_cochain2(rng, g, r).theta
+    sparse = lambda flat: {k: x for k, x in enumerate(flat) if x}
+    assert fileio.dump_cochain2_vector(sparse(c.flatten()), g, r) == fileio.dump_cochain2(c, g, r)
+    doc = fileio.dump_cochain2(c, g, r, theta2=theta2)
+    assert "theta2" in doc["tensors"] and fileio.load_cochain2(doc, g, r) == (c, theta2)
+    x = xmod.algebra_to_crossed_module(random_transport(rng, direct_sum_algebra(fix_u(), fix_d())))
+    xr = xmod.xmod_adjoint(x)
+    xc = random_xcochain2(rng, x, xr)
+    assert fileio.dump_xmod_cochain2_vector(sparse(xc.flatten()), x, xr) == fileio.dump_xmod_cochain2(xc, x, xr)
+
+
+def test_ext_equiv_checks_a_base_both_files_carry_once(capsys, monkeypatch, tmp_path):
+    g = random_transport(random.Random(3), direct_sum_algebra(fix_u(), fix_m()))
+    r = adjoint_representation(g)
+    # extensions by 0 and by a coboundary: equivalent, each file with its own copy of g
+    e1, e2 = tmp_path / "e1.json", tmp_path / "e2.json"
+    coboundary = cohom2.d1_apply(g, r, random_cochain1(random.Random(5), g, r))
+    for path, c in ((e1, zero_cochain2(g, r)), (e2, coboundary)):
+        path.write_text(fileio.dumps(fileio.dump_extension(build_extension(g, r.complex, r, c))))
+    checked = []
+    original = algebra2.algebra_residuals
+
+    def counted(a, **kwargs):
+        if "tuples" not in kwargs:
+            checked.append((a.dim0, a.dim1))
+        return original(a, **kwargs)
+
+    monkeypatch.setattr(algebra2, "algebra_residuals", counted)
+    for fmt in ("json", "human"):
+        checked.clear()
+        code, out, err = _run(capsys, "--format", fmt, "ext", "equiv", str(e1), str(e2))
+        assert (code, err) == (0, "") and "pass" in out
+        # two totals of dims (4, 4), one base of dims (2, 2)
+        assert sorted(checked) == [(2, 2), (4, 4), (4, 4)]

@@ -246,3 +246,17 @@ def test_integral_inputs_take_the_int_path(monkeypatch):
     assert len(evaluated) == 2
     assert all(type(v) is int for ext in evaluated for v in _scalars((ext.total, ext.p0, ext.sigma1)))
 
+
+
+def test_the_twin_of_a_kept_structure_lends_its_tensors(monkeypatch):
+    """The adjoint representation holds g's own tensors: once g keeps its
+    twin, the representation's twin takes theirs and converts no scalar."""
+    g = random_transport(random.Random(6), _sum(("U", "L3")))
+    tg = integral.twin(g)
+    converted = []
+    original = integral._convert
+    monkeypatch.setattr(integral, "_convert", lambda x, memo: converted.append(type(x)) or original(x, memo))
+    tr = integral.twin(adjoint_representation(g))
+    assert tr.algebra is tg and tr.complex is tg.complex
+    assert tr.l0v0 is tg.l2_00 and tr.r1 is tg.l2_01 and tr.l1 is tg.l2_10 and tr.tm is tg.l3
+    assert Fraction not in converted
