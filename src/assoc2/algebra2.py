@@ -29,7 +29,9 @@ residual generators do not evaluate products tuple by tuple:
 ``residual_sides`` contracts each term once over the nonzero cells of its
 map (``tensorops.contract``), and the generators then yield (condition,
 basis tuple, lhs, rhs) in the order of the basis tuples, with one shared
-zero vector for the tuples no nonzero value reaches.
+zero vector for the tuples no nonzero value reaches.  It is the one
+product evaluator of the library: a map built from products is a table
+entry with one side (``evaluated``, ``dense``).
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from operator import add
 from typing import NamedTuple
 
 from .exactlin import ZERO, Matrix, kernel_basis, solve
-from .integral import integral_report, twin_field
+from .integral import integral_report, rational, twin_field
 from .report import CheckReport, checked, kept, kept_field, report_from
-from .tensorops import apply2, apply3, basis_feed, contract, sparse_matrix, sparse_tensor, tensor2, tmap, tzip, unit
-from .tensorops import vadd, view2, view3, zeros2, zeros3
+from .tensorops import apply2, basis_feed, contract, sparse_matrix, sparse_tensor, tensor, tensor2, tmap, tzip, unit
+from .tensorops import vadd, view2, zeros2, zeros3
 
 
 class Tuples(NamedTuple):
@@ -98,9 +100,6 @@ class AssocAlgebra:
     mul: tuple
     _kept: dict | None = kept_field()
 
-    def product(self, u, v):
-        return apply2(kept(self, "mul", view2, self.mul), u, v)
-
     def sparse_maps(self) -> dict:
         """The product as a ``Sparse`` map, kept."""
         return {"mul": kept(self, "sparse", sparse_tensor, self.mul, 2)}
@@ -118,12 +117,6 @@ class Bimodule:
     left: tuple   # A x M -> M
     right: tuple  # M x A -> M
     _kept: dict | None = kept_field()
-
-    def act_left(self, x, u):
-        return apply2(kept(self, "left", view2, self.left), x, u)
-
-    def act_right(self, u, x):
-        return apply2(kept(self, "right", view2, self.right), u, x)
 
     def sparse_maps(self) -> dict:
         """The actions as ``Sparse`` maps, kept."""
@@ -224,6 +217,26 @@ def residual_sides(table: dict, conditions, maps: dict, inputs: dict, tuples: Tu
     return out
 
 
+def evaluated(table: dict, maps: dict, inputs: dict, dims) -> dict:
+    """Per entry of ``table``, its sides (``residual_sides``) on every basis
+    tuple, and the dims of those tuples: by argument of the outer map of
+    its first term, a basis index or the inputs of the map fed there."""
+    sides = residual_sides(table, table, maps, inputs, Tuples(dims, 0), dims)
+    out = {}
+    for name, terms in table.items():
+        _, outer, fed = terms[0][0]
+        degrees = [k for f, degree in zip(fed, inputs[outer]) for k in (inputs[f] if f else (degree,))]
+        out[name] = sides[name], tuple(dims[k] for k in degrees)
+    return out
+
+
+def dense(value: tuple, out=tuple) -> tuple:
+    """A value of ``evaluated`` with one side, a map built from others, as
+    a nested-tuple tensor: ``out`` of each vector, ``int`` made ``Fraction``."""
+    [(rows, zeros)], shape = value
+    return tensor(shape, lambda where: rational(out(rows.get(where, zeros))))
+
+
 def residual(sides: dict, condition: str, where: tuple) -> tuple:
     """(condition, where, lhs, rhs) read off ``residual_sides``, once: the
     rows are dropped as they are read."""
@@ -279,28 +292,23 @@ def hochschild_coboundary(m: Bimodule, f: HochschildCochain) -> HochschildCochai
     a = m.algebra
     dim = a.dim
     sign_last = 1 if (n + 1) % 2 == 0 else -1
+    left, right = view2(m.left), view2(m.right)
 
     def value(idx: tuple[int, ...]):
         units = [unit(dim, i) for i in idx]
-        first = m.act_left(units[0], f.apply(*units[1:]))
-        last = m.act_right(f.apply(*units[:-1]), units[-1])
+        first = apply2(left, units[0], f.apply(*units[1:]))
+        last = apply2(right, f.apply(*units[:-1]), units[-1])
         total = vadd(first, _scale_vec(sign_last, last))
         for i in range(1, n + 1):
             inner = f.apply(*units[: i - 1], a.mul[idx[i - 1]][idx[i]], *units[i + 1:])
             total = vadd(total, _scale_vec(1 if i % 2 == 0 else -1, inner))
         return total
 
-    return HochschildCochain(n + 1, _build_nested(dim, n + 1, value))
+    return HochschildCochain(n + 1, tensor((dim,) * (n + 1), value))
 
 
 def _scale_vec(s, v):
     return v if s == 1 else tuple(-x for x in v)
-
-
-def _build_nested(dim: int, depth: int, fn, prefix: tuple[int, ...] = ()):
-    if depth == 0:
-        return tuple(fn(prefix))
-    return tuple(_build_nested(dim, depth - 1, fn, prefix + (i,)) for i in range(dim))
 
 
 def hochschild_is_zero(f: HochschildCochain) -> bool:
@@ -344,21 +352,6 @@ class TwoTermAlgebra:
     @property
     def dim1(self) -> int:
         return self.complex.dim1
-
-    def d(self, a):
-        return self.complex.diff @ a
-
-    def m00(self, x, y):
-        return apply2(kept(self, "l2_00", view2, self.l2_00), x, y)
-
-    def m01(self, x, a):
-        return apply2(kept(self, "l2_01", view2, self.l2_01), x, a)
-
-    def m10(self, a, x):
-        return apply2(kept(self, "l2_10", view2, self.l2_10), a, x)
-
-    def l3v(self, x, y, z):
-        return apply3(kept(self, "l3", view3, self.l3), x, y, z)
 
     def sparse_maps(self) -> dict:
         """The differential and products as ``Sparse`` maps, by name, kept."""
@@ -517,13 +510,19 @@ def check_homomorphism(h: Homomorphism2) -> CheckReport:
     return integral_report(homomorphism_residuals, h)
 
 
+# the degree-2 part of a composite g o f as data (see ``residual_sides``)
+COMPOSED_INPUTS = {"g1": (None,), "g2": (None, None), "f0": (0,), "f2": (0, 0)}
+COMPOSED = {"f2": ([(1, "g2", ("f0", "f0")), (1, "g1", ("f2",))],)}
+
+
 def compose_homomorphisms(g: Homomorphism2, f: Homomorphism2) -> Homomorphism2:
     """(g o f), with degree-2 part g2(f0 x, f0 y) + g1(f2(x, y))."""
     if f.target is not g.source and f.target != g.source:
         raise ValueError("homomorphisms are not composable")
     n0 = f.source.dim0
-    g2 = view2(g.f2)
-    f2 = tensor2(n0, n0, lambda i, j: vadd(apply2(g2, f.f0.col(i), f.f0.col(j)), g.f1 @ f.f2[i][j]))
+    maps = {"g1": sparse_matrix(g.f1), "g2": sparse_tensor(g.f2, 2)}
+    maps.update(f0=sparse_matrix(f.f0), f2=sparse_tensor(f.f2, 2))
+    f2 = dense(evaluated(COMPOSED, maps, COMPOSED_INPUTS, (n0,))["f2"])
     return Homomorphism2(f.source, g.target, g.f0 @ f.f0, g.f1 @ f.f1, f2)
 
 

@@ -29,6 +29,7 @@ from .cochain import Inequivalence, NotAComplex
 from .exactlin import format_rational
 from .fileio import SchemaError
 from .report import CheckReport, PreconditionError
+from .tensorops import tflat
 
 
 # dense cells of d2 a command may take on: transported 5/5 pairs (6000 x
@@ -303,6 +304,8 @@ def cmd_deform(args) -> int:
 def cmd_nijenhuis(args) -> int:
     base = _checked_base(args, args.base)
     n = _load(fileio.load_nijenhuis, args.candidate, (base.dim0, base.dim1))
+    if args.not_plain and any(tflat(n.n2)):
+        raise InputError(f"{args.candidate}: {args.not_plain}")
     report = args.check_nijenhuis(base, n)
     if args.action == "check" or not report.passed:
         return _finish(report, args)
@@ -533,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_theory(subs, theory, helps, not_plain):
         """The commands of the theory named ``theory`` (also the metavar of
         their base argument); ``not_plain`` is each command's message for a
-        cochain file that is not a plain two-cochain."""
+        cochain file that is not a plain two-cochain, or for a Nijenhuis
+        candidate with a degree-2 part the theory has no room for."""
 
         def add_parser(name):
             return subs.add_parser(name, **({"help": helps[name]} if name in helps else {}))
@@ -561,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("action", choices=("check", "apply"))
         p.add_argument("base", **base)
         p.add_argument("candidate")
-        p.set_defaults(func=cmd_nijenhuis, theory=theory)
+        p.set_defaults(func=cmd_nijenhuis, not_plain=not_plain.get("nijenhuis"), theory=theory)
 
         p = add_parser("ext")
         p.add_argument("action", choices=("build", "extract", "equiv"))
@@ -586,7 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     px = sub.add_parser("xmod", help="crossed-module mirror of the graded commands")
     xsub = px.add_subparsers(dest="xcommand", required=True)
-    add_theory(xsub, "xmod", {}, dict.fromkeys(("cocycle", "deform", "ext"), "expected a degree-2 cochain"))
+    not_plain = dict.fromkeys(("cocycle", "deform", "ext"), "expected a degree-2 cochain")
+    not_plain["nijenhuis"] = "a crossed-module Nijenhuis pair has no degree-2 part, so n2 must be zero"
+    add_theory(xsub, "xmod", {}, not_plain)
 
     p = sub.add_parser("endalg", help="endomorphism algebra of a two-term complex")
     p.add_argument("action", choices=("build",))

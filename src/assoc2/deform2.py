@@ -14,28 +14,26 @@ decide).
 Nijenhuis operators package the trivial deformations: a candidate
 (N0, N1, N2) passing conditions (i)-(v) induces a second-order deformation
 that the triple (id + t.N0, id + t.N1, t.N2) trivializes, and the check is
-again a polynomial identity.
+again a polynomial identity.  The maps of g twisted by N that the
+conditions are built from are the blocks of d1(N0, N1, 0), the first-order
+part; the conditions (``NIJENHUIS``) and the second-order l3
+(``SECOND_ORDER``) are term tables with N0, N1, N2 and those blocks as
+maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, fields
+from itertools import product
 
-from .algebra2 import (
-    Homomorphism2,
-    TwoTermAlgebra,
-    TwoTermComplex,
-    algebra_residuals,
-    homomorphism_residuals,
-    require_algebra,
-)
+from .algebra2 import INPUTS, Homomorphism2, TwoTermAlgebra, TwoTermComplex, algebra_residuals, dense, evaluated
+from .algebra2 import homomorphism_residuals, require_algebra
 from .cohom2 import Cochain2, d1_apply, Cochain1
-from .exactlin import Matrix
+from .exactlin import ZERO, Matrix
 from .poly import GeneratesVerdict, T, generates_verdict, identity_report
 from .rep2 import adjoint_representation
 from .report import CheckReport, report_from
-from .tensorops import apply2, tensor2, tensor3, tmap, tzip, unit, vadd, view2, vsub, zeros2
+from .tensorops import Sparse, sparse_matrix, sparse_tensor, tmap, tzip, zeros2
 
 
 @dataclass
@@ -120,68 +118,57 @@ def check_generates(p: PolyStructure) -> GeneratesVerdict:
 # Nijenhuis operators
 # ---------------------------------------------------------------------------
 
-def _derived_maps(g: TwoTermAlgebra, n: NijenhuisCandidate):
-    n0d, n1d = g.dim0, g.dim1
-    e = [unit(n0d, i) for i in range(n0d)]
-    fv = [unit(n1d, p) for p in range(n1d)]
-    n0col = [n.n0.col(i) for i in range(n0d)]
-    n1col = [n.n1.col(p) for p in range(n1d)]
-    d = g.complex.diff
+# conditions (i)-(v) on a candidate (N0, N1, N2) as data (see
+# ``residual_sides``): N0 and N1 are the maps "n0" and "n1", "0" is the zero
+# map g1 -> g0, and psi, omega, mu, nu, theta are the blocks of d1(N0, N1, 0)
+# in the adjoint representation, the maps of g twisted by N: d N1 - N0 d,
+# N0x.y + x.N0y - N0(x.y) and its sorts, and the l3 of one N0 argument
+# minus N1 l3; l3_n2 is evaluated from theta first, and theta2, the
+# second-order l3 of the deformation, from the blocks of d1(N0, N1, N2)
+L3_NN = [(1, "l3", ("n0", "n0", None)), (1, "l3", ("n0", None, "n0")), (1, "l3", (None, "n0", "n0"))]
+SECOND_ORDER = {
+    "l3_n2": (L3_NN + [(-1, "n1", ("theta",))],),
+    "theta2": (L3_NN + [(1, "n2", (None, "omega")), (-1, "n1", ("theta",)), (1, "l2_01", ("n0", "n2")),
+                        (-1, "n2", ("omega", None)), (-1, "l2_10", ("n2", "n0"))],),
+}
+NIJENHUIS = {
+    "i": ([(1, "n0", ("psi",))], [(1, "0", (None,))]),
+    "ii": ([(1, "n0", ("omega",))], [(1, "l2_00", ("n0", "n0"))]),
+    "iii": ([(1, "n1", ("mu",))], [(1, "l2_01", ("n0", "n1"))]),
+    "iv": ([(1, "n1", ("nu",))], [(1, "l2_10", ("n1", "n0"))]),
+    "v": ([(1, "n1", ("l3_n2",))], [(1, "l3", ("n0", "n0", "n0"))]),
+}
+NIJENHUIS_INPUTS = {**INPUTS, "0": (1,), "n0": (0,), "n1": (1,), "n2": (0, 0), "psi": (1,), "omega": (0, 0),
+                    "mu": (0, 1), "nu": (1, 0), "theta": (0, 0, 0), "l3_n2": (0, 0, 0)}
 
-    d_n = Matrix.from_cols([vsub(d @ n1col[p], n.n0 @ d.col(p)) for p in range(n1d)], n0d)
-    dot00 = tensor2(
-        n0d, n0d,
-        lambda i, j: vsub(vadd(g.m00(n0col[i], e[j]), g.m00(e[i], n0col[j])), n.n0 @ g.l2_00[i][j]),
-    )
-    dot01 = tensor2(
-        n0d, n1d,
-        lambda i, p: vsub(vadd(g.m01(n0col[i], fv[p]), g.m01(e[i], n1col[p])), n.n1 @ g.l2_01[i][p]),
-    )
-    dot10 = tensor2(
-        n1d, n0d,
-        lambda p, i: vsub(vadd(g.m10(n1col[p], e[i]), g.m10(fv[p], n0col[i])), n.n1 @ g.l2_10[p][i]),
-    )
-    l3_n = tensor3(
-        n0d, n0d, n0d,
-        lambda i, j, k: vsub(
-            vadd(g.l3v(n0col[i], e[j], e[k]), g.l3v(e[i], n0col[j], e[k]), g.l3v(e[i], e[j], n0col[k])),
-            n.n1 @ g.l3[i][j][k],
-        ),
-    )
-    l3_n2 = tensor3(
-        n0d, n0d, n0d,
-        lambda i, j, k: vsub(
-            vadd(
-                g.l3v(n0col[i], n0col[j], e[k]),
-                g.l3v(n0col[i], e[j], n0col[k]),
-                g.l3v(e[i], n0col[j], n0col[k]),
-            ),
-            n.n1 @ l3_n[i][j][k],
-        ),
-    )
-    return d_n, dot00, dot01, dot10, l3_n, l3_n2
+
+def _nijenhuis_maps(g: TwoTermAlgebra, n0: Matrix, n1: Matrix, first, **maps) -> dict:
+    """``maps``, g's, N0's, N1's, the zero map and the blocks of a
+    two-cochain ``first`` of either theory, as maps."""
+    maps.update(g.sparse_maps(), n0=sparse_matrix(n0), n1=sparse_matrix(n1), **{"0": Sparse((), ZERO, g.dim0)})
+    for name, block in ((f.name, getattr(first, f.name)) for f in fields(first)):
+        matrix = isinstance(block, Matrix)
+        maps[name] = sparse_matrix(block) if matrix else sparse_tensor(block, len(NIJENHUIS_INPUTS[name]))
+    return maps
+
+
+def nijenhuis_conditions(g: TwoTermAlgebra, n0: Matrix, n1: Matrix, first, table: dict):
+    """Yield (condition, basis tuple, lhs, rhs) for the conditions of
+    ``table`` on every basis tuple, ``first`` being d1(N0, N1, 0)."""
+    dims = g.dim0, g.dim1
+    maps = _nijenhuis_maps(g, n0, n1, first)
+    if "v" in table:  # it reads l3_n2, which reads theta
+        l3_n2 = evaluated({"l3_n2": SECOND_ORDER["l3_n2"]}, maps, NIJENHUIS_INPUTS, dims)["l3_n2"]
+        maps["l3_n2"] = sparse_tensor(dense(l3_n2), 3)
+    for condition, ([(lhs, lzero), (rhs, rzero)], shape) in evaluated(table, maps, NIJENHUIS_INPUTS, dims).items():
+        for where in product(*map(range, shape)):
+            yield condition, where, tuple(lhs.get(where, lzero)), tuple(rhs.get(where, rzero))
 
 
 def nijenhuis_residuals(g: TwoTermAlgebra, n: NijenhuisCandidate):
-    n0d, n1d = g.dim0, g.dim1
-    e = [unit(n0d, i) for i in range(n0d)]
-    fv = [unit(n1d, p) for p in range(n1d)]
-    n0col = [n.n0.col(i) for i in range(n0d)]
-    n1col = [n.n1.col(p) for p in range(n1d)]
-    d_n, dot00, dot01, dot10, l3_n, l3_n2 = _derived_maps(g, n)
-
-    for p in range(n1d):
-        yield "i", (p,), n.n0 @ d_n.col(p), (Fraction(0),) * n0d
-    for i in range(n0d):
-        for j in range(n0d):
-            yield "ii", (i, j), n.n0 @ dot00[i][j], g.m00(n0col[i], n0col[j])
-        for p in range(n1d):
-            yield "iii", (i, p), n.n1 @ dot01[i][p], g.m01(n0col[i], n1col[p])
-            yield "iv", (p, i), n.n1 @ dot10[p][i], g.m10(n1col[p], n0col[i])
-    for i in range(n0d):
-        for j in range(n0d):
-            for k in range(n0d):
-                yield "v", (i, j, k), n.n1 @ l3_n2[i][j][k], g.l3v(n0col[i], n0col[j], n0col[k])
+    """Conditions (i)-(v); N2 takes no part in them."""
+    first = d1_apply(g, adjoint_representation(g), Cochain1(n.n0, n.n1, zeros2(g.dim0, g.dim0, g.dim1)))
+    return nijenhuis_conditions(g, n.n0, n.n1, first, NIJENHUIS)
 
 
 def check_nijenhuis(g: TwoTermAlgebra, n: NijenhuisCandidate) -> CheckReport:
@@ -199,25 +186,8 @@ def nijenhuis_deformation(g: TwoTermAlgebra, n: NijenhuisCandidate) -> PolyStruc
     require_algebra(g)
     adj = adjoint_representation(g)
     first = d1_apply(g, adj, Cochain1(n.n0, n.n1, n.n2))
-    n0d = g.dim0
-    e = [unit(n0d, i) for i in range(n0d)]
-    n0col = [n.n0.col(i) for i in range(n0d)]
-    theta1 = first.theta
-    omega = first.omega
-    n2 = view2(n.n2)
-    theta2 = tensor3(
-        n0d,
-        n0d,
-        n0d,
-        lambda i, j, k: vadd(
-            g.l3v(n0col[i], n0col[j], e[k]),
-            g.l3v(n0col[i], e[j], n0col[k]),
-            g.l3v(e[i], n0col[j], n0col[k]),
-            vsub(apply2(n2, e[i], omega[j][k]), n.n1 @ theta1[i][j][k]),
-            vsub(g.m01(n0col[i], n.n2[j][k]), apply2(n2, omega[i][j], e[k])),
-            vsub((Fraction(0),) * g.dim1, g.m10(n.n2[i][j], n0col[k])),
-        ),
-    )
+    maps = _nijenhuis_maps(g, n.n0, n.n1, first, n2=sparse_tensor(n.n2, 2))
+    theta2 = dense(evaluated({"theta2": SECOND_ORDER["theta2"]}, maps, NIJENHUIS_INPUTS, (g.dim0, g.dim1))["theta2"])
     return PolyStructure(g, first, theta2)
 
 

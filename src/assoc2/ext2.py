@@ -7,7 +7,9 @@ inverse of the projection; never chosen implicitly).  From this data the
 induced representation and the extracted two-cocycle are computed; building
 an extension from a cocycle produces the standard total structure on
 (base + kernel) (``cohom2.extension_total``, the total d2 is read off) with
-the canonical inclusion, projection, and splitting.
+the canonical inclusion, projection, and splitting.  The induced
+representation and the abelian-kernel checks are the total's maps on the
+stored splitting and kernel (``INDUCED``, ``ABELIAN``).
 
 Equivalence of two extensions over the same base and kernel is decided by a
 single linear solve against the assembled d1 matrix; a successful witness is
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra2 import Homomorphism2, TwoTermAlgebra, TwoTermComplex, check_algebra, check_homomorphism
-from .algebra2 import homomorphism_residuals, require_algebra
+from .algebra2 import INPUTS, Homomorphism2, TwoTermAlgebra, TwoTermComplex, check_algebra, check_homomorphism
+from .algebra2 import dense, evaluated, homomorphism_residuals, require_algebra
 from .cochain import Inequivalence  # noqa: F401  (check_equivalence's certificate)
 from .cohom2 import EXTRACTED, Cochain1, Cochain2, assemble_matrices, cochain_complex, cochain_layouts
 from .cohom2 import extension_total, total_cocycle_families
@@ -28,14 +30,14 @@ from .extension import SplitExtension, families_report, kernel_residuals, placed
 from .integral import on_integers
 from .rep2 import Representation2, require_representation
 from .report import CheckReport
-from .tensorops import apply2, unit, view2, vzero, tensor2, tensor3, zeros2
+from .tensorops import Sparse, sparse_matrix, sparse_tensor, unit, vzero, zeros2
 
 
 class Extension2(SplitExtension):
     """An abelian extension of a two-term algebra (fields in ``SplitExtension``)."""
 
     def kernel_complex(self) -> TwoTermComplex:
-        cols = [self.restrict0(self.total.d(self.incl1(unit(self.hdim1, s)))) for s in range(self.hdim1)]
+        cols = [self.restrict0(self.total.complex.diff @ self.incl1(unit(self.hdim1, s))) for s in range(self.hdim1)]
         return TwoTermComplex(self.hdim0, self.hdim1, Matrix.from_cols(cols, self.hdim0))
 
     def require(self) -> None:
@@ -51,32 +53,34 @@ class Extension2(SplitExtension):
         return cochain_complex(self.base, r), assemble_matrices(self.base, r)
 
 
+# the total's maps on the splitting and kernel (``SplitExtension.fed``): a
+# product or l3 with two kernel arguments vanishes, the kernel part of one
+# with one kernel argument is the induced representation
+ABELIAN = {
+    "abelian-00": (0, "l2_00", ("incl0", "incl0")), "abelian-01": (1, "l2_01", ("incl0", "incl1")),
+    "abelian-10": (1, "l2_10", ("incl1", "incl0")), "abelian-l3a": (1, "l3", ("incl0", "incl0", None)),
+    "abelian-l3b": (1, "l3", ("incl0", None, "incl0")), "abelian-l3c": (1, "l3", (None, "incl0", "incl0")),
+}
+INDUCED = {
+    "l0v0": (0, "l2_00", ("sigma0", "incl0")), "l0v1": (1, "l2_01", ("sigma0", "incl1")),
+    "r0v0": (0, "l2_00", ("incl0", "sigma0")), "r0v1": (1, "l2_10", ("incl1", "sigma0")),
+    "l1": (1, "l2_10", ("sigma1", "incl0")), "r1": (1, "l2_01", ("incl0", "sigma1")),
+    "tl": (1, "l3", ("sigma0", "sigma0", "incl0")), "tm": (1, "l3", ("sigma0", "incl0", "sigma0")),
+    "tr": (1, "l3", ("incl0", "sigma0", "sigma0")),
+}
+
+
 def extension_residuals(e: Extension2):
     """Strict projection, exactness and splitting, a differential that keeps
     the kernel, and abelian kernel."""
-    n0, n1 = e.total.dim0, e.total.dim1
+    n0 = e.total.dim0
     proj = Homomorphism2(e.total, e.base, e.p0, e.p1, zeros2(n0, n0, e.base.dim1))
     for v in check_homomorphism(proj).violations:
         yield "proj-" + v.condition, v.where, v.lhs, v.rhs
     yield from e.split_residuals()
     for s in range(e.hdim1):
-        yield "kernel-diff", (s,), e.p0 @ e.total.d(e.incl1(unit(e.hdim1, s))), vzero(e.base.dim0)
-
-    # abelian kernel: any product or l3 with two kernel arguments vanishes
-    for s in range(e.hdim0):
-        us = e.incl0(unit(e.hdim0, s))
-        for t in range(e.hdim0):
-            ut = e.incl0(unit(e.hdim0, t))
-            yield "abelian-00", (s, t), e.total.m00(us, ut), vzero(n0)
-            for k in range(n0):
-                ek = unit(n0, k)
-                yield "abelian-l3a", (s, t, k), e.total.l3v(us, ut, ek), vzero(n1)
-                yield "abelian-l3b", (s, k, t), e.total.l3v(us, ek, ut), vzero(n1)
-                yield "abelian-l3c", (k, s, t), e.total.l3v(ek, us, ut), vzero(n1)
-        for t in range(e.hdim1):
-            mt = e.incl1(unit(e.hdim1, t))
-            yield "abelian-01", (s, t), e.total.m01(us, mt), vzero(n1)
-            yield "abelian-10", (t, s), e.total.m10(mt, us), vzero(n1)
+        yield "kernel-diff", (s,), e.p0 @ (e.total.complex.diff @ e.incl1(unit(e.hdim1, s))), vzero(e.base.dim0)
+    yield from e.abelian_residuals(ABELIAN, e.total.sparse_maps(), INPUTS)
 
 
 def check_extension(e: Extension2) -> CheckReport:
@@ -90,31 +94,11 @@ def require_extension(e: Extension2) -> None:
 
 
 def extract_representation(e: Extension2) -> Representation2:
-    """The induced action of the base on the kernel (computed through the
-    stored splitting; independent of which splitting is stored)."""
+    """The induced action of the base on the kernel, over ℤ when the
+    extension is integral; independent of which splitting is stored."""
     require_extension(e)
-    g = e.base
-    n0, n1 = g.dim0, g.dim1
-    h = e.kernel_complex()
-    s0 = [e.sigma0.col(i) for i in range(n0)]
-    s1 = [e.sigma1.col(p) for p in range(n1)]
-    t = e.total
-    hu = [e.incl0(unit(e.hdim0, s)) for s in range(e.hdim0)]
-    hw = [e.incl1(unit(e.hdim1, s)) for s in range(e.hdim1)]
-
-    return Representation2(
-        algebra=g,
-        complex=h,
-        l0v0=tensor2(n0, e.hdim0, lambda i, s: e.restrict0(t.m00(s0[i], hu[s]))),
-        l0v1=tensor2(n0, e.hdim1, lambda i, s: e.restrict1(t.m01(s0[i], hw[s]))),
-        r0v0=tensor2(e.hdim0, n0, lambda s, i: e.restrict0(t.m00(hu[s], s0[i]))),
-        r0v1=tensor2(e.hdim1, n0, lambda s, i: e.restrict1(t.m10(hw[s], s0[i]))),
-        l1=tensor2(n1, e.hdim0, lambda p, s: e.restrict1(t.m10(s1[p], hu[s]))),
-        r1=tensor2(e.hdim0, n1, lambda s, p: e.restrict1(t.m01(hu[s], s1[p]))),
-        tl=tensor3(n0, n0, e.hdim0, lambda i, j, s: e.restrict1(t.l3v(s0[i], s0[j], hu[s]))),
-        tm=tensor3(n0, e.hdim0, n0, lambda i, s, j: e.restrict1(t.l3v(s0[i], hu[s], s0[j]))),
-        tr=tensor3(e.hdim0, n0, n0, lambda s, i, j: e.restrict1(t.l3v(hu[s], s0[i], s0[j]))),
-    )
+    t = on_integers(e)
+    return Representation2(e.base, e.kernel_complex(), **t.induced(INDUCED, t.total.sparse_maps(), INPUTS))
 
 
 def extract_cocycle(e: Extension2) -> Cochain2:
@@ -158,14 +142,20 @@ class EquivalenceWitness:
     representation: Representation2  # induced by both extensions; primitive's coefficients
 
 
+# the degree-2 part of a witness: lambda2 of the projected arguments
+WITNESS = {"f2": ([(1, "chi", ("p0", "p0"))],)}
+
+
 def witness_homomorphism(e1: Extension2, e2: Extension2, lam: Cochain1) -> Homomorphism2:
     """The candidate equivalence built from a one-cochain: through the stored
     splittings, x + u maps to x + lambda0(x) + u degreewise, with degree-2
     part lambda2 of the projected arguments."""
     f0, f1 = e1.witness_maps(e2, lam.phi, lam.phi1)
     n0 = e1.total.dim0
-    chi = view2(lam.chi)
-    f2 = tensor2(n0, n0, lambda i, j: e2.incl1(apply2(chi, e1.p0 @ unit(n0, i), e1.p0 @ unit(n0, j))))
+    # chi's values lie in the kernel's degree 1, a length chi cannot show on a base without degree 0
+    chi = sparse_tensor(lam.chi, 2)
+    maps = {"chi": Sparse(chi.cells, chi.zero, e2.hdim1), "p0": sparse_matrix(e1.p0)}
+    f2 = dense(evaluated(WITNESS, maps, {"chi": (None, None), "p0": (0,)}, (n0,))["f2"], e2.incl1)
     return Homomorphism2(e1.total, e2.total, f0, f1, f2)
 
 

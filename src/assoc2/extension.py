@@ -34,7 +34,9 @@ give the extracted cocycle.  Two splittings differ by a one-cochain and
 their cocycles by its coboundary, so the splitting of the semidirect
 product shifted by a one-cochain (``shifted``) gives d1 the same way.
 ``kernel_residuals`` does the relabelling for all of them, and ``placed``
-sets the relabelled values in a cochain layout.
+sets the relabelled values in a cochain layout.  The total's maps on the
+stored splitting and kernel (``SplitExtension.fed``) give the induced
+representation and the abelian-kernel checks.
 """
 
 from __future__ import annotations
@@ -44,11 +46,12 @@ from fractions import Fraction
 from itertools import product
 from operator import itemgetter
 
+from .algebra2 import dense, evaluated
 from .cochain import Cochain, Inequivalence, Layout, cohomologous
 from .exactlin import Matrix, rank
 from .integral import integral_report, twin_field
-from .report import CheckReport, checked, kept_field, report_from
-from .tensorops import tflat, unit, vadd, vneg, vsub, vzero
+from .report import CheckReport, checked, kept, kept_field, report_from
+from .tensorops import Sparse, sparse_matrix, tflat, unit, vadd, vneg, vsub, vzero
 
 
 def _incl(v, sub, n):
@@ -160,6 +163,12 @@ def placed(residuals, layout: Layout) -> Cochain:
     )
 
 
+# the degrees of the arguments of the maps fed into a total's maps, whose
+# own are the total's degrees 0 and 1: the splitting takes the base's (2,
+# 3) and the inclusion of the kernel the kernel's (4, 5)
+FEED_INPUTS = {"sigma0": (2,), "sigma1": (3,), "incl0": (4,), "incl1": (5,)}
+
+
 @dataclass
 class SplitExtension:
     total: object
@@ -204,6 +213,35 @@ class SplitExtension:
 
     def restrict1(self, v):
         return tuple(v[idx] for idx in self.sub1)
+
+    def fed(self, table: dict, maps: dict, inputs: dict) -> dict:
+        """``algebra2.evaluated`` of each entry (degree of the values, map,
+        feeds) of ``table``: a map of the total (``maps``, of degrees
+        ``inputs``) with the splitting or the inclusion of the kernel
+        (``FEED_INPUTS``) or a basis vector (None) in each argument."""
+        dims = self.total.dim0, self.total.dim1, self.base.dim0, self.base.dim1, self.hdim0, self.hdim1
+
+        def feeds():
+            subs = self.sub0, self.sub1
+            incl = [Sparse(tuple(((s,), ((i, 1),)) for s, i in enumerate(sub)), 0, n) for sub, n in zip(subs, dims)]
+            return dict(zip(FEED_INPUTS, (sparse_matrix(self.sigma0), sparse_matrix(self.sigma1), *incl)))
+
+        terms = {name: ([(1, m, fed)],) for name, (_, m, fed) in table.items()}
+        return evaluated(terms, {**maps, **kept(self, "feeds", feeds)}, {**inputs, **FEED_INPUTS}, dims)
+
+    def induced(self, table: dict, maps: dict, inputs: dict) -> dict:
+        """The kernel part, in its degree, of each entry of ``table`` (see
+        ``fed``) as a tensor: the actions of the induced representation."""
+        parts = self.restrict0, self.restrict1
+        return {name: dense(value, parts[table[name][0]]) for name, value in self.fed(table, maps, inputs).items()}
+
+    def abelian_residuals(self, table: dict, maps: dict, inputs: dict):
+        """Yield (name, basis tuple, value, zero) for each entry of ``table``
+        (see ``fed``), whose values vanish on an abelian kernel, on the basis
+        tuples a nonzero value reaches: on no other can one fail to vanish."""
+        dims = self.total.dim0, self.total.dim1
+        for name, ([(rows, _)], _) in self.fed(table, maps, inputs).items():
+            yield from ((name, where, tuple(row), vzero(dims[table[name][0]])) for where, row in rows.items())
 
     def _degrees(self):
         """Per degree: kernel index set, projection, splitting, total and base dimension."""

@@ -68,10 +68,11 @@ def integral_report(residuals, *args) -> CheckReport:
     identity block or a zero block puts there is converted too)."""
     t = twin(args)
     violations = report_from(residuals(*(args if t is None else t))).violations
-    return CheckReport([Violation(v.condition, v.where, _rational(v.lhs), _rational(v.rhs)) for v in violations])
+    return CheckReport([Violation(v.condition, v.where, rational(v.lhs), rational(v.rhs)) for v in violations])
 
 
-def _rational(v: tuple) -> tuple:
+def rational(v) -> tuple:
+    """The vector ``v`` with its ``int`` entries made ``Fraction``."""
     return tuple(Fraction(x) if type(x) is int else x for x in v)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .algebra2 import SLOTS, TwoTermAlgebra, TwoTermComplex, Tuples, algebra_residuals, require_algebra
 from .extension import as_is, by_kernel_position, kernel_residuals, swapped, tail_parts
 from .integral import integral_report, twin_field
-from .report import CheckReport, checked, kept_field
+from .report import CheckReport, checked, kept, kept_field
 from .tensorops import vneg, zeros2, zeros3
 
 
@@ -54,15 +54,13 @@ class Representation2:
     def dim1(self) -> int:
         return self.complex.dim1
 
-    def dv(self, m):
-        return self.complex.diff @ m
-
 
 def adjoint_representation(g: TwoTermAlgebra) -> Representation2:
     """g acting on its own complex: actions are the products, trilinear
-    actions are l3."""
+    actions are l3.  Kept on g, so that every caller shares its check and
+    its g + g (the Nijenhuis check and deformation both read d1 there)."""
     require_algebra(g)
-    return Representation2(
+    return kept(g, "adjoint", lambda: Representation2(
         algebra=g,
         complex=g.complex,
         l0v0=g.l2_00,
@@ -74,7 +72,7 @@ def adjoint_representation(g: TwoTermAlgebra) -> Representation2:
         tl=g.l3,
         tm=g.l3,
         tr=g.l3,
-    )
+    ))
 
 
 def trivial_representation(g: TwoTermAlgebra, v: TwoTermComplex) -> Representation2:

@@ -58,8 +58,8 @@ class PreconditionError(ValueError):
 
 def kept_field():
     """The field ``_kept`` a structure keeps what ``kept`` computes from it
-    in: its report, the sparse views and ``Sparse`` maps of its tensors,
-    its semidirect products.  It is ``None`` until then, and no part of the structure's
+    in: its report, the ``Sparse`` maps of its tensors, its semidirect
+    products.  It is ``None`` until then, and no part of the structure's
     init, repr or equality."""
     return field(default=None, init=False, repr=False, compare=False)
 

@@ -15,7 +15,7 @@ from .algebra2 import TwoTermAlgebra, TwoTermComplex
 from .cohom2 import Cochain1, Cochain2
 from .exactlin import Matrix, solve
 from .rep2 import Representation2
-from .tensorops import tensor2, tensor3, unit
+from .tensorops import apply2, apply3, tensor2, tensor3, unit, view2, view3
 from .xmod import CrossedModule, XCochain2, XModRepresentation
 
 
@@ -43,16 +43,18 @@ def random_unimodular(rng: random.Random, n: int, span: int = 2) -> Matrix:
 
 
 def transport_algebra(g: TwoTermAlgebra, p0: Matrix, p1: Matrix) -> TwoTermAlgebra:
-    """Isomorphic copy of g along the change of basis (p0, p1)."""
+    """Isomorphic copy of g along the change of basis (p0, p1): each product
+    applied to the columns of the inverse, over a view built once."""
     q0, q1 = inverse(p0), inverse(p1)
     n0, n1 = g.dim0, g.dim1
-    diff = p0 @ g.complex.diff @ q1
+    x, a = [q0.col(i) for i in range(n0)], [q1.col(p) for p in range(n1)]
+    m00, m01, m10, l3 = view2(g.l2_00), view2(g.l2_01), view2(g.l2_10), view3(g.l3)
     return TwoTermAlgebra(
-        TwoTermComplex(n0, n1, diff),
-        tensor2(n0, n0, lambda i, j: p0 @ g.m00(q0.col(i), q0.col(j))),
-        tensor2(n0, n1, lambda i, p: p1 @ g.m01(q0.col(i), q1.col(p))),
-        tensor2(n1, n0, lambda p, i: p1 @ g.m10(q1.col(p), q0.col(i))),
-        tensor3(n0, n0, n0, lambda i, j, k: p1 @ g.l3v(q0.col(i), q0.col(j), q0.col(k))),
+        TwoTermComplex(n0, n1, p0 @ g.complex.diff @ q1),
+        tensor2(n0, n0, lambda i, j: p0 @ apply2(m00, x[i], x[j])),
+        tensor2(n0, n1, lambda i, p: p1 @ apply2(m01, x[i], a[p])),
+        tensor2(n1, n0, lambda p, i: p1 @ apply2(m10, a[p], x[i])),
+        tensor3(n0, n0, n0, lambda i, j, k: p1 @ apply3(l3, x[i], x[j], x[k])),
     )
 
 

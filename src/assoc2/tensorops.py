@@ -5,13 +5,14 @@ Tensors are nested tuples whose innermost layer is an output vector:
 ``t3[i][j][k]`` likewise for trilinear maps.  Multilinearity is implicit;
 the evaluators below extend to arbitrary vectors.
 
-Evaluation runs over sparse views: per leading index, the later indices
-and the (output, value) pairs of the nonzero entries (``view2``,
-``view3``).  A structure builds the view of each of its tensors on first
-use and keeps it (``report.kept``), so the zero blocks of a standard total
-are never visited.  ``apply2``/``apply3`` are the only bilinear and trilinear
-loops; ``bil``/``tri`` build a view per call, and evaluators that apply a
-tensor of a map (a homomorphism's f2, a Nijenhuis n2) build its view once.
+The library evaluates every product through ``contract`` below, on
+``Sparse`` maps that each structure builds once and keeps
+(``report.kept``), so the zero blocks of a standard total are never
+visited.  ``apply2``/``apply3`` apply a tensor to arbitrary vectors over
+its sparse view (per leading index, the later indices and the (output,
+value) pairs of the nonzero entries: ``view2``, ``view3``), and
+``bil``/``tri`` build that view per call; they serve the arity-generic
+Hochschild cochains, basis transport and the tests, not the residuals.
 
 Scalar contract: the loops are ring-generic.  They only add, subtract and
 multiply, skip zero coordinates by truthiness, and views drop zero entries
@@ -24,7 +25,7 @@ twin (see :mod:`assoc2.integral`) is evaluated over ℤ from end to end.
 Unit vectors are ``int``: 0 and 1 are the zero and one of every scalar
 ring used here.
 
-Residual generators do not call these loops once per basis tuple.  Each
+Residual generators do not evaluate once per basis tuple.  Each
 term of an identity is a map whose arguments are basis vectors except for
 at most a few, which hold the value of another map: l3(x.y, z, t) is l3
 with the product fed into its first argument.  ``contract`` evaluates such
@@ -250,6 +251,14 @@ def _out_dim(t, depth: int = 2) -> int:
             return 0
         node = node[0]
     return len(node)
+
+
+def tensor(shape: tuple, fn, where: tuple = ()) -> tuple:
+    """Build a tensor with inputs of dims ``shape`` from ``fn(basis tuple)
+    -> output vector``."""
+    if len(where) == len(shape):
+        return tuple(fn(where))
+    return tuple(tensor(shape, fn, where + (i,)) for i in range(shape[len(where)]))
 
 
 def tensor2(n1: int, n2: int, fn) -> tuple:

@@ -21,7 +21,10 @@ splitting of the semidirect product shifted by the one-cochain, read off
 ``xmod_homomorphism_residuals``.  The identities themselves are tables
 (``XAXIOMS``, ``XHOMOMORPHISM``), evaluated like those of ``algebra2``:
 each term contracted once over the nonzero structure constants
-(``algebra2.residual_sides``), not one product call per basis tuple.
+(``algebra2.residual_sides``), not one product call per basis tuple; so
+are the Nijenhuis conditions (``XNIJENHUIS``, (ii)-(iv) of ``deform2`` on
+the strict algebra) and an extension's induced representation and
+abelian-kernel checks (``XINDUCED``, ``XABELIAN``).
 """
 
 from __future__ import annotations
@@ -32,13 +35,14 @@ from .algebra2 import ASSOC, ASSOC_INPUTS, AssocAlgebra, Bimodule, TwoTermAlgebr
 from .algebra2 import _assoc_residuals, _bimodule_residuals, require_algebra, residual, residual_sides
 from .cochain import CoboundaryMatrices, Cochain, CochainComplex, CohomologyResult, Layout, assemble, cohomology
 from .cochain import primitive
+from .deform2 import NIJENHUIS, nijenhuis_conditions
 from .exactlin import Matrix
 from .extension import SplitExtension, as_is, by_kernel_position, families_report, kernel_residuals, placed
 from .extension import shifted, stacked, swapped, tail_parts, total_bilinear, total_matrix
 from .integral import integral_report, on_integers, twin_field
 from .poly import GeneratesVerdict, T, generates_verdict, identity_report
 from .report import CheckReport, checked, kept, kept_field, report_from
-from .tensorops import sparse_matrix, unit, vadd, vsub, vzero, tensor2, tzip, zeros2, zeros3
+from .tensorops import sparse_matrix, tzip, zeros2, zeros3
 
 
 @dataclass
@@ -392,32 +396,15 @@ def xmod_check_generates(x: CrossedModule, c: XCochain2) -> GeneratesVerdict:
     return generates_verdict(crossed_module_residuals(xmod_deform(x, c, T)))
 
 
+# a Nijenhuis pair's conditions: (i) f N1 = N0 f, then (ii)-(iv) of
+# ``deform2.NIJENHUIS`` on the strict algebra, whose d is f
+XNIJENHUIS = {"i": ([(1, "d", ("n1",))], [(1, "n0", ("d",))]), **{c: NIJENHUIS[c] for c in ("ii", "iii", "iv")}}
+
+
 def xmod_nijenhuis_residuals(x: CrossedModule, n0: Matrix, n1: Matrix):
-    np_, nh = x.pdim, x.hdim
-    e = [unit(np_, i) for i in range(np_)]
-    ha = [unit(nh, a) for a in range(nh)]
-    n0col = [n0.col(i) for i in range(np_)]
-    n1col = [n1.col(a) for a in range(nh)]
-    dotp = lambda i, j: vsub(
-        vadd(x.p_alg.product(n0col[i], e[j]), x.p_alg.product(e[i], n0col[j])),
-        n0 @ x.p_alg.mul[i][j],
-    )
-    dotl = lambda i, a: vsub(
-        vadd(x.h_mod.act_left(n0col[i], ha[a]), x.h_mod.act_left(e[i], n1col[a])),
-        n1 @ x.h_mod.left[i][a],
-    )
-    dotr = lambda a, i: vsub(
-        vadd(x.h_mod.act_right(n1col[a], e[i]), x.h_mod.act_right(ha[a], n0col[i])),
-        n1 @ x.h_mod.right[a][i],
-    )
-    for a in range(nh):
-        yield "i", (a,), x.f_map @ n1col[a], n0 @ x.f_map.col(a)
-    for i in range(np_):
-        for j in range(np_):
-            yield "ii", (i, j), n0 @ dotp(i, j), x.p_alg.product(n0col[i], n0col[j])
-        for a in range(nh):
-            yield "iii", (i, a), n1 @ dotl(i, a), x.h_mod.act_left(n0col[i], n1col[a])
-            yield "iv", (a, i), n1 @ dotr(a, i), x.h_mod.act_right(n1col[a], n0col[i])
+    """Yield (condition, basis tuple, lhs, rhs) for (i)-(iv)."""
+    first = xmod_d1_apply(x, xmod_adjoint(x), XCochain1(n0, n1))
+    return nijenhuis_conditions(crossed_module_to_algebra(x), n0, n1, first, XNIJENHUIS)
 
 
 def xmod_check_nijenhuis(x: CrossedModule, n0: Matrix, n1: Matrix) -> CheckReport:
@@ -493,21 +480,24 @@ class XModExtension(SplitExtension):
         return xmod_cochain_complex(self.base, r), xmod_assemble_matrices(self.base, r)
 
 
+# as ``ext2.ABELIAN`` and ``ext2.INDUCED``: W.W = 0 and W acts trivially on V
+XABELIAN = {
+    "abelian-WW": (0, "mul", ("incl0", "incl0")), "abelian-WV": (1, "left", ("incl0", "incl1")),
+    "abelian-VW": (1, "right", ("incl1", "incl0")),
+}
+XINDUCED = {
+    "v_left": (1, "left", ("sigma0", "incl1")), "v_right": (1, "right", ("incl1", "sigma0")),
+    "w_left": (0, "mul", ("sigma0", "incl0")), "w_right": (0, "mul", ("incl0", "sigma0")),
+    "phi": (0, "f", ("incl1",)), "tr_l": (1, "right", ("sigma1", "incl0")), "tr_r": (1, "left", ("incl0", "sigma1")),
+}
+
+
 def xmod_extension_residuals(e: XModExtension):
     """Strict projection, exactness and splitting, and abelian kernel."""
     for cond, where, lhs, rhs in xmod_homomorphism_residuals(e.total, e.base, e.p0, e.p1):
         yield "proj-" + cond, where, lhs, rhs
     yield from e.split_residuals()
-    # abelian kernel: W.W = 0, W acts trivially on V
-    nP, nH = e.total.pdim, e.total.hdim
-    for s in range(e.hdim0):
-        ws = e.incl0(unit(e.hdim0, s))
-        for t in range(e.hdim0):
-            yield "abelian-WW", (s, t), e.total.p_alg.product(ws, e.incl0(unit(e.hdim0, t))), vzero(nP)
-        for t in range(e.hdim1):
-            vt = e.incl1(unit(e.hdim1, t))
-            yield "abelian-WV", (s, t), e.total.h_mod.act_left(ws, vt), vzero(nH)
-            yield "abelian-VW", (t, s), e.total.h_mod.act_right(vt, ws), vzero(nH)
+    yield from e.abelian_residuals(XABELIAN, xmod_sparse_maps(e.total), XINPUTS)
 
 
 def check_xmod_extension(e: XModExtension) -> CheckReport:
@@ -520,31 +510,13 @@ def require_xmod_extension(e: XModExtension) -> None:
 
 
 def xmod_extract_representation(e: XModExtension) -> XModRepresentation:
+    """The induced representation, over ℤ when the extension is integral."""
     require_xmod_extension(e)
-    b = e.base
-    nP, nH = b.pdim, b.hdim
-    s0 = [e.sigma0.col(i) for i in range(nP)]
-    s1 = [e.sigma1.col(a) for a in range(nH)]
-    t = e.total
-    wv = [e.incl0(unit(e.hdim0, s)) for s in range(e.hdim0)]
-    vv = [e.incl1(unit(e.hdim1, s)) for s in range(e.hdim1)]
-
-    v_mod = Bimodule(
-        b.p_alg,
-        e.hdim1,
-        tensor2(nP, e.hdim1, lambda i, s: e.restrict1(t.h_mod.act_left(s0[i], vv[s]))),
-        tensor2(e.hdim1, nP, lambda s, i: e.restrict1(t.h_mod.act_right(vv[s], s0[i]))),
-    )
-    w_mod = Bimodule(
-        b.p_alg,
-        e.hdim0,
-        tensor2(nP, e.hdim0, lambda i, s: e.restrict0(t.p_alg.product(s0[i], wv[s]))),
-        tensor2(e.hdim0, nP, lambda s, i: e.restrict0(t.p_alg.product(wv[s], s0[i]))),
-    )
-    phi = Matrix.from_cols([e.restrict0(t.f_map @ vv[s]) for s in range(e.hdim1)], e.hdim0)
-    tr_l = tensor2(nH, e.hdim0, lambda a, s: e.restrict1(t.h_mod.act_right(s1[a], wv[s])))
-    tr_r = tensor2(e.hdim0, nH, lambda s, a: e.restrict1(t.h_mod.act_left(wv[s], s1[a])))
-    return XModRepresentation(b, v_mod, w_mod, phi, tr_l, tr_r)
+    b, t = e.base, on_integers(e)
+    a = t.induced(XINDUCED, xmod_sparse_maps(t.total), XINPUTS)
+    v_mod = Bimodule(b.p_alg, e.hdim1, a["v_left"], a["v_right"])
+    w_mod = Bimodule(b.p_alg, e.hdim0, a["w_left"], a["w_right"])
+    return XModRepresentation(b, v_mod, w_mod, Matrix.from_cols(a["phi"], e.hdim0), a["tr_l"], a["tr_r"])
 
 
 # as ``cohom2.EXTRACTED``, for a strict splitting (f0, f1)

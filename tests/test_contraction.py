@@ -13,9 +13,11 @@ product of two forms is formed only where the reference forms it, and it
 still refuses the sum.
 """
 
+import ast
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -254,3 +256,63 @@ def test_the_representation_check_of_u_m_l3_makes_no_product_call_per_tuple():
     assert len(residuals) == 648
     assert not {"apply2", "apply3", "__matmul__"} & set(calls), calls
     assert sum(calls.values()) < 7020, sum(calls.values())
+
+
+# the per-vector loops: outside ``tensorops`` only basis transport
+# (``sampling``) and the arity-generic Hochschild differential apply them
+PER_VECTOR = {"apply2", "apply3", "view2", "view3", "bil", "tri"}
+ALLOWED = {"tensorops.py": None, "sampling.py": None, "algebra2.py": {"hochschild_coboundary"}}
+
+
+def test_only_transport_and_the_hochschild_code_use_the_per_vector_loops():
+    """A static gate: every other module of the package evaluates products
+    through ``residual_sides`` alone, importing none of the loops."""
+    src = Path(algebra2.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        allowed = ALLOWED.get(path.name, set())
+        if allowed is None:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name in PER_VECTOR or alias.name == "tensorops"
+        }
+        defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        users = {
+            node.name
+            for node in defs
+            if any(
+                isinstance(n, ast.Name) and n.id in PER_VECTOR or isinstance(n, ast.Attribute) and n.attr in PER_VECTOR
+                for n in ast.walk(node)
+            )
+        }
+        assert users <= allowed and (imported <= PER_VECTOR if allowed else not imported), (path.name, imported, users)
+
+
+def test_extension_and_nijenhuis_commands_reach_no_per_vector_loop(tmp_path):
+    """A work gate: ``ext extract``, ``ext equiv`` and ``nijenhuis apply``,
+    in both theories, evaluate every product by contraction."""
+    from test_cli_reports import _Runner, _fx, _invoke, _two_term_inputs, _xmod_inputs
+
+    u, urep = _fx("fix_u.json"), _fx("fix_u_adjoint_rep.json")
+    x, xrep = _fx("fix_x.json"), _fx("fix_x_adjoint_rep.json")
+    ext = _Runner(tmp_path).witness("ext", "ext", "build", u, urep, _two_term_inputs(tmp_path)["h2"])
+    xext = _Runner(tmp_path).witness("xext", "xmod", "ext", "build", x, xrep, _xmod_inputs(tmp_path)["h2"])
+    candidate = _fx("fix_u_nijenhuis_id.json")
+    commands = [
+        ["ext", "extract", ext], ["ext", "equiv", ext, ext], ["nijenhuis", "apply", u, candidate],
+        ["xmod", "ext", "extract", xext], ["xmod", "ext", "equiv", xext, xext],
+        ["xmod", "nijenhuis", "apply", x, candidate],
+    ]
+    for argv in commands:
+        calls = set()
+        sys.setprofile(lambda frame, event, arg: event == "call" and calls.add(frame.f_code.co_name))
+        try:
+            code = _invoke(argv)[0]
+        finally:
+            sys.setprofile(None)
+        assert code == 0 and not {"apply2", "apply3"} & calls, argv
+        assert "contract" in calls, argv

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from assoc2.algebra2 import TwoTermComplex, check_algebra, check_homomorphism
+from assoc2.algebra2 import TwoTermComplex, check_algebra, check_homomorphism, zero_algebra
 from assoc2.cohom2 import (
     assemble_matrices,
     cochain_complex,
@@ -131,6 +131,17 @@ def test_extraction_rejects_invalid_extensions():
     assert "split0" in report.by_condition()
     with pytest.raises(ValueError):
         extract_cocycle(broken)
+
+
+def test_equivalence_over_a_base_without_degree_0():
+    """The witness's degree-2 part is zero on a base with no degree 0, and
+    still a vector of the kernel's degree-1 length."""
+    g = zero_algebra(0, 1)
+    r = trivial_representation(g, TwoTermComplex(1, 1, Matrix.zero(1, 1)))
+    e = build_extension(g, r.complex, r, zero_cochain2(g, r))
+    witness = check_equivalence(e, e)
+    assert isinstance(witness, EquivalenceWitness)
+    assert witness.homomorphism.f2 == (((F(0), F(0)),),)
 
 
 def test_equivalence_same_extension_zero_witness():

@@ -753,6 +753,24 @@ def test_cli_xmod_mirror(capsys, tmp_path):
     assert code == 1 and "inequivalent" in out
 
 
+def test_cli_xmod_nijenhuis_refuses_a_degree_2_part(capsys, tmp_path):
+    """A crossed-module Nijenhuis pair is (N0, N1): a candidate file with a
+    nonzero n2 is an input error (exit 2, nothing on stdout), which
+    neither action evaluates; an n2 of explicit zeros is no part at all."""
+    doc = json.loads(fileio.dumps(fileio.dump_nijenhuis(identity_candidate(fix_u()))))
+    for value, code in (("5", 2), ("0", 0)):
+        doc["tensors"]["n2"] = [{"indices": [0, 0, 0], "value": value}]
+        n = tmp_path / f"n2_{value}.json"
+        n.write_text(json.dumps(doc))
+        for action in ("check", "apply"):
+            got, out, err = _run(capsys, "--format", "json", "xmod", "nijenhuis", action, _fx("fix_x.json"), str(n))
+            assert got == code, (value, action, err)
+            if code == 2:
+                assert out == "" and "no degree-2 part, so n2 must be zero" in err
+    # the two-term theory reads the same file's n2
+    assert _run(capsys, "nijenhuis", "apply", _fx("fix_u.json"), str(tmp_path / "n2_5.json"))[0] != 2
+
+
 def test_cli_endalg_and_selftest(capsys):
     code, out, _ = _run(capsys, "endalg", "build", _fx("complex_1_1_id.json"))
     assert code == 0

@@ -124,7 +124,7 @@ def _semidirect_reference(x, r):
 
     def pmul(i, j):
         (xg, wg), (yg, wg2) = split(np_, nw, i), split(np_, nw, j)
-        return x.p_alg.product(xg, yg) + vadd(bil(r.w_mod.left, xg, wg2), bil(r.w_mod.right, wg, yg))
+        return bil(x.p_alg.mul, xg, yg) + vadd(bil(r.w_mod.left, xg, wg2), bil(r.w_mod.right, wg, yg))
 
     def hleft(i, a):
         (xg, wg), (ag, vg) = split(np_, nw, i), split(nh, nv, a)
