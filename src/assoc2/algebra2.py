@@ -102,7 +102,7 @@ class AssocAlgebra:
 
     def sparse_maps(self) -> dict:
         """The product as a ``Sparse`` map, kept."""
-        return {"mul": kept(self, "sparse", sparse_tensor, self.mul, 2)}
+        return {"mul": kept(self, "sparse", sparse_tensor, self.mul, 2, self.dim)}
 
     def regular_bimodule(self) -> "Bimodule":
         return Bimodule(self, self.dim, self.mul, self.mul)
@@ -120,7 +120,8 @@ class Bimodule:
 
     def sparse_maps(self) -> dict:
         """The actions as ``Sparse`` maps, kept."""
-        return kept(self, "sparse", lambda: {name: sparse_tensor(getattr(self, name), 2) for name in ("left", "right")})
+        n = self.dim
+        return kept(self, "sparse", lambda: {k: sparse_tensor(getattr(self, k), 2, n) for k in ("left", "right")})
 
 
 def check_associative(a: AssocAlgebra) -> CheckReport:
@@ -357,7 +358,8 @@ class TwoTermAlgebra:
         """The differential and products as ``Sparse`` maps, by name, kept."""
 
         def build():
-            tensors = {name: sparse_tensor(getattr(self, name), len(INPUTS[name])) for name in INPUTS if name != "d"}
+            dims = {"l2_00": self.dim0, "l2_01": self.dim1, "l2_10": self.dim1, "l3": self.dim1}
+            tensors = {name: sparse_tensor(getattr(self, name), len(INPUTS[name]), n) for name, n in dims.items()}
             return {"d": sparse_matrix(self.complex.diff), **tensors}
 
         return kept(self, "sparse", build)
@@ -488,7 +490,7 @@ def homomorphism_residuals(h: Homomorphism2):
     g, gp = h.source, h.target
     dims = n0, n1 = g.dim0, g.dim1
     maps = {**g.sparse_maps(), **{name + "'": m for name, m in gp.sparse_maps().items()}}
-    maps.update(f0=sparse_matrix(h.f0), f1=sparse_matrix(h.f1), f2=sparse_tensor(h.f2, 2))
+    maps.update(f0=sparse_matrix(h.f0), f1=sparse_matrix(h.f1), f2=sparse_tensor(h.f2, 2, gp.dim1))
 
     every = Tuples(dims, 0)
     sides = residual_sides(HOMOMORPHISM, ("i",), maps, HOMOMORPHISM_INPUTS, every, dims)
@@ -520,8 +522,8 @@ def compose_homomorphisms(g: Homomorphism2, f: Homomorphism2) -> Homomorphism2:
     if f.target is not g.source and f.target != g.source:
         raise ValueError("homomorphisms are not composable")
     n0 = f.source.dim0
-    maps = {"g1": sparse_matrix(g.f1), "g2": sparse_tensor(g.f2, 2)}
-    maps.update(f0=sparse_matrix(f.f0), f2=sparse_tensor(f.f2, 2))
+    maps = {"g1": sparse_matrix(g.f1), "g2": sparse_tensor(g.f2, 2, g.target.dim1)}
+    maps.update(f0=sparse_matrix(f.f0), f2=sparse_tensor(f.f2, 2, f.target.dim1))
     f2 = dense(evaluated(COMPOSED, maps, COMPOSED_INPUTS, (n0,))["f2"])
     return Homomorphism2(f.source, g.target, g.f0 @ f.f0, g.f1 @ f.f1, f2)
 

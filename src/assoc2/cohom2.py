@@ -141,14 +141,21 @@ def shifted_splitting(g: TwoTermAlgebra, r: Representation2, f0: Matrix, f1: Mat
     return Homomorphism2(g, semidirect_product(g, r), shifted(f0), shifted(f1), f2)
 
 
+def splitting_cocycle(h: Homomorphism2, parts, kernel: tuple[int, int]) -> Cochain2:
+    """The failure of a splitting h of a standard total to be a homomorphism
+    through ``EXTRACTED``: ``parts`` cut the total's vectors in degrees 0
+    and 1 to the kernel, of dims ``kernel``."""
+    residuals = kernel_residuals(homomorphism_residuals(h), EXTRACTED, parts)
+    return placed(residuals, cochain_layouts(h.source.dim0, h.source.dim1, *kernel)[1])
+
+
 def d1_apply(g: TwoTermAlgebra, r: Representation2, c: Cochain1) -> Cochain2:
     """Coboundary of a one-cochain (phi, phi1, chi): the failure of the
     splitting shifted by it, (phi, phi1, chi) into g + V, to be a
-    homomorphism, read as an extracted cocycle through ``EXTRACTED``; the
-    formulas are in CONVENTIONS.md."""
-    residuals = homomorphism_residuals(shifted_splitting(g, r, c.phi, c.phi1, c.chi))
-    cuts = (g.dim0, g.dim1)
-    return placed(kernel_residuals(residuals, EXTRACTED, tail_parts(cuts)), cochain_layouts(*cuts, r.dim0, r.dim1)[1])
+    homomorphism, read as an extracted cocycle; the formulas are in
+    CONVENTIONS.md."""
+    h = shifted_splitting(g, r, c.phi, c.phi1, c.chi)
+    return splitting_cocycle(h, tail_parts((g.dim0, g.dim1)), (r.dim0, r.dim1))
 
 
 # the conditions of a homotopy derivation (D0, D1, D2) as the kernel part

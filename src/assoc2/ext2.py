@@ -21,16 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra2 import INPUTS, Homomorphism2, TwoTermAlgebra, TwoTermComplex, check_algebra, check_homomorphism
-from .algebra2 import dense, evaluated, homomorphism_residuals, require_algebra
+from .algebra2 import dense, evaluated, require_algebra
 from .cochain import Inequivalence  # noqa: F401  (check_equivalence's certificate)
-from .cohom2 import EXTRACTED, Cochain1, Cochain2, assemble_matrices, cochain_complex, cochain_layouts
-from .cohom2 import extension_total, total_cocycle_families
+from .cohom2 import Cochain1, Cochain2, assemble_matrices, cochain_complex, extension_total, splitting_cocycle
+from .cohom2 import total_cocycle_families
 from .exactlin import Matrix
-from .extension import SplitExtension, families_report, kernel_residuals, placed
+from .extension import SplitExtension, families_report
 from .integral import on_integers
 from .rep2 import Representation2, require_representation
 from .report import CheckReport
-from .tensorops import Sparse, sparse_matrix, sparse_tensor, unit, vzero, zeros2
+from .tensorops import sparse_matrix, sparse_tensor, unit, vzero, zeros2
 
 
 class Extension2(SplitExtension):
@@ -102,14 +102,13 @@ def extract_representation(e: Extension2) -> Representation2:
 
 
 def extract_cocycle(e: Extension2) -> Cochain2:
-    """The failure of the stored splitting to be a homomorphism: the kernel
-    part of the homomorphism residuals of (sigma0, sigma1, 0) through
-    ``cohom2.EXTRACTED``, evaluated over ℤ when the extension is integral."""
+    """The failure of the stored splitting (sigma0, sigma1, 0) to be a
+    homomorphism (``cohom2.splitting_cocycle``), evaluated over ℤ when the
+    extension is integral."""
     require_extension(e)
     g, t = e.base, e.total
     sigma = on_integers(Homomorphism2(g, t, e.sigma0, e.sigma1, zeros2(g.dim0, g.dim0, t.dim1)))
-    residuals = kernel_residuals(homomorphism_residuals(sigma), EXTRACTED, (e.restrict0, e.restrict1))
-    return placed(residuals, cochain_layouts(g.dim0, g.dim1, e.hdim0, e.hdim1)[1])
+    return splitting_cocycle(sigma, (e.restrict0, e.restrict1), (e.hdim0, e.hdim1))
 
 
 def build_extension(
@@ -152,9 +151,7 @@ def witness_homomorphism(e1: Extension2, e2: Extension2, lam: Cochain1) -> Homom
     part lambda2 of the projected arguments."""
     f0, f1 = e1.witness_maps(e2, lam.phi, lam.phi1)
     n0 = e1.total.dim0
-    # chi's values lie in the kernel's degree 1, a length chi cannot show on a base without degree 0
-    chi = sparse_tensor(lam.chi, 2)
-    maps = {"chi": Sparse(chi.cells, chi.zero, e2.hdim1), "p0": sparse_matrix(e1.p0)}
+    maps = {"chi": sparse_tensor(lam.chi, 2, e2.hdim1), "p0": sparse_matrix(e1.p0)}
     f2 = dense(evaluated(WITNESS, maps, {"chi": (None, None), "p0": (0,)}, (n0,))["f2"], e2.incl1)
     return Homomorphism2(e1.total, e2.total, f0, f1, f2)
 

@@ -8,33 +8,30 @@ has degrees 0 and 1; a crossed module (h -> p) has p in degree 0, with
 kernel W, and h in degree 1, with kernel V.
 
 This module holds what does not depend on the theory: the coordinate maps,
-the blocks of the standard total, the reading of the cocycle families off
-its axioms, the standard extension's projection and splitting, the
-exactness, rank and splitting identities, the flow of the equivalence
-decision, and the degreewise maps of an equivalence witness with the check
-that they fix the kernel and commute with the projections.  ``ext2`` and
-``xmod`` add the theory's own structure checks, extraction formulas and
-totals, as the subclass methods ``require``, ``representation``,
-``cocycle`` and ``complex_of``.
+the blocks of the standard total, the relabelling of residuals, the
+standard extension's projection and splitting, the exactness, rank and
+splitting identities, the flow of the equivalence decision, and the
+degreewise maps of an equivalence witness with the check that they fix the
+kernel and commute with the projections.  ``ext2`` and ``xmod`` add the
+theory's structure checks and readings as the subclass methods
+``require``, ``representation``, ``cocycle`` and ``complex_of``.
 
 The standard total of a base, a representation and a two-cochain c lives
-on (base + kernel) in each degree, base coordinates first.  Its structure
-maps are copied into place block by block: on base arguments the base map
-plus c, the action of the base on the kernel where one argument is a
-kernel vector, and zero where two are.  It satisfies the theory's axioms
-exactly when c is a cocycle, and on base tuples the kernel part of each
-axiom's residual is, up to a fixed sign, one cocycle family evaluated on
-c (the tables are ``cohom2.FAMILIES`` and ``xmod.XFAMILIES``).  So d2 and
-the cocycle checks are read off the axiom evaluators, on a total whose
-cochain entries may be the linear forms of matrix assembly.  On tuples
-with one kernel argument the total of the zero cochain, the semidirect
-product, gives the representation axioms (``rep2.REPRESENTATION``,
-``xmod.XREPRESENTATION``), and the homomorphism residuals of a splitting
-give the extracted cocycle.  Two splittings differ by a one-cochain and
-their cocycles by its coboundary, so the splitting of the semidirect
-product shifted by a one-cochain (``shifted``) gives d1 the same way.
-``kernel_residuals`` does the relabelling for all of them, and ``placed``
-sets the relabelled values in a cochain layout.  The total's maps on the
+on (base + kernel) in each degree, base coordinates first: on base
+arguments the base map plus c, the action of the base on the kernel where
+one argument is a kernel vector, and zero where two are
+(``cohom2.extension_total``; a crossed module's is the two-term one of its
+strict pair).  It satisfies the axioms exactly when c is a cocycle, and on
+base tuples the kernel part of each axiom's residual is, up to a fixed
+sign, one cocycle family evaluated on c (``cohom2.FAMILIES``): d2 and the
+cocycle checks are read off the axiom evaluators, on a total whose cochain
+entries may be the linear forms of matrix assembly.  On tuples with one
+kernel argument the semidirect product (the total of the zero cochain)
+gives the representation axioms (``by_kernel_position``); the
+homomorphism residuals of a splitting give the extracted cocycle, and
+those of the semidirect product's splitting shifted by a one-cochain
+(``shifted``) its coboundary.  ``kernel_residuals`` relabels them all, and
+``placed`` sets the values in a cochain layout.  The total's maps on the
 stored splitting and kernel (``SplitExtension.fed``) give the induced
 representation and the abelian-kernel checks.
 """
@@ -128,16 +125,20 @@ def kernel_residuals(residuals, table: dict, parts):
             yield (label, where, *orientation(part(lhs), part(rhs)))
 
 
-def by_kernel_position(residuals, slots: dict, cuts):
-    """The residuals of a standard total on tuples with exactly one kernel
-    argument, keyed by (condition, position of that argument), with the
-    argument renumbered from 0 in the kernel; ``slots`` gives the degree of
-    each argument of each condition, ``cuts`` the base dims."""
-    for condition, where, lhs, rhs in residuals:
-        for pos, deg in enumerate(slots[condition]):
-            if where[pos] >= cuts[deg]:
-                break
-        yield (condition, pos), where[:pos] + (where[pos] - cuts[deg],) + where[pos + 1 :], lhs, rhs
+def by_kernel_position(residuals, slots: dict, table: dict, cuts):
+    """``kernel_residuals`` of a standard total on tuples with one kernel
+    argument, ``table`` keyed by (condition, position of that argument),
+    renumbered from 0 in the kernel; ``slots`` gives the degree of each
+    argument of each condition, ``cuts`` the base dims."""
+
+    def keyed():
+        for condition, where, lhs, rhs in residuals:
+            for pos, deg in enumerate(slots[condition]):
+                if where[pos] >= cuts[deg]:
+                    break
+            yield (condition, pos), where[:pos] + (where[pos] - cuts[deg],) + where[pos + 1 :], lhs, rhs
+
+    return kernel_residuals(keyed(), table, tail_parts(cuts))
 
 
 def stacked(families) -> tuple:

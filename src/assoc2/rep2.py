@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra2 import SLOTS, TwoTermAlgebra, TwoTermComplex, Tuples, algebra_residuals, require_algebra
-from .extension import as_is, by_kernel_position, kernel_residuals, swapped, tail_parts
+from .extension import as_is, by_kernel_position, swapped
 from .integral import integral_report, twin_field
 from .report import CheckReport, checked, kept, kept_field
 from .tensorops import vneg, zeros2, zeros3
@@ -124,7 +124,7 @@ def representation_residuals(r: Representation2):
     g = r.algebra
     cuts = (g.dim0, g.dim1)
     residuals = algebra_residuals(semidirect_product(g, r), tuples=Tuples(cuts, 1))
-    return kernel_residuals(by_kernel_position(residuals, SLOTS, cuts), REPRESENTATION, tail_parts(cuts))
+    return by_kernel_position(residuals, SLOTS, REPRESENTATION, cuts)
 
 
 def check_representation(r: Representation2) -> CheckReport:

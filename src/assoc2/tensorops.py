@@ -164,15 +164,16 @@ def _first(t, depth: int):
     return t
 
 
-def sparse_tensor(t, inputs: int) -> Sparse:
-    """The ``Sparse`` map of a nested-tuple tensor with ``inputs`` inputs;
-    its zero is that of ``view2``/``view3``."""
-    n_out = _out_dim(t, inputs)
+def sparse_tensor(t, inputs: int, n_out: int | None = None) -> Sparse:
+    """The ``Sparse`` map of a nested-tuple tensor with ``inputs`` inputs
+    and ``n_out`` outputs, read off the tensor when not given (a tensor with
+    an empty input has none to show); its zero is that of ``view2``/``view3``."""
+    shown = _out_dim(t, inputs)
     nodes = [((), t)]
     for _ in range(inputs):
         nodes = [(ins + (i,), sub) for ins, node in nodes for i, sub in enumerate(node)]
     cells = tuple((ins, _nonzero(vector)) for ins, vector in nodes if any(vector))
-    return Sparse(cells, _zero_of(_first(t, inputs + 1)) if n_out else ZERO, n_out)
+    return Sparse(cells, _zero_of(_first(t, inputs + 1)) if shown else ZERO, shown if n_out is None else n_out)
 
 
 def sparse_matrix(m) -> Sparse:

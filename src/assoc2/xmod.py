@@ -7,42 +7,40 @@ and crossed modules determine each other, and the whole graded apparatus
 has a strict mirror here: representations (V, W, phi), semidirect
 products, a two-term cochain complex with seven cocycle families,
 deformations with Nijenhuis pairs, and abelian extensions classified by
-the second cohomology.  This module holds the formulas and the structure
-checks; the linear algebra of the complex (flattening, assembly, H2,
-coboundary solves) is the shared engine in ``cochain``, fed by
-``xmod_cochain_complex``.  As in ``cohom2``, d2 is not written out: the
-families xcoc1-xcoc7 are the kernel part of the crossed-module axioms of
-the standard total (``xmod_extension_total``, shared with
-``xmod_build_extension``) on base tuples, relabelled by ``XFAMILIES``.
-Nor are the representation axioms: they are the same axioms of the
-semidirect product on tuples with one kernel argument (``XREPRESENTATION``).
-Nor is d1: it is the cocycle extracted (``XEXTRACTED``) from the strict
-splitting of the semidirect product shifted by the one-cochain, read off
-``xmod_homomorphism_residuals``.  The identities themselves are tables
-(``XAXIOMS``, ``XHOMOMORPHISM``), evaluated like those of ``algebra2``:
-each term contracted once over the nonzero structure constants
-(``algebra2.residual_sides``), not one product call per basis tuple; so
-are the Nijenhuis conditions (``XNIJENHUIS``, (ii)-(iv) of ``deform2`` on
-the strict algebra) and an extension's induced representation and
-abelian-kernel checks (``XINDUCED``, ``XABELIAN``).
+the second cohomology.
+
+The complex is the strict slice of ``cohom2``'s: a representation is one
+of the strict algebra h -> p on V -> W with the pairings as l1, r1 and no
+trilinear actions (``strict_representation``), and on that pair with
+chi = theta = 0 d1, the standard total, the semidirect product and the
+extracted cocycle are the two-term ones, and xcoc1-xcoc7 are coc01-coc07
+(``XCOCYCLES``; coc08 vanishes and is never evaluated).  The checks keep
+the crossed module's own labels and sides: term tables (``XAXIOMS``,
+``XHOMOMORPHISM``) contracted over the nonzero structure constants
+(``algebra2.residual_sides``), and the representation axioms, Nijenhuis
+conditions and an extension's induced representation and abelian kernel
+read off them (``XREPRESENTATION``, ``XNIJENHUIS``, ``XINDUCED``,
+``XABELIAN``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .algebra2 import ASSOC, ASSOC_INPUTS, AssocAlgebra, Bimodule, TwoTermAlgebra, TwoTermComplex, Tuples
-from .algebra2 import _assoc_residuals, _bimodule_residuals, require_algebra, residual, residual_sides
+from . import cohom2
+from .algebra2 import ASSOC, ASSOC_INPUTS, AssocAlgebra, Bimodule, Homomorphism2, TwoTermAlgebra, TwoTermComplex
+from .algebra2 import Tuples, _assoc_residuals, _bimodule_residuals, require_algebra, residual, residual_sides
 from .cochain import CoboundaryMatrices, Cochain, CochainComplex, CohomologyResult, Layout, assemble, cohomology
 from .cochain import primitive
-from .deform2 import NIJENHUIS, nijenhuis_conditions
+from .deform2 import NIJENHUIS, NijenhuisCandidate, PolyStructure, nijenhuis_conditions, specialize, trivializing_triple
 from .exactlin import Matrix
-from .extension import SplitExtension, as_is, by_kernel_position, families_report, kernel_residuals, placed
-from .extension import shifted, stacked, swapped, tail_parts, total_bilinear, total_matrix
+from .extension import SplitExtension, as_is, by_kernel_position, families_report, stacked, swapped
 from .integral import integral_report, on_integers, twin_field
 from .poly import GeneratesVerdict, T, generates_verdict, identity_report
+from .rep2 import Representation2
 from .report import CheckReport, checked, kept, kept_field, report_from
-from .tensorops import sparse_matrix, tzip, zeros2, zeros3
+from .tensorops import sparse_matrix, zeros2, zeros3
 
 
 @dataclass
@@ -127,19 +125,21 @@ def algebra_to_crossed_module(g: TwoTermAlgebra) -> CrossedModule:
     require_algebra(g)
     if any(x != 0 for plane in g.l3 for row in plane for cell in row for x in cell):
         raise ValueError("algebra is not strict: l3 != 0")
+    return _crossed_module(g)
+
+
+def _crossed_module(g: TwoTermAlgebra) -> CrossedModule:
+    """g's complex and products as a crossed module, unchecked; l3 is dropped."""
     p = AssocAlgebra(g.dim0, g.l2_00)
-    h = Bimodule(p, g.dim1, g.l2_01, g.l2_10)
-    return CrossedModule(p, h, g.complex.diff)
+    return CrossedModule(p, Bimodule(p, g.dim1, g.l2_01, g.l2_10), g.complex.diff)
 
 
 def crossed_module_to_algebra(x: CrossedModule) -> TwoTermAlgebra:
-    return TwoTermAlgebra(
-        TwoTermComplex(x.pdim, x.hdim, x.f_map),
-        x.p_alg.mul,
-        x.h_mod.left,
-        x.h_mod.right,
+    """The strict two-term algebra h -> p of x, unchecked, kept on x."""
+    return kept(x, "strict", lambda: TwoTermAlgebra(
+        TwoTermComplex(x.pdim, x.hdim, x.f_map), x.p_alg.mul, x.h_mod.left, x.h_mod.right,
         zeros3(x.pdim, x.pdim, x.pdim, x.hdim),
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def xmod_representation_residuals(r: XModRepresentation):
     that argument numbered in V or W."""
     cuts = (r.xm.pdim, r.xm.hdim)
     residuals = crossed_module_residuals(semidirect_product(r.xm, r), tuples=Tuples(cuts, 1))
-    return kernel_residuals(by_kernel_position(residuals, XSLOTS, cuts), XREPRESENTATION, tail_parts(cuts))
+    return by_kernel_position(residuals, XSLOTS, XREPRESENTATION, cuts)
 
 
 def check_xmod_representation(r: XModRepresentation) -> CheckReport:
@@ -235,16 +235,27 @@ def xmod_trivial_representation(x: CrossedModule, nv: int, nw: int) -> XModRepre
 
 
 # ---------------------------------------------------------------------------
-# semidirect product
+# the strict pair and the semidirect product
 # ---------------------------------------------------------------------------
 
+def strict_representation(x: CrossedModule, r: XModRepresentation) -> Representation2:
+    """r as a representation of the strict algebra of x (its ``algebra``) on
+    V -> W, l1 = tr_l and r1 = tr_r, unchecked.  Built once per pair and kept
+    on r with x, so that no other crossed module takes x's id while it is
+    kept; the complex builds it on the integer twins."""
+    np_, nv, nw, v, w = x.pdim, r.vdim, r.wdim, r.v_mod, r.w_mod
+    return kept(r, ("strict", id(x)), lambda: (x, Representation2(
+        crossed_module_to_algebra(x), TwoTermComplex(nw, nv, r.phi), w.left, v.left, w.right, v.right, r.tr_l, r.tr_r,
+        zeros3(np_, np_, nw, nv), zeros3(np_, nw, np_, nv), zeros3(nw, np_, np_, nv),
+    )))[1]
+
+
 def semidirect_product(x: CrossedModule, r: XModRepresentation) -> CrossedModule:
-    """(h + V, p + W, f + phi) with the action-twisted products: the
-    standard total of the zero cochain, unchecked; its zero blocks are
-    ``int``.  Built once per pair and kept on r with x, so that no other
-    crossed module takes x's id while it is kept."""
-    zero = lambda: on_integers(xmod_cochain_layouts(x.pdim, x.hdim, r.vdim, r.wdim)[1].zero())
-    return kept(r, ("x + V", id(x)), lambda: (x, xmod_extension_total(x, r, zero())))[1]
+    """(h + V, p + W, f + phi) with the action-twisted products: g + V of the
+    strict pair as a crossed module, unchecked; its zero blocks are ``int``.
+    Kept on r with x, as the strict pair is."""
+    s = strict_representation(x, r)
+    return kept(r, ("x + V", id(x)), lambda: (x, _crossed_module(cohom2.semidirect_product(s.algebra, s))))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -271,25 +282,18 @@ def xmod_cochain_layouts(np_: int, nh: int, nv: int, nw: int) -> tuple[Layout, L
     """The block layouts of one- and two-cochains on a pair (x, r) of dims
     (p, h) and (v, w), shared with the file formats: [ n0 row-major | n1
     row-major ] and [ psi | omega | mu | nu ]."""
-    return (
-        Layout(XCochain1, {"n0": ((np_,), nw), "n1": ((nh,), nv)}),
-        Layout(
-            XCochain2,
-            {"psi": ((nh,), nw), "omega": ((np_, np_), nw), "mu": ((np_, nh), nv), "nu": ((nh, np_), nv)},
-        ),
-    )
+    c2 = {"psi": ((nh,), nw), "omega": ((np_, np_), nw), "mu": ((np_, nh), nv), "nu": ((nh, np_), nv)}
+    return Layout(XCochain1, {"n0": ((np_,), nw), "n1": ((nh,), nv)}), Layout(XCochain2, c2)
 
 
 def xmod_complex_shape(base: tuple[int, int], coefficients: tuple[int, int]) -> tuple[int, int, int]:
     """(dim C1, dim C2, rows of d2) on a pair whose crossed module has dims
     (p, h) and whose coefficients have dims (w, v), counted without
-    evaluating anything: d2 has a row per base tuple of xcoc1-xcoc7
-    ((i, a), (a, i) and (i, j, k) in W; (a, b) and three of shape
-    (i, j, a) in V) and coordinate of their values."""
-    (np_, nh), (nw, nv) = base, coefficients
-    c1, c2 = xmod_cochain_layouts(np_, nh, nv, nw)
-    rows = (2 * np_ * nh + np_**3) * nw + (nh * nh + 3 * np_ * np_ * nh) * nv
-    return c1.dim, c2.dim, rows
+    evaluating anything: those of the strict pair's two-term complex less
+    chi, theta and coc08 (p^2, p^3 and p^4 times v)."""
+    (np_, _), (_, nv) = base, coefficients
+    c1, c2, rows = cohom2.complex_shape(base, coefficients)
+    return c1 - np_**2 * nv, c2 - np_**3 * nv, rows - np_**4 * nv
 
 
 def xmod_cochain_complex(x: CrossedModule, r: XModRepresentation) -> CochainComplex:
@@ -313,51 +317,47 @@ def xmod_flatten2(c: XCochain2) -> tuple:
 
 
 def xmod_d1_apply(x: CrossedModule, r: XModRepresentation, c: XCochain1) -> XCochain2:
-    """Coboundary of a one-cochain (N0, N1), as ``cohom2.d1_apply``: the
-    cocycle extracted from the strict splitting x -> x + N0(x),
-    a -> a + N1(a) of the semidirect product, through ``XEXTRACTED``."""
-    residuals = xmod_homomorphism_residuals(x, semidirect_product(x, r), shifted(c.n0), shifted(c.n1))
-    layout = xmod_cochain_layouts(x.pdim, x.hdim, r.vdim, r.wdim)[1]
-    return placed(kernel_residuals(residuals, XEXTRACTED, tail_parts((x.pdim, x.hdim))), layout)
+    """Coboundary of a one-cochain (N0, N1): ``cohom2.d1_apply`` of
+    (N0, N1, 0) on the strict pair, whose theta block is zero."""
+    s = strict_representation(x, r)
+    d1 = cohom2.d1_apply(s.algebra, s, cohom2.Cochain1(c.n0, c.n1, zeros2(x.pdim, x.pdim, s.dim1)))
+    return XCochain2(*d1.blocks()[:4])
 
 
-# the kernel part of each axiom of the standard total on a base tuple:
-# (cocycle family, orientation, degree of the values), the family being
-# lhs - rhs of the oriented sides; see ``extension``
-XFAMILIES = {
-    "equiv-l": ("xcoc1", as_is, 0), "equiv-r": ("xcoc2", as_is, 0), "peiffer": ("xcoc3", as_is, 1),
-    "assoc": ("xcoc4", swapped, 0), "left": ("xcoc5", swapped, 1), "right": ("xcoc6", as_is, 1),
-    "middle": ("xcoc7", as_is, 1),
-}
+def _strict_total(x: CrossedModule, r: XModRepresentation, c: XCochain2) -> TwoTermAlgebra:
+    """The two-term standard total of the strict pair twisted by (c, theta = 0)."""
+    s = strict_representation(x, r)
+    return cohom2.extension_total(s.algebra, s, cohom2.Cochain2(*c.blocks(), zeros3(*(x.pdim,) * 3, s.dim1)))
 
 
 def xmod_extension_total(x: CrossedModule, r: XModRepresentation, c: XCochain2) -> CrossedModule:
-    """The standard total on (p + W, h + V) twisted by c, unchecked: f_map
-    [[f, 0], [psi, phi]], products and actions x's plus omega, mu, nu on
-    base arguments and r's actions and pairings on mixed ones."""
-    deg0, deg1 = (x.pdim, r.wdim), (x.hdim, r.vdim)
-    mul = total_bilinear(x.p_alg.mul, c.omega, r.w_mod.left, r.w_mod.right, (deg0, deg0, deg0))
-    p_alg = AssocAlgebra(sum(deg0), mul)
-    left = total_bilinear(x.h_mod.left, c.mu, r.v_mod.left, r.tr_r, (deg0, deg1, deg1))
-    right = total_bilinear(x.h_mod.right, c.nu, r.tr_l, r.v_mod.right, (deg1, deg0, deg1))
-    return CrossedModule(p_alg, Bimodule(p_alg, sum(deg1), left, right), total_matrix(x.f_map, c.psi, r.phi))
+    """The standard total on (p + W, h + V) twisted by c, unchecked: the
+    two-term one of the strict pair with theta = 0 (CONVENTIONS.md)."""
+    return _crossed_module(_strict_total(x, r, c))
 
 
-def total_xcocycle_families(total: CrossedModule, x: CrossedModule):
-    """Yield (family, basis tuple, lhs, rhs) for xcoc1-xcoc7, whose
-    residual is lhs - rhs: the kernel part of the crossed-module axioms of
-    ``total``, a standard total over x, on x's basis tuples."""
-    cuts = (x.pdim, x.hdim)
-    return kernel_residuals(crossed_module_residuals(total, tuples=Tuples(cuts, 0)), XFAMILIES, tail_parts(cuts))
+# coc01-coc07 of the strict pair are xcoc1-xcoc7 with sides swapped (coc06
+# and coc07 in the other order); coc08 vanishes there
+XCOCYCLES = {**{f"coc0{k}": f"xcoc{k}" for k in range(1, 6)}, "coc06": "xcoc7", "coc07": "xcoc6"}
+
+
+def xmod_cocycle_families(x: CrossedModule, r: XModRepresentation, c: XCochain2):
+    """Yield (family, basis tuple, lhs, rhs) for xcoc1-xcoc7, whose residual
+    is lhs - rhs: ``cohom2.total_cocycle_families`` of the strict pair
+    through ``XCOCYCLES``, stopped before coc08, which is never evaluated."""
+    np_, nh = x.pdim, x.hdim
+    families = cohom2.total_cocycle_families(_strict_total(x, r, c), x)
+    for family, where, lhs, rhs in islice(families, 2 * np_ * nh + nh * nh + np_**3 + 3 * np_ * np_ * nh):
+        yield XCOCYCLES[family], where, rhs, lhs
 
 
 def xmod_d2_residual(x: CrossedModule, r: XModRepresentation, c: XCochain2) -> tuple:
     """Concatenated residuals of the seven cocycle families."""
-    return stacked(total_xcocycle_families(xmod_extension_total(x, r, c), x))
+    return stacked(xmod_cocycle_families(x, r, c))
 
 
 def xmod_cocycle_report(x: CrossedModule, r: XModRepresentation, c: XCochain2) -> CheckReport:
-    return families_report(total_xcocycle_families(xmod_extension_total(x, r, c), x))
+    return families_report(xmod_cocycle_families(x, r, c))
 
 
 def xmod_assemble_matrices(x: CrossedModule, r: XModRepresentation) -> CoboundaryMatrices:
@@ -380,12 +380,10 @@ def xmod_is_coboundary(x: CrossedModule, r: XModRepresentation, c: XCochain2):
 
 def xmod_deform(x: CrossedModule, c: XCochain2, param) -> CrossedModule:
     """The deformed crossed module over a scalar (a number or the
-    polynomial parameter): f + t.psi, products and actions + t.(omega|mu|nu)."""
-    lin = lambda base, pert: tzip(lambda b, p: b + param * p, base, pert)
-    p_alg = AssocAlgebra(x.pdim, lin(x.p_alg.mul, c.omega))
-    h_mod = Bimodule(p_alg, x.hdim, lin(x.h_mod.left, c.mu), lin(x.h_mod.right, c.nu))
-    f_map = Matrix(lin(x.f_map.entries, c.psi.entries), x.hdim)
-    return CrossedModule(p_alg, h_mod, f_map)
+    polynomial parameter): f + t.psi, products and actions + t.(omega|mu|nu),
+    the strict algebra's deformation (``deform2.specialize``)."""
+    g = crossed_module_to_algebra(x)
+    return _crossed_module(specialize(PolyStructure(g, cohom2.Cochain2(*c.blocks(), g.l3)), param))
 
 
 def xmod_check_generates(x: CrossedModule, c: XCochain2) -> GeneratesVerdict:
@@ -452,8 +450,7 @@ def xmod_homomorphism_residuals(src: CrossedModule, dst: CrossedModule, f0: Matr
 def xmod_check_trivializing(x: CrossedModule, c: XCochain2, n0: Matrix, n1: Matrix) -> CheckReport:
     """(id + t N0, id + t N1) must be a strict homomorphism from the
     deformed structure to the base, identically in the parameter."""
-    t0 = Matrix(tzip(lambda i, v: i + T * v, Matrix.identity(x.pdim).entries, n0.entries), x.pdim)
-    t1 = Matrix(tzip(lambda i, v: i + T * v, Matrix.identity(x.hdim).entries, n1.entries), x.hdim)
+    t0, t1, _ = trivializing_triple(crossed_module_to_algebra(x), NijenhuisCandidate(n0, n1, ()), T)
     return identity_report(xmod_homomorphism_residuals(xmod_deform(x, c, T), x, t0, t1))
 
 
@@ -519,32 +516,23 @@ def xmod_extract_representation(e: XModExtension) -> XModRepresentation:
     return XModRepresentation(b, v_mod, w_mod, Matrix.from_cols(a["phi"], e.hdim0), a["tr_l"], a["tr_r"])
 
 
-# as ``cohom2.EXTRACTED``, for a strict splitting (f0, f1)
-XEXTRACTED = {
-    "hom-f": ("psi", as_is, 0), "hom-alg": ("omega", swapped, 0),
-    "hom-left": ("mu", swapped, 1), "hom-right": ("nu", swapped, 1),
-}
-
-
 def xmod_extract_cocycle(e: XModExtension) -> XCochain2:
-    """The failure of the stored splitting to be a homomorphism, read off
-    its homomorphism residuals as in ``ext2.extract_cocycle``."""
+    """The failure of the stored splitting to be a homomorphism, as in
+    ``ext2.extract_cocycle``: (sigma0, sigma1, 0) between the strict
+    algebras of the base and the total; the theta block is zero."""
     require_xmod_extension(e)
-    b = e.base
-    sigma = on_integers((b, e.total, e.sigma0, e.sigma1))
-    residuals = kernel_residuals(xmod_homomorphism_residuals(*sigma), XEXTRACTED, (e.restrict0, e.restrict1))
-    return placed(residuals, xmod_cochain_layouts(b.pdim, b.hdim, e.hdim1, e.hdim0)[1])
+    b, t, s0, s1 = on_integers((e.base, e.total, e.sigma0, e.sigma1))
+    sigma = Homomorphism2(*map(crossed_module_to_algebra, (b, t)), s0, s1, zeros2(b.pdim, b.pdim, t.hdim))
+    return XCochain2(*cohom2.splitting_cocycle(sigma, (e.restrict0, e.restrict1), (e.hdim0, e.hdim1)).blocks()[:4])
 
 
-def xmod_build_extension(
-    x: CrossedModule, r: XModRepresentation, c: XCochain2
-) -> XModExtension:
+def xmod_build_extension(x: CrossedModule, r: XModRepresentation, c: XCochain2) -> XModExtension:
     """The standard extension on (p + W, h + V) twisted by a cocycle."""
     require_crossed_module(x)
     require_xmod_representation(r)
     total = xmod_extension_total(x, r, c)
     if not check_crossed_module(total).passed:  # exactly when c is not a cocycle
-        families_report(total_xcocycle_families(total, x)).require("not a two-cocycle")
+        xmod_cocycle_report(x, r, c).require("not a two-cocycle")
         require_crossed_module(total)
     return XModExtension.standard(total, x)
 

@@ -15,15 +15,32 @@ Nijenhuis deformation, the induced representation of an extension and
 its abelian-kernel checks are the hand-written formulas the package used
 before it read them off term tables; ``tests/test_tables.py`` requires the
 same reports, representations and tensors from the package.
+
+The crossed-module complex as ``xmod`` built it before it read the strict
+slice of ``cohom2``'s: its own standard total, block by block, with the
+families xcoc1-xcoc7 read off the crossed-module axioms of that total
+(``XFAMILIES``) and d1 and the extracted cocycle off strict homomorphism
+residuals (``XEXTRACTED``); ``tests/test_contraction.py`` requires the
+same reports, cochains and totals, and the same row space of d2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from assoc2.algebra2 import Tuples
+from assoc2.algebra2 import AssocAlgebra, Bimodule, Tuples
 from assoc2.exactlin import Matrix
+from assoc2.extension import as_is, families_report, kernel_residuals, placed, shifted, stacked, swapped, tail_parts
+from assoc2.extension import total_bilinear, total_matrix
+from assoc2.integral import on_integers
 from assoc2.tensorops import apply2, apply3, tensor2, tensor3, unit, vadd, view2, view3, vsub, vzero
+from assoc2.xmod import CrossedModule, XModRepresentation, xmod_cochain_layouts
+
+
+def _declared(view, n_out: int) -> tuple:
+    """A sparse view with the output length its structure declares: a
+    tensor with an empty input has none to show."""
+    return (*view[:2], n_out)
 
 
 class _Products:
@@ -31,7 +48,8 @@ class _Products:
     named as the methods the reference formulas were written with."""
 
     def __init__(self, g):
-        self.v00, self.v01, self.v10, self.v3 = view2(g.l2_00), view2(g.l2_01), view2(g.l2_10), view3(g.l3)
+        self.v00, self.v01 = _declared(view2(g.l2_00), g.dim0), _declared(view2(g.l2_01), g.dim1)
+        self.v10, self.v3 = _declared(view2(g.l2_10), g.dim1), _declared(view3(g.l3), g.dim1)
 
     def m00(self, x, y):
         return apply2(self.v00, x, y)
@@ -50,7 +68,8 @@ class _XProducts:
     """The same for a crossed module: the product of p and the actions on h."""
 
     def __init__(self, x):
-        self.mul, self.left, self.right = view2(x.p_alg.mul), view2(x.h_mod.left), view2(x.h_mod.right)
+        self.mul = _declared(view2(x.p_alg.mul), x.pdim)
+        self.left, self.right = _declared(view2(x.h_mod.left), x.hdim), _declared(view2(x.h_mod.right), x.hdim)
 
     def product(self, u, v):
         return apply2(self.mul, u, v)
@@ -64,7 +83,7 @@ class _XProducts:
 
 def assoc_residuals(a, tuples=None):
     n = a.dim
-    mul = view2(a.mul)
+    mul = _declared(view2(a.mul), n)
     for i, j, k in (tuples or Tuples((n,), 0)).of((n,), 0, 0, 0):
         yield "assoc", (i, j, k), apply2(mul, a.mul[i][j], unit(n, k)), apply2(mul, unit(n, i), a.mul[j][k])
 
@@ -72,7 +91,7 @@ def assoc_residuals(a, tuples=None):
 def bimodule_residuals(m, tuples=None):
     a = m.algebra
     dims = n, md = a.dim, m.dim
-    left, right = view2(m.left), view2(m.right)
+    left, right = _declared(view2(m.left), md), _declared(view2(m.right), md)
     for i, j, p in (tuples or Tuples(dims, 0)).of(dims, 0, 0, 1):
         x, y, u = unit(n, i), unit(n, j), unit(md, p)
         yield "left", (i, j, p), apply2(left, a.mul[i][j], u), apply2(left, x, m.left[j][p])
@@ -121,7 +140,7 @@ def homomorphism_residuals(h):
     d, dp = g.complex.diff, gp.complex.diff
     f0col = [h.f0.col(i) for i in range(n0)]
     f1col = [h.f1.col(p) for p in range(n1)]
-    f2 = view2(h.f2)
+    f2 = _declared(view2(h.f2), gp.dim1)
     pr = _Products(gp)
 
     for p in range(n1):
@@ -367,9 +386,6 @@ def xmod_abelian_residuals(e):
 
 def xmod_extract_representation(e):
     """``xmod.xmod_extract_representation`` after its extension check."""
-    from assoc2.algebra2 import Bimodule
-    from assoc2.xmod import XModRepresentation
-
     b = e.base
     nP, nH = b.pdim, b.hdim
     s0 = [e.sigma0.col(i) for i in range(nP)]
@@ -395,3 +411,65 @@ def xmod_extract_representation(e):
     tr_l = tensor2(nH, e.hdim0, lambda a, s: e.restrict1(xp.act_right(s1[a], wv[s])))
     tr_r = tensor2(e.hdim0, nH, lambda s, a: e.restrict1(xp.act_left(wv[s], s1[a])))
     return XModRepresentation(b, v_mod, w_mod, phi, tr_l, tr_r)
+
+
+# ---------------------------------------------------------------------------
+# the crossed-module complex: its own standard total and tables
+# ---------------------------------------------------------------------------
+
+# the kernel part of each axiom of the standard total on a base tuple:
+# (cocycle family, orientation, degree of the values)
+XFAMILIES = {
+    "equiv-l": ("xcoc1", as_is, 0), "equiv-r": ("xcoc2", as_is, 0), "peiffer": ("xcoc3", as_is, 1),
+    "assoc": ("xcoc4", swapped, 0), "left": ("xcoc5", swapped, 1), "right": ("xcoc6", as_is, 1),
+    "middle": ("xcoc7", as_is, 1),
+}
+
+# as ``cohom2.EXTRACTED``, for a strict splitting (f0, f1)
+XEXTRACTED = {
+    "hom-f": ("psi", as_is, 0), "hom-alg": ("omega", swapped, 0),
+    "hom-left": ("mu", swapped, 1), "hom-right": ("nu", swapped, 1),
+}
+
+
+def xmod_extension_total(x, r, c):
+    """The standard total on (p + W, h + V) twisted by c: f_map [[f, 0],
+    [psi, phi]], products and actions x's plus omega, mu, nu on base
+    arguments and r's actions and pairings on mixed ones."""
+    deg0, deg1 = (x.pdim, r.wdim), (x.hdim, r.vdim)
+    p_alg = AssocAlgebra(sum(deg0), total_bilinear(x.p_alg.mul, c.omega, r.w_mod.left, r.w_mod.right, (deg0,) * 3))
+    left = total_bilinear(x.h_mod.left, c.mu, r.v_mod.left, r.tr_r, (deg0, deg1, deg1))
+    right = total_bilinear(x.h_mod.right, c.nu, r.tr_l, r.v_mod.right, (deg1, deg0, deg1))
+    return CrossedModule(p_alg, Bimodule(p_alg, sum(deg1), left, right), total_matrix(x.f_map, c.psi, r.phi))
+
+
+def total_xcocycle_families(total, x):
+    """(family, basis tuple, lhs, rhs) for xcoc1-xcoc7: the kernel part of
+    the crossed-module axioms of ``total`` on x's basis tuples."""
+    cuts = (x.pdim, x.hdim)
+    return kernel_residuals(crossed_module_residuals(total, tuples=Tuples(cuts, 0)), XFAMILIES, tail_parts(cuts))
+
+
+def xmod_cocycle_report(x, r, c):
+    return families_report(total_xcocycle_families(xmod_extension_total(x, r, c), x))
+
+
+def xmod_d2_residual(x, r, c):
+    return stacked(total_xcocycle_families(xmod_extension_total(x, r, c), x))
+
+
+def xmod_d1_apply(x, r, c):
+    """The cocycle extracted from the splitting x -> x + N0(x),
+    a -> a + N1(a) of the semidirect product (the total of zero)."""
+    layout = xmod_cochain_layouts(x.pdim, x.hdim, r.vdim, r.wdim)[1]
+    semidirect = xmod_extension_total(x, r, layout.zero())
+    residuals = xmod_homomorphism_residuals(x, semidirect, shifted(c.n0), shifted(c.n1))
+    return placed(kernel_residuals(residuals, XEXTRACTED, tail_parts((x.pdim, x.hdim))), layout)
+
+
+def xmod_extract_cocycle(e):
+    """``xmod.xmod_extract_cocycle`` after its extension check."""
+    b = e.base
+    sigma = on_integers((b, e.total, e.sigma0, e.sigma1))
+    residuals = kernel_residuals(xmod_homomorphism_residuals(*sigma), XEXTRACTED, (e.restrict0, e.restrict1))
+    return placed(residuals, xmod_cochain_layouts(b.pdim, b.hdim, e.hdim1, e.hdim0)[1])

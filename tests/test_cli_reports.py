@@ -481,7 +481,7 @@ def test_documents_match_golden_bytes_and_messages(tmp_path):
 GENERATORS = [
     (algebra2, "algebra_residuals", "algebra"),
     (algebra2, "homomorphism_residuals", "hom"),
-    (ext2, "homomorphism_residuals", "hom"),
+    (cohom2, "homomorphism_residuals", "hom"),
     (rep2, "representation_residuals", "rep"),
     (ext2, "extension_residuals", "ext"),
     (xmod, "crossed_module_residuals", "xmod"),
@@ -540,19 +540,21 @@ def test_each_structure_is_checked_once_per_loaded_object(monkeypatch, tmp_path)
     # (argv, exit code, evaluations of each generator): one per loaded
     # object (``ext equiv`` keeps one object of a base both files carry),
     # one homomorphism evaluation of each extension's splitting, whose
-    # kernel part is the extracted cocycle, and one d1 evaluation per
-    # assembly and per verified primitive
+    # kernel part is the extracted cocycle (a crossed module's between the
+    # strict algebras, through the two-term evaluator), and one d1
+    # evaluation per assembly and per verified primitive (a crossed
+    # module's is the two-term d1 of its strict pair: both keys count it)
     table = [
         (["cohomology", u, urep], 0, {"algebra": 1, "rep": 1, "d1": 1}),
         (["cocycle", "reduce", u, urep, c2["cob"]], 0, {"algebra": 1, "rep": 1, "d1": 2}),
         (["ext", "extract", ext], 0, {"algebra": 2, "hom": 2, "ext": 1, "ext-rep": 1}),
         (["ext", "equiv", ext, ext], 0, {"algebra": 3, "hom": 5, "rep": 1, "ext": 2, "ext-rep": 2, "d1": 2}),
-        (["xmod", "cohomology", x, xrep], 0, {"xmod": 1, "xrep": 1, "xd1": 1}),
-        (["xmod", "cocycle", "reduce", x, xrep, xc2["cob"]], 0, {"xmod": 1, "xrep": 1, "xd1": 2}),
-        (["xmod", "ext", "extract", xext], 0, {"xmod": 2, "xhom": 2, "xext": 1, "xext-rep": 1}),
+        (["xmod", "cohomology", x, xrep], 0, {"xmod": 1, "xrep": 1, "xd1": 1, "d1": 1}),
+        (["xmod", "cocycle", "reduce", x, xrep, xc2["cob"]], 0, {"xmod": 1, "xrep": 1, "xd1": 2, "d1": 2}),
+        (["xmod", "ext", "extract", xext], 0, {"xmod": 2, "xhom": 1, "hom": 1, "xext": 1, "xext-rep": 1}),
         (
             ["xmod", "ext", "equiv", xext, xext], 0,
-            {"xmod": 3, "xrep": 1, "xhom": 5, "xext": 2, "xext-rep": 2, "xd1": 2},
+            {"xmod": 3, "xrep": 1, "xhom": 3, "hom": 2, "xext": 2, "xext-rep": 2, "xd1": 2, "d1": 2},
         ),
     ]
     for argv, code, expected in table:

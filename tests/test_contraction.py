@@ -292,6 +292,17 @@ def test_only_transport_and_the_hochschild_code_use_the_per_vector_loops():
         assert users <= allowed and (imported <= PER_VECTOR if allowed else not imported), (path.name, imported, users)
 
 
+def test_the_crossed_module_complex_is_read_off_the_two_term_engine():
+    """A static gate: ``xmod`` keeps no family or extraction table of its
+    own and builds no total itself; its complex is the strict slice of
+    ``cohom2``'s."""
+    tree = ast.parse(Path(xmod.__file__).read_text(encoding="utf-8"))
+    assigned = {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets if hasattr(t, "id")}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not {"XFAMILIES", "XEXTRACTED"} & assigned
+    assert not {"total_bilinear", "total_matrix", "shifted", "tail_parts"} & imported
+
+
 def test_extension_and_nijenhuis_commands_reach_no_per_vector_loop(tmp_path):
     """A work gate: ``ext extract``, ``ext equiv`` and ``nijenhuis apply``,
     in both theories, evaluate every product by contraction."""

@@ -362,6 +362,10 @@ def test_work_budget_counts_the_assembled_shapes_and_passes_transported_5_5():
         (xmod.xmod_complex_shape, xmod.xmod_assemble_matrices, x, xmod_adjoint(x)),
         (xmod.xmod_complex_shape, xmod.xmod_assemble_matrices, x, xmod.xmod_trivial_representation(x, 2, 3)),
     ]
+    for dims in ((0, 1), (1, 0), (0, 0)):
+        y = xmod.algebra_to_crossed_module(zero_algebra(*dims))
+        for v, w in ((1, 2), (2, 1), (0, 1)):
+            pairs.append((xmod.xmod_complex_shape, xmod.xmod_assemble_matrices, y, xmod.xmod_trivial_representation(y, v, w)))
     for shape, assemble, base, r in pairs:
         mats = assemble(base, r)
         c1, c2, rows = shape((base.dim0, base.dim1), (r.dim0, r.dim1))
@@ -751,6 +755,28 @@ def test_cli_xmod_mirror(capsys, tmp_path):
     eb.write_text(fileio.dumps(fileio.dump_xmod_extension(xbuild(x0, adj0, c1))))
     code, out, _ = _run(capsys, "xmod", "ext", "equiv", str(ea), str(eb))
     assert code == 1 and "inequivalent" in out
+
+
+@pytest.mark.parametrize("h, v, w", [(1, 1, 1), (2, 1, 1), (1, 1, 2)])
+def test_cli_xmod_extension_over_a_base_without_degree_0(capsys, tmp_path, h, v, w):
+    """With p = 0 the base's actions have an empty input; their output
+    length comes from the declared dims, so the extension of the zero
+    cochain passes its own check, and extraction gives the zero cochain."""
+    x = xmod.algebra_to_crossed_module(zero_algebra(0, h))
+    r = xmod.xmod_trivial_representation(x, v, w)
+    paths = [tmp_path / name for name in ("x.json", "r.json", "c.json")]
+    docs = fileio.dump_crossed_module(x), fileio.dump_xmod_representation(r)
+    docs += (fileio.dump_xmod_cochain2(xmod_zero_cochain2(x, r), x, r),)
+    for path, doc in zip(paths, docs):
+        path.write_text(fileio.dumps(doc))
+    code, out, _ = _run(capsys, "--format", "json", "xmod", "ext", "build", *map(str, paths))
+    assert code == 0
+    e = tmp_path / "e.json"
+    e.write_text(json.dumps(json.loads(out)["witness"]))
+    code, out, _ = _run(capsys, "--format", "json", "xmod", "ext", "extract", str(e))
+    assert code == 0 and json.loads(out)["witness"]["cocycle"]["tensors"] == {}
+    code, out, _ = _run(capsys, "xmod", "ext", "equiv", str(e), str(e))
+    assert code == 0
 
 
 def test_cli_xmod_nijenhuis_refuses_a_degree_2_part(capsys, tmp_path):

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_residuals as ref
 from brute_oracle import brute_xmod_d1_rows, brute_xmod_d2_rows, brute_xmod_h2
 from test_cohom2 import assert_matches_oracle, counted, non_integral_transport, unit_cochain_assembly
 
-from assoc2.algebra2 import AssocAlgebra, Bimodule, check_algebra
-from assoc2.cochain import Inequivalence, assemble
+from assoc2.algebra2 import AssocAlgebra, Bimodule, check_algebra, zero_algebra
+from assoc2.cochain import CochainComplex, Inequivalence, assemble
 from assoc2.exactlin import Matrix, kernel_basis
 from assoc2.integral import twin
 from assoc2.fixtures import (
@@ -22,12 +25,13 @@ from assoc2.fixtures import (
     fix_z,
     xmod_fixtures,
 )
-from assoc2.sampling import random_transport, random_xcochain2
+from assoc2.sampling import random_matrix, random_transport, random_xcochain2
 from assoc2.tensorops import bil, tensor2, unit, vadd, zeros2
 from assoc2.xmod import (
     CrossedModule,
     XCochain1,
     XCochain2,
+    XModExtension,
     XModWitness,
     algebra_to_crossed_module,
     check_crossed_module,
@@ -47,9 +51,11 @@ from assoc2.xmod import (
     xmod_d1_apply,
     xmod_d2_residual,
     xmod_deform,
+    xmod_extension_total,
     xmod_extract_cocycle,
     xmod_extract_representation,
     xmod_flatten2,
+    xmod_homomorphism_residuals,
     xmod_is_coboundary,
     xmod_nijenhuis_deformation,
     xmod_second_cohomology,
@@ -199,6 +205,25 @@ def test_second_cohomology_matches_oracle():
             assert all(v == 0 for v in xmod_d2_residual(x, adj, rep))
 
 
+def test_degenerate_dims_match_the_oracle():
+    """Crossed modules with p or h of dimension 0, trivial coefficients."""
+    for dims in ((0, 1), (1, 0), (0, 0)):
+        x = algebra_to_crossed_module(zero_algebra(*dims))
+        for v, w in ((1, 2), (2, 1), (0, 1)):
+            r = xmod_trivial_representation(x, v, w)
+            res = xmod_second_cohomology(x, r)
+            assert (res.dim_z2, res.dim_b2, res.dim_h2) == brute_xmod_h2(x, r), (dims, v, w)
+    x = algebra_to_crossed_module(zero_algebra(0, 1))
+    res = xmod_second_cohomology(x, xmod_trivial_representation(x, 1, 2))
+    assert (res.dim_z2, res.dim_b2, res.dim_h2) == (2, 0, 2)
+    # p spanned by an idempotent, h = 0: d1 N0 = -N0(e.e) is not zero
+    p = AssocAlgebra(1, (((F(1),),),))
+    x = CrossedModule(p, Bimodule(p, 0, ((),), ()), Matrix.zero(1, 0))
+    r = xmod_trivial_representation(x, 2, 1)
+    res = xmod_second_cohomology(x, r)
+    assert (res.dim_z2, res.dim_b2, res.dim_h2) == (1, 1, 0) == brute_xmod_h2(x, r)
+
+
 def test_d2_has_the_row_space_of_the_oracle_families():
     """d1 read off a shifted splitting and xcoc1-xcoc7 off the
     crossed-module axioms of the standard total against the oracle's rows,
@@ -219,6 +244,54 @@ def test_d2_has_the_row_space_of_the_oracle_families():
         for r in (xmod_adjoint(x), xmod_trivial_representation(x, 1, 2), xmod_trivial_representation(x, 2, 1)):
             rows = brute_xmod_d1_rows(x, r), brute_xmod_d2_rows(x, r)
             assert_matches_oracle(xmod_cochain_complex(x, r), *rows, (name, r.vdim, r.wdim))
+
+
+_STRICT = {"U": fix_u, "D": fix_d, "W": fix_w, "Z": fix_z}
+
+
+@st.composite
+def _strict_pairs(draw):
+    """A strict sum of 2 or 3 of the 1/1 fixtures moved by a random
+    integral or doubling change of basis, with adjoint or trivial (1, 2) or
+    (2, 1) coefficients, and the generator of its random cochains."""
+    names = draw(st.lists(st.sampled_from(sorted(_STRICT)), min_size=2, max_size=3))
+    g = _STRICT[names[0]]()
+    for name in names[1:]:
+        g = direct_sum_algebra(g, _STRICT[name]())
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    x = algebra_to_crossed_module(draw(st.sampled_from((random_transport, non_integral_transport)))(rng, g))
+    coefficients = draw(st.sampled_from(("adjoint", (1, 2), (2, 1))))
+    return rng, x, xmod_adjoint(x) if coefficients == "adjoint" else xmod_trivial_representation(x, *coefficients)
+
+
+def _violations(report):
+    return [(v.condition, v.where, v.lhs, v.rhs, [type(a) for a in v.lhs + v.rhs]) for v in report.violations]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_strict_pairs())
+def test_the_strict_slice_matches_the_crossed_module_formulas(pair):
+    """The complex read off the two-term engine against the crossed
+    module's own total and tables (``reference_residuals``), on random
+    cochains, mostly not cocycles: the cocycle reports (labels, tuples,
+    sides and scalar types), d1, the standard totals and the cocycle
+    extracted from a re-split extension are equal, and d2 has the same
+    row space."""
+    rng, x, r = pair
+    lam, c = _random_xcochain1(rng, x, r), random_xcochain2(rng, x, r)
+    d1 = xmod_d1_apply(x, r, lam)
+    assert d1 == ref.xmod_d1_apply(x, r, lam)
+    for cochain in (c, d1):
+        assert _violations(xmod_cocycle_report(x, r, cochain)) == _violations(ref.xmod_cocycle_report(x, r, cochain))
+        assert xmod_extension_total(x, r, cochain) == ref.xmod_extension_total(x, r, cochain)
+    e = _resplit(xmod_build_extension(x, r, d1), _random_xcochain1(rng, x, r))
+    assert xmod_extract_cocycle(e) == ref.xmod_extract_cocycle(e)
+    cx = xmod_cochain_complex(x, r)
+    d2 = [
+        assemble(CochainComplex(cx.c1, cx.c2, lambda c: cx.c2.zero(), evaluator, cx.not_a_complex)).d2
+        for evaluator in (cx.d2, lambda c: ref.xmod_d2_residual(x, r, c))
+    ]
+    assert d2[0].shape == d2[1].shape and d2[0].rref() == d2[1].rref()
 
 
 def test_zero_crossed_module_h2_is_whole_space():
@@ -308,6 +381,31 @@ def _random_xcocycle(rng, x, r):
     return c
 
 
+def _benchmark_pairs():
+    """The benchmark's crossed modules, U+D+W plain and Z+D and D+W
+    transported, with adjoint and trivial (v, w) = (1, 2) coefficients."""
+    sums = (((fix_u, fix_d, fix_w), False), ((fix_z, fix_d), True), ((fix_d, fix_w), True))
+    for seed, (blocks, moved) in enumerate(sums):
+        g = blocks[0]()
+        for block in blocks[1:]:
+            g = direct_sum_algebra(g, block())
+        x = algebra_to_crossed_module(random_transport(random.Random(seed), g) if moved else g)
+        yield x, xmod_adjoint(x)
+        yield x, xmod_trivial_representation(x, 1, 2)
+
+
+def _random_xcochain1(rng, x, r):
+    return XCochain1(random_matrix(rng, r.wdim, x.pdim), random_matrix(rng, r.vdim, x.hdim))
+
+
+def _resplit(e, lam):
+    """e with its splitting moved by the kernel-valued maps of lam."""
+    s0 = [vadd(e.sigma0.col(i), e.incl0(lam.n0.col(i))) for i in range(e.base.pdim)]
+    s1 = [vadd(e.sigma1.col(a), e.incl1(lam.n1.col(a))) for a in range(e.base.hdim)]
+    sigma = Matrix.from_cols(s0, e.total.pdim), Matrix.from_cols(s1, e.total.hdim)
+    return XModExtension(e.total, e.base, e.sub0, e.sub1, e.p0, e.p1, *sigma)
+
+
 def test_xmod_extension_round_trip():
     rng = random.Random(30)
     for x in (fix_x(), fix_x_peiffer(), fix_x_zero()):
@@ -318,6 +416,11 @@ def test_xmod_extension_round_trip():
             assert check_xmod_extension(e).passed
             assert xmod_flatten2(xmod_extract_cocycle(e)) == xmod_flatten2(c)
             assert xmod_extract_representation(e) == adj
+    for x, r in _benchmark_pairs():
+        for rep in xmod_second_cohomology(x, r).representatives:
+            e = xmod_build_extension(x, r, rep)
+            assert xmod_flatten2(xmod_extract_cocycle(e)) == xmod_flatten2(rep)
+            assert xmod_extract_representation(e) == r
 
 
 def test_xmod_build_rejects_non_cocycle():
@@ -349,6 +452,27 @@ def test_xmod_equivalence_and_inequivalence():
     res = xmod_check_equivalence(e0, e1)
     assert isinstance(res, Inequivalence)
     assert res.rank_augmented > res.rank_d1
+
+    # on the benchmark's crossed modules: a re-split of each representative's
+    # extension is equivalent to it by a verified witness, and the extensions
+    # of two distinct representatives (or of one and zero) are not
+    rng = random.Random(32)
+    for x, r in _benchmark_pairs():
+        reps = xmod_second_cohomology(x, r).representatives
+        assert reps
+        extensions = [xmod_build_extension(x, r, c) for c in reps]
+        for e in extensions:
+            e2 = _resplit(e, _random_xcochain1(rng, x, r))
+            w = xmod_check_equivalence(e, e2)
+            assert isinstance(w, XModWitness)
+            assert check_xmod_extension(e2).passed
+            d1 = xmod_d1_apply(x, r, w.primitive)
+            assert xmod_flatten2(d1) == xmod_flatten2(xmod_extract_cocycle(e) - xmod_extract_cocycle(e2))
+            witness = xmod_homomorphism_residuals(e.total, e2.total, w.f0, w.f1)
+            assert all(lhs == rhs for _, _, lhs, rhs in witness)
+        others = extensions[1:] or [xmod_build_extension(x, r, xmod_zero_cochain2(x, r))]
+        res = xmod_check_equivalence(extensions[0], others[0])
+        assert isinstance(res, Inequivalence) and res.rank_augmented > res.rank_d1
 
 
 def test_xmod_is_coboundary_round_trip():
